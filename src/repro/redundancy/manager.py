@@ -1,10 +1,14 @@
 """Redundancy maintenance (paper §III-A, claims C4/C5).
 
-Periodically each node runs a *census*: a batch of short random walks
-whose endpoints report which sieve range they cover. From the hit
-fraction and the epidemic size estimate the node learns how many nodes
-currently share its range — one cheap estimate covering *every tuple in
-the range at once*, instead of a random walk per tuple.
+Periodically each node runs a *census*: a few short sampling walks
+whose every node past the mixing hops reports which sieve range it
+covers. From the hit fraction and the epidemic size estimate the node
+learns how many nodes currently share its range — one cheap estimate
+covering *every tuple in the range at once*, instead of a random walk
+per tuple. A walk that dies takes its remaining samples with it, so
+each census asks for as many more samples as the previous one lost (at
+most twice), and a census with no usable report is inconclusive: it
+neither starts nor ends a deficiency.
 
 Outcomes:
 
@@ -26,6 +30,7 @@ recomputed every census from the measured churn of the population.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -49,9 +54,10 @@ class RepairPolicy:
     Attributes:
         target_replication: minimum nodes per range (the paper's r).
         check_period: seconds between censuses.
-        walks_per_check: walks per census (binomial resolution).
-        walk_ttl: hops per walk; None derives ~log2(N)+4 from the size
-            estimate.
+        walks_per_check: samples per census (binomial resolution); the
+            walker draws them from ceil(samples / walk_ttl) walks.
+        walk_ttl: mixing hops per walk; None derives ~log2(N)+4 from
+            the size estimate.
         grace_window: seconds a deficiency must persist before active
             repair (0 = eager repair; the E6 ablation knob).
         max_known_peers: cap on remembered same-range peers.
@@ -148,6 +154,8 @@ class RedundancyManager(Protocol):
         self.known_peers: List[NodeId] = []
         self.last_population: Optional[float] = None
         self._deficient_since: Optional[float] = None
+        #: returned / requested samples of the previous census, in [½, 1].
+        self._census_yield = 1.0
         self._timer = None
         self._stopped = False
         #: peer value -> census index at which the peer was last seen.
@@ -239,10 +247,11 @@ class RedundancyManager(Protocol):
         if ttl is None:
             ttl = recommended_walk_ttl(n_estimate)
         self.censuses += 1
+        requested = math.ceil(self.policy.walks_per_check / self._census_yield)
         self._walker().start_walks(
-            self.policy.walks_per_check,
+            requested,
             ttl,
-            lambda reports: self._census_done(reports, range_key, n_estimate),
+            lambda reports: self._census_done(reports, range_key, n_estimate, requested),
         )
 
     def _position_echo_ok(self, report: Dict[str, Any]) -> bool:
@@ -272,10 +281,19 @@ class RedundancyManager(Protocol):
         self.host.metrics.counter("redundancy.sieve_desync_detected").inc()
         return False
 
-    def _census_done(self, reports: List[Dict[str, Any]], range_key, n_estimate: float) -> None:
+    def _census_done(self, reports: List[Dict[str, Any]], range_key, n_estimate: float,
+                     requested: int) -> None:
+        self._census_yield = min(1.0, max(0.5, len(reports) / requested))
         if self.sieve.range_key() != range_key:
             return  # our range moved (size estimate shifted) — stale census
         reports = [r for r in reports if self._position_echo_ok(r)]
+        self.host.metrics.histogram("redundancy.census_samples").observe(len(reports))
+        if not reports:
+            # No evidence either way: age the peer list, leave the
+            # deficiency clock and the last estimate alone.
+            self.host.metrics.counter("redundancy.census_inconclusive").inc()
+            self._absorb_peers([])
+            return
         estimate = estimate_range_population(reports, range_key, n_estimate)
         self.last_population = estimate.population
         self.host.metrics.histogram("redundancy.population").observe(estimate.population)

@@ -1,7 +1,11 @@
 """Tests for random walks, census estimation and redundancy repair."""
 
+import math
+import statistics
+
 import pytest
 
+from repro.common.codec import BinaryCodec, Codec
 from repro.common.ids import NodeId
 from repro.epidemic import EagerGossip
 from repro.estimation import ExtremaSizeEstimator
@@ -9,6 +13,7 @@ from repro.membership import CyclonProtocol
 from repro.randomwalk import (
     PopulationEstimate,
     RandomWalkProtocol,
+    WalkStep,
     collect_peer_ids,
     estimate_item_population,
     estimate_range_population,
@@ -17,7 +22,9 @@ from repro.randomwalk import (
 )
 from repro.redundancy import RangeRepair, RedundancyManager, RepairPolicy
 from repro.sieve import BucketSieve
-from repro.sim import Cluster, Simulation, UniformLatency
+from repro.sieve.coverage import range_population
+from repro.sieve.keyspace import node_position
+from repro.sim import Cluster, FixedLatency, Simulation, UniformLatency
 from repro.store import Memtable, Version, make_tuple
 
 from tests.conftest import build_connected
@@ -148,6 +155,152 @@ class TestRandomWalks:
             nodes[0].protocol("random-walk").start_walk(-1, lambda r: None)
 
 
+def _walk_messages(cluster):
+    return cluster.metrics.counter_value("net.sent.random-walk")
+
+
+class TestSamplingWalks:
+    """One mixed walk yields many samples; the sampler is still a sampler."""
+
+    @pytest.mark.parametrize("samples, ttl, walks", [(32, 10, 4), (8, 8, 1), (30, 8, 4), (5, 0, 5)])
+    def test_census_message_count_is_exact(self, samples, ttl, walks):
+        sim, cluster, nodes = _walk_cluster(n=200, seed=73)
+        origin = nodes[0]
+        metrics = cluster.metrics
+        results = []
+        before = _walk_messages(cluster)
+        origin.protocol("random-walk").start_walks(samples, ttl, results.append)
+        sim.run_for(5.0)
+        assert len(results) == 1, "on_done fires exactly once"
+        reports = results[0]
+        assert len(reports) == samples
+        # Every walk takes its mixing hops plus one hop per further
+        # sample, every sample is one report; a sample taken at the
+        # origin itself is handed over without a message. With even
+        # walks of s samples this is k*(ttl+s-1)+W: 100 messages for the
+        # stock census (N=64: ttl 10, W 32), where W*(ttl+1) was 352.
+        assert walks == math.ceil(samples / max(1, ttl))
+        local = sum(1 for r in reports if r["node"] == origin.node_id.value)
+        hops = walks * (ttl - 1) + samples if ttl else 0  # ttl 0 samples the origin
+        assert _walk_messages(cluster) - before == hops + samples - local
+        if samples % walks == 0 and ttl:
+            per_walk = samples // walks
+            assert hops + samples == walks * (ttl + per_walk - 1) + samples
+        assert metrics.counter_value("walks.started") == walks
+        assert metrics.counter_value("walks.hops") == hops
+        assert metrics.counter_value("walks.samples_requested") == samples
+        assert metrics.counter_value("walks.samples_returned") == samples
+        assert metrics.counter_value("walks.timeouts") == 0
+        sim.run_for(10.0)  # past the deadline: the timer was cancelled
+        assert len(results) == 1
+
+    def test_census_estimate_is_unbiased(self):
+        n, r = 200, 25  # 8 buckets of ~25 nodes
+        sim = Simulation(seed=74)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        sieves = {}
+
+        def factory(node):
+            sieve = sieves[node.node_id.value] = BucketSieve(node.node_id, r, lambda: n)
+            walker = RandomWalkProtocol(
+                reporter=lambda probe: {"range_key": sieve.range_key()}, timeout=8.0)
+            return [CyclonProtocol(view_size=10, shuffle_size=5, period=1.0), walker]
+
+        nodes = build_connected(sim, cluster, n, factory, warmup=10.0)
+        truth = range_population(list(sieves.values()))
+        ttl = recommended_walk_ttl(n)
+        errors = []
+        for _ in range(2):  # 400 censuses, two per node
+            for node in nodes:
+                range_key = sieves[node.node_id.value].range_key()
+
+                def done(reports, range_key=range_key):
+                    assert len(reports) == 32
+                    estimate = estimate_range_population(reports, range_key, n)
+                    errors.append(estimate.population - truth[range_key])
+
+                node.protocol("random-walk").start_walks(32, ttl, done)
+            sim.run_for(5.0)
+        assert len(errors) == 2 * n
+        stderr = statistics.stdev(errors) / math.sqrt(len(errors))
+        assert abs(statistics.fmean(errors)) < 2 * stderr
+
+    def test_crash_mid_walk_keeps_samples_already_reported(self):
+        sim = Simulation(seed=75)
+        cluster = Cluster(sim, latency=FixedLatency(0.01))
+
+        def factory(node):
+            return [CyclonProtocol(view_size=6, shuffle_size=3, period=1.0),
+                    RandomWalkProtocol(timeout=3.0)]
+
+        nodes = build_connected(sim, cluster, 20, factory, warmup=5.0)
+        walker = nodes[0].protocol("random-walk")
+        results = []
+        walker.start_walks(6, 6, results.append)  # one walk, six samples
+        # Hop 6 is reached after 60 ms and its report lands at 70 ms,
+        # the next one 10 ms later, and so on.
+        sim.run_for(0.085)
+        for node in nodes[1:]:
+            node.crash()
+        assert results == []
+        sim.run_for(1.0)
+        returned = cluster.metrics.counter_value("walks.samples_returned")
+        assert 0 < returned < 6
+        assert results == []  # still waiting for the deadline
+        sim.run_for(5.0)
+        assert len(results) == 1
+        assert len(results[0]) == returned
+        assert cluster.metrics.counter_value("walks.started") == 1
+        assert cluster.metrics.counter_value("walks.timeouts") == 1
+
+    def test_duplicated_step_does_not_overfill_a_census(self):
+        sim, cluster, nodes = _walk_cluster(n=30, seed=76)
+        cluster.network.duplicate_rate = 1.0  # every hop forks the walk
+        results = []
+        nodes[0].protocol("random-walk").start_walks(12, 4, results.append)
+        sim.run_for(5.0)
+        assert len(results) == 1 and len(results[0]) == 12
+        assert cluster.metrics.counter_value("walks.samples_returned") == 12
+
+    def test_single_walk_is_the_one_sample_case(self):
+        sim, cluster, nodes = _walk_cluster(
+            n=50, seed=77, reporter=lambda probe: {"echo": probe.get("key")})
+        origin = nodes[0]
+        outcome = []
+        before = _walk_messages(cluster)
+        origin.protocol("random-walk").start_walk(5, outcome.append, probe={"key": "K"})
+        sim.run_for(5.0)
+        assert len(outcome) == 1 and outcome[0]["echo"] == "K"
+        local = outcome[0]["node"] == origin.node_id.value
+        assert _walk_messages(cluster) - before == 5 + (0 if local else 1)
+        assert cluster.metrics.counter_value("walks.started") == 1
+        assert cluster.metrics.counter_value("walks.hops") == 5
+
+    def test_empty_view_reports_from_here(self):
+        sim = Simulation(seed=78)
+        cluster = Cluster(sim, latency=FixedLatency(0.01))
+        (node,) = cluster.add_nodes(1, lambda n: [
+            CyclonProtocol(view_size=4, shuffle_size=2, period=1.0), RandomWalkProtocol()])
+        outcome = []
+        node.protocol("random-walk").start_walk(5, outcome.append)
+        assert [r["node"] for r in outcome] == [node.node_id.value]  # synchronously
+        # A walk that owes more samples than it can take reports once
+        # and the rest is lost at the deadline.
+        batches = []
+        node.protocol("random-walk").start_walks(3, 5, batches.append)
+        sim.run_for(11.0)
+        assert [len(b) for b in batches] == [1]
+        assert cluster.metrics.counter_value("walks.timeouts") == 1
+
+    @pytest.mark.parametrize("codec", [Codec(), BinaryCodec()], ids=["json", "binary"])
+    def test_walk_step_samples_round_trips(self, codec):
+        step = WalkStep("7:3.1", NodeId(7), 4, {"key": "K"}, samples=6)
+        decoded = codec.decode(codec.encode(NodeId(9), "random-walk", step))
+        assert decoded.message == step
+        assert decoded.message.samples == 6
+        assert WalkStep("7:3.0", NodeId(7), 4).samples == 1
+
+
 def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None):
     """Minimal storage-ish stack: PSS + size estimator + gossip + walker +
     redundancy manager + range repair over a shared-bucket sieve."""
@@ -276,3 +429,70 @@ class TestRedundancyManager:
         nodes[0].durable["memtable"].put(make_tuple("any", {}, Version(1, 0)))
         sim.run_for(40.0)
         assert cluster.metrics.counter_value("redundancy.repairs") > 0
+
+    def _quiet_manager(self, walks_per_check=32):
+        """A 32-node storage stack whose censuses only run on demand."""
+        sim = Simulation(seed=85)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        n = 32
+        policy = RepairPolicy(target_replication=4, check_period=1e6,
+                              walks_per_check=walks_per_check, grace_window=30.0)
+        nodes = build_connected(
+            sim, cluster, n, _storage_stack_for_redundancy(policy, replication=4, n_estimate=n),
+            warmup=10.0,
+        )
+        return sim, cluster, nodes[0].protocol("redundancy")
+
+    def test_zero_report_census_is_inconclusive(self):
+        sim, cluster, manager = self._quiet_manager()
+        range_key = manager.sieve.range_key()
+        peer = NodeId(999)
+        manager._peer_seen[peer.value] = manager.censuses
+        for clock in (None, 3.5):  # must neither start nor end a deficiency
+            manager._deficient_since = clock
+            manager.last_population = 7.0
+            manager.known_peers = [peer]
+            manager.censuses += 1
+            manager._census_done([], range_key, 32.0, 32)
+            assert manager._deficient_since == clock
+            assert manager.last_population == 7.0
+        assert cluster.metrics.counter_value("redundancy.census_inconclusive") == 2
+        assert cluster.metrics.counter_value("redundancy.repairs") == 0
+        assert manager.same_range_peers() == [peer]
+        # ... but unseen peers still age out.
+        manager.censuses += manager.policy.peer_ttl_censuses
+        manager._census_done([], range_key, 32.0, 32)
+        assert manager.same_range_peers() == []
+        # A report that fails the position echo is no evidence either.
+        wrong_bucket = (int(node_position(NodeId(5)) * 8) + 1) % 8
+        liar = {"node": 5, "range_key": ("bucket", 8, wrong_bucket)}
+        manager._deficient_since = None
+        manager._census_done([liar], range_key, 32.0, 32)
+        assert manager._deficient_since is None
+        assert cluster.metrics.counter_value("redundancy.census_inconclusive") == 4
+
+    def test_census_requests_follow_previous_yield(self):
+        sim, cluster, manager = self._quiet_manager(walks_per_check=32)
+        range_key = manager.sieve.range_key()
+
+        def requested():
+            return cluster.metrics.counter_value("walks.samples_requested")
+
+        report = {"node": manager.host.node_id.value, "range_key": range_key}
+
+        def next_request(returned, asked):
+            manager._census_done([report] * returned, range_key, 32.0, asked)
+            before = requested()
+            manager.run_census()
+            return requested() - before
+
+        assert next_request(32, 32) == 32       # nothing lost: steady-state cost
+        assert next_request(24, 32) == 43       # ceil(32 / 0.75)
+        assert next_request(16, 32) == 64       # half lost: twice the samples
+        assert next_request(0, 64) == 64        # never more than 2 W
+        assert next_request(48, 64) == 43
+        assert next_request(70, 64) == 32       # never fewer than W
+        sim.run_for(12.0)  # the censuses above complete loss-free
+        assert manager._census_yield == 1.0
+        hist = cluster.metrics.histogram("redundancy.census_samples")
+        assert hist.count >= 6
