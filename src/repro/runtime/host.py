@@ -19,19 +19,32 @@ envelopes are coalesced per destination and flushed on the next event
 loop tick or when the buffer would exceed the MTU budget, packing many
 protocol messages into one datagram. Single messages larger than
 ``max_datagram`` are split into fragment frames and reassembled on the
-receive side instead of being rejected by the OS.
+receive side instead of being rejected by the OS. A payload struct is
+serialised once however many peers it is relayed to and decoded once per
+node however many copies arrive (:class:`~repro.common.codec.DecodeMemo`).
+
+The node owns its socket: datagrams are read into one reused buffer from
+an ``add_reader`` callback (asyncio's datagram transport allocates
+256 KiB per datagram, which glibc maps and unmaps every time), and a
+send the socket would block on waits for it to turn writable, as it
+would in asyncio's transport. That needs an event loop with
+``add_reader`` (every selector loop; not Windows' proactor loop).
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
+import mmap
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+import socket
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.codec import (
     FORMAT_FRAGMENT,
     CodecError,
     CodecLike,
+    DecodeMemo,
     decode_datagram_detailed,
     fragment_payload,
     make_codec,
@@ -54,6 +67,9 @@ _PER_ENVELOPE_OVERHEAD = 3
 #: it the oldest partial reassembly is evicted (it behaves like loss,
 #: which the protocols tolerate by design).
 _MAX_REASSEMBLIES = 64
+
+#: Receive buffer size: no UDP datagram is larger, so none is truncated.
+_RECV_BUFFER_BYTES = 65536
 
 
 def localhost_address_book(node_id: NodeId) -> Tuple[str, int]:
@@ -82,7 +98,7 @@ class _TimerHandle:
         self._handle.cancel()
 
 
-class AsyncioNode(Host, asyncio.DatagramProtocol):
+class AsyncioNode(Host):
     """One real process-like node: UDP endpoint + protocol stack.
 
     Args:
@@ -129,11 +145,16 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
         self.mtu = mtu
         self.max_datagram = max_datagram
         self._protocols: Dict[str, Protocol] = {}
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._sock: Optional[socket.socket] = None
+        # An anonymous mapping, not a bytearray: only the pages a datagram
+        # reaches are ever resident (a zero-filled heap buffer is all of it).
+        self._recv_buffer = mmap.mmap(-1, _RECV_BUFFER_BYTES)
+        #: datagrams the socket would have blocked on, oldest first
+        self._send_queue: Deque[Tuple[bytes, Tuple[str, int]]] = collections.deque()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0
         self.running = False
-        # -- send-side coalescing state --
+        # -- send-side coalescing state: destinations with pending envelopes --
         self._buffers: Dict[Tuple[str, int], List[bytes]] = {}
         self._buffered_bytes: Dict[Tuple[str, int], int] = {}
         self._flush_scheduled = False
@@ -151,6 +172,13 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
         self._coalesced = m.counter("runtime.coalesced_messages")
         self._encode_errors = m.counter("runtime.encode_errors")
         self._decode_errors = m.counter("runtime.decode_errors")
+        self._fragments_sent = m.counter("runtime.fragments.sent")
+        self._fragments_received = m.counter("runtime.fragments.received")
+        self._fragments_evicted = m.counter("runtime.fragments.evicted")
+        self._dropped_no_protocol = m.counter("node.dropped.no_protocol")
+        self._decode_memo = DecodeMemo(
+            hits=m.counter("runtime.payload_decode_hits"),
+            misses=m.counter("runtime.payload_decode_misses"))
         self._proto_handles: Dict[str, Tuple[Counter, Counter]] = {}
         self._category_handles: Dict[Tuple[str, str], Tuple[Counter, Counter]] = {}
         self._delivered_handles: Dict[str, Counter] = {}
@@ -208,7 +236,7 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
 
     # -- sending ---------------------------------------------------------
     def send(self, dst: NodeId, protocol: str, message: Message) -> None:
-        if not self.running or self._transport is None:
+        if not self.running or self._sock is None:
             return
         tracer = self._tracer
         if tracer.current is not None:
@@ -243,20 +271,20 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
         if not self.coalesce:
             self._transmit([envelope], addr)
             return
-        pending = self._buffers.get(addr)
-        if pending is None:
-            pending = self._buffers[addr] = []
-            self._buffered_bytes[addr] = 0
         budget = size + _PER_ENVELOPE_OVERHEAD
-        if pending and self._buffered_bytes[addr] + budget > self.mtu:
+        if self._buffered_bytes.get(addr, 0) + budget > self.mtu:
             self._flush_destination(addr)
-            pending = self._buffers[addr]
         if budget >= self.mtu:
             # Oversized for batching: ship alone (fragmenting if needed).
             self._transmit([envelope], addr)
             return
-        pending.append(envelope)
-        self._buffered_bytes[addr] += budget
+        pending = self._buffers.get(addr)
+        if pending is None:
+            self._buffers[addr] = [envelope]
+            self._buffered_bytes[addr] = budget
+        else:
+            pending.append(envelope)
+            self._buffered_bytes[addr] += budget
         if not self._flush_scheduled:
             self._flush_scheduled = True
             assert self._loop is not None
@@ -264,35 +292,59 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
 
     def _flush_all(self) -> None:
         self._flush_scheduled = False
-        for addr in [a for a, pending in self._buffers.items() if pending]:
+        for addr in list(self._buffers):
             self._flush_destination(addr)
 
     def _flush_destination(self, addr: Tuple[str, int]) -> None:
-        pending = self._buffers.get(addr)
-        if not pending:
+        pending = self._buffers.pop(addr, None)
+        if pending is None:
             return
-        self._buffers[addr] = []
-        self._buffered_bytes[addr] = 0
+        del self._buffered_bytes[addr]
         if len(pending) > 1:
             self._coalesced.inc(len(pending) - 1)
         self._transmit(pending, addr)
 
     def _transmit(self, envelopes: List[bytes], addr: Tuple[str, int]) -> None:
-        if self._transport is None:
+        if self._sock is None:
             return
         datagram = self._codec.frame(envelopes)
         if len(datagram) > self.max_datagram:
             self._next_frag_id += 1
             fragments = fragment_payload(datagram, self._next_frag_id, self.max_datagram)
             for fragment in fragments:
-                self._transport.sendto(fragment, addr)
-                self._datagrams_sent.inc()
-                self._wire_bytes.inc(len(fragment))
-            self._metrics.counter("runtime.fragments.sent").inc(len(fragments))
+                self._sendto(fragment, addr)
+            self._fragments_sent.inc(len(fragments))
             return
-        self._transport.sendto(datagram, addr)
+        self._sendto(datagram, addr)
+
+    def _sendto(self, datagram: bytes, addr: Tuple[str, int]) -> None:
         self._datagrams_sent.inc()
         self._wire_bytes.inc(len(datagram))
+        if self._send_queue:  # keep order behind datagrams already waiting
+            self._send_queue.append((datagram, addr))
+            return
+        try:
+            self._sock.sendto(datagram, addr)  # type: ignore[union-attr]
+        except (BlockingIOError, InterruptedError):
+            self._send_queue.append((datagram, addr))
+            assert self._loop is not None
+            self._loop.add_writer(self._sock.fileno(), self._on_writable)  # type: ignore[union-attr]
+        except OSError as exc:
+            self.error_received(exc)
+
+    def _on_writable(self) -> None:
+        sock, queue = self._sock, self._send_queue
+        assert sock is not None and self._loop is not None
+        while queue:
+            datagram, addr = queue[0]
+            try:
+                sock.sendto(datagram, addr)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError as exc:
+                self.error_received(exc)
+            queue.popleft()
+        self._loop.remove_writer(sock.fileno())
 
     def flush(self) -> None:
         """Force out all coalescing buffers now (also runs on shutdown)."""
@@ -321,11 +373,23 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
     async def start(self) -> "AsyncioNode":
         if self.running:
             return self
-        self._loop = asyncio.get_running_loop()
-        transport, _ = await self._loop.create_datagram_endpoint(
-            lambda: self, local_addr=(self.bind_host, self.port)
-        )
-        self._transport = transport
+        loop = self._loop = asyncio.get_running_loop()
+        try:  # a numeric bind host resolves without a lookup that could block
+            infos = socket.getaddrinfo(self.bind_host, self.port, type=socket.SOCK_DGRAM,
+                                       flags=socket.AI_PASSIVE | socket.AI_NUMERICHOST)
+        except socket.gaierror:
+            infos = await loop.getaddrinfo(self.bind_host, self.port, type=socket.SOCK_DGRAM,
+                                           flags=socket.AI_PASSIVE)
+        family, kind, proto, _, address = infos[0]
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(address)
+        except OSError:
+            sock.close()
+            raise
+        self._sock = sock
+        loop.add_reader(sock.fileno(), self._on_readable)
         self._epoch += 1
         self.running = True
         self._protocols = {}
@@ -346,9 +410,13 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
         self._buffers = {}
         self._buffered_bytes = {}
         self._reassembly = {}
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
+        self._send_queue.clear()
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            assert self._loop is not None
+            self._loop.remove_reader(sock.fileno())
+            self._loop.remove_writer(sock.fileno())
+            sock.close()
 
     def stop(self) -> None:
         """Graceful shutdown."""
@@ -360,8 +428,22 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
         self._flush_all()
         self.crash()
 
-    # -- DatagramProtocol ----------------------------------------------------
+    # -- receiving ---------------------------------------------------------
+    def _on_readable(self) -> None:
+        """One datagram per readiness event, like asyncio's transport, so
+        co-hosted nodes take turns."""
+        buffer = self._recv_buffer
+        try:
+            size, addr = self._sock.recvfrom_into(buffer)  # type: ignore[union-attr]
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self.error_received(exc)
+            return
+        self.datagram_received(buffer[:size], addr)
+
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
+        """Per-datagram entry point: reassemble, decode, dispatch."""
         if not self.running:
             return
         self._datagrams_received.inc()
@@ -371,7 +453,7 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
                 return
             data = reassembled
         try:
-            envelopes = decode_datagram_detailed(data)
+            envelopes = decode_datagram_detailed(data, self._decode_memo)
         except CodecError:
             self._decode_errors.inc()
             return
@@ -382,7 +464,7 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
             self._delivered_bytes_counter(envelope.protocol).inc(size)
             proto = self._protocols.get(envelope.protocol)
             if proto is None:
-                self._metrics.counter("node.dropped.no_protocol").inc()
+                self._dropped_no_protocol.inc()
                 continue
             ctx = envelope.trace
             if ctx is not None and tracer.enabled:
@@ -402,13 +484,13 @@ class AsyncioNode(Host, asyncio.DatagramProtocol):
         except CodecError:
             self._decode_errors.inc()
             return None
-        self._metrics.counter("runtime.fragments.received").inc()
+        self._fragments_received.inc()
         key = (addr, frag_id)
         entry = self._reassembly.get(key)
         if entry is None:
             if len(self._reassembly) >= _MAX_REASSEMBLIES:
                 self._reassembly.pop(next(iter(self._reassembly)))
-                self._metrics.counter("runtime.fragments.evicted").inc()
+                self._fragments_evicted.inc()
             entry = self._reassembly[key] = [total, {}]
         if entry[0] != total:
             # Conflicting totals for the same id: treat as corruption.

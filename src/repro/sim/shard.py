@@ -330,31 +330,23 @@ class ShardNetwork(Network):
             for d in delays:
                 self.sim.schedule_call(d, self._deliver, src, dst, protocol, message, None)
             return
-        envelope = self._encode_cached(src, protocol, message)
+        envelope = self._encode(src, protocol, message)
         box = self._outbox[shard_of(dst_value, self.n_nodes, self.shards)]
         now = self.sim.now
         for d in delays:
             box.append((now + d, dst_value, envelope))
         self._sent_remote.inc(len(delays))
 
-    def _encode_cached(self, src: NodeId, protocol: str, message: Message) -> bytes:
-        """Binary envelope for ``message``, cached per (sender, protocol).
-
-        Gossip relays send one immutable message object to several peers;
-        encoding it once per relay (not per peer) keeps the cross-shard
-        path close to the in-process one in cost.
-        """
-        cached = getattr(message, "_shard_env_cache", None)
-        if cached is not None and cached[0] == src.value and cached[1] == protocol:
-            return cached[2]
+    def _encode(self, src: NodeId, protocol: str, message: Message) -> bytes:
+        """Binary envelope for ``message``. The codec serialises a message
+        object once, so a relay to several remote peers costs one encode;
+        equal envelopes are then shipped once per frame (:func:`encode_frame`)."""
         try:
-            envelope = self._codec.encode_envelope(src, protocol, message)
+            return self._codec.encode_envelope(src, protocol, message)
         except _codec.CodecError as exc:
             raise ShardError(
                 f"message {type(message).__name__} is not wire-encodable, so it "
                 f"cannot cross a shard boundary: {exc}") from exc
-        object.__setattr__(message, "_shard_env_cache", (src.value, protocol, envelope))
-        return envelope
 
     # -- barrier interface ----------------------------------------------
     def take_outbox(self) -> Dict[int, bytes]:

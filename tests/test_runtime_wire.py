@@ -2,15 +2,18 @@
 mixing and metric parity with the simulated network."""
 
 import asyncio
+import socket
 
 import pytest
 
+from repro.common.codec import BinaryCodec
 from repro.common.ids import NodeId
 from repro.epidemic import EagerGossip
 from repro.epidemic.antientropy import DigestMessage
 from repro.epidemic.eager import GossipMessage
 from repro.membership import CyclonProtocol
-from repro.runtime import AsyncioNode, LocalCluster
+from repro.membership.views import PeerSampler
+from repro.runtime import AsyncioNode, LocalCluster, node_id_for
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.node import Protocol
@@ -154,6 +157,125 @@ class TestCoalescing:
         assert metrics.counter_value("net.datagrams.total") == 10
         assert metrics.counter_value("runtime.coalesced_messages") == 0
         assert metrics.counter_value("net.delivered.total") == 10
+
+    def test_buffers_hold_only_pending_destinations(self):
+        """Bugfix: flushed buffers used to stay behind, one entry per
+        address ever sent to, and every flush walked all of them."""
+        async def scenario():
+            node = AsyncioNode(31045, _sink_stack, codec="binary")
+            await node.start()
+            message = GossipMessage("m", None)
+            for port in range(40000, 41000):
+                node.send(NodeId(port, f"127.0.0.1:{port}"), "sink", message)
+            pending = (len(node._buffers), len(node._buffered_bytes))
+            node.flush()
+            after_flush = (len(node._buffers), len(node._buffered_bytes))
+            # the MTU-budget flush of one destination drops its entry too
+            big = GossipMessage("big", "y" * 900)
+            for _ in range(2):
+                node.send(NodeId(40000, "127.0.0.1:40000"), "sink", big)
+            one_left = (list(node._buffers), len(node._buffers[("127.0.0.1", 40000)]))
+            node.stop()
+            return pending, after_flush, one_left, node.metrics
+
+        pending, after_flush, one_left, metrics = run(scenario())
+        assert pending == (1000, 1000)
+        assert after_flush == (0, 0)
+        assert one_left == ([("127.0.0.1", 40000)], 1)
+        assert metrics.counter_value("net.datagrams.total") == 1002
+        assert metrics.counter_value("runtime.coalesced_messages") == 0
+
+
+class _FixedPeers(PeerSampler):
+    def __init__(self, peers):
+        super().__init__()
+        self.peers = list(peers)
+
+    def sample_peers(self, count):
+        return self.peers[:count]
+
+
+class TestPayloadDecodedOncePerNode:
+    """Tentpole: duplicates of an epidemic payload cost the receiver a
+    lookup, and what it relays was never serialised again."""
+
+    PAYLOAD_KEY = "k00042"
+
+    def _payload(self):
+        from repro.softstate.messages import WritePayload
+        from repro.store.tuples import Version, VersionedTuple
+
+        item = VersionedTuple(self.PAYLOAD_KEY, Version(3, 1), {"score": 0.5, "pad": "x" * 32})
+        return WritePayload(item, NodeId(31069, "127.0.0.1:31069"))
+
+    def _frame(self, sender_port, hops, protocol="gossip"):
+        codec = BinaryCodec()
+        message = GossipMessage("w:1", self._payload(), hops=hops)
+        return codec.frame([codec.encode_envelope(
+            node_id_for("127.0.0.1", sender_port), protocol, message)])
+
+    def test_five_copies_one_decode_one_delivery_and_a_relay_of_the_same_bytes(self):
+        async def scenario():
+            listener = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            listener.bind(("127.0.0.1", 31061))
+            listener.setblocking(False)
+            delivered = []
+
+            def stack(node):
+                gossip = EagerGossip(fanout=1)
+                gossip.subscribe(lambda item_id, payload, hops: delivered.append((item_id, payload, hops)))
+                return [_FixedPeers([NodeId(31061, "127.0.0.1:31061")]), gossip]
+
+            node = AsyncioNode(31060, stack, codec="binary")
+            await node.start()
+            try:
+                for index, hops in enumerate((2, 0, 4, 1, 3)):
+                    node.datagram_received(self._frame(31062 + index, hops),
+                                           ("127.0.0.1", 31062 + index))
+                await asyncio.sleep(0.1)
+                relayed = []
+                while True:
+                    try:
+                        relayed.append(listener.recv(65536))
+                    except BlockingIOError:
+                        break
+            finally:
+                node.stop()
+                listener.close()
+            return node.metrics, delivered, relayed
+
+        metrics, delivered, relayed = run(scenario())
+        assert metrics.counter_value("runtime.payload_decode_misses") == 1
+        assert metrics.counter_value("runtime.payload_decode_hits") == 4
+        assert metrics.counter_value("gossip.duplicates") == 4
+        assert delivered == [("w:1", self._payload(), 2)]  # the subscriber fired once
+        # Relayed from bytes pinned when the payload arrived, yet exactly
+        # what a node that built the message itself would have sent.
+        cold = BinaryCodec()
+        assert relayed == [cold.frame([cold.encode_envelope(
+            node_id_for("127.0.0.1", 31060), "gossip",
+            GossipMessage("w:1", self._payload(), hops=3))])]
+
+    def test_nodes_in_one_process_do_not_share_a_memo(self):
+        async def scenario():
+            nodes = [AsyncioNode(31070 + i, _sink_stack, codec="binary") for i in range(2)]
+            for node in nodes:
+                await node.start()
+            for node in nodes:
+                node.datagram_received(self._frame(31075, 1, "sink"), ("127.0.0.1", 31075))
+            nodes[0].datagram_received(self._frame(31076, 2, "sink"), ("127.0.0.1", 31076))
+            for node in nodes:
+                node.stop()
+            return nodes
+
+        first, second = run(scenario())
+        assert first._decode_memo is not second._decode_memo
+        assert [(n.metrics.counter_value("runtime.payload_decode_hits"),
+                 n.metrics.counter_value("runtime.payload_decode_misses"))
+                for n in (first, second)] == [(1, 1), (0, 1)]
+        mine, again = [m.payload for _, m in first.test_sink.received]
+        [theirs] = [m.payload for _, m in second.test_sink.received]
+        assert mine is again and mine is not theirs and mine == theirs
 
 
 class TestFragmentation:

@@ -1,6 +1,7 @@
 """Tests for the binary wire codec, framing, fragmentation and the
 registry-driven JSON<->binary round-trip fuzz."""
 
+import copy
 import dataclasses
 import importlib
 import math
@@ -18,9 +19,13 @@ import repro
 from repro.common.codec import (
     ENVELOPE_OVERHEAD,
     FORMAT_BINARY,
+    PAYLOAD_MEMO_ENTRIES,
+    SENDER_MEMO_ENTRIES,
     BinaryCodec,
     Codec,
     CodecError,
+    DecodeMemo,
+    decode_binary_envelope,
     decode_datagram,
     decode_datagram_detailed,
     encode_uvarint,
@@ -37,6 +42,8 @@ from repro.common.messages import (
     registered_message_types,
     wire_struct,
 )
+from repro.obs.trace import TraceContext
+from repro.sim.metrics import Counter
 
 
 @wire_struct
@@ -358,15 +365,24 @@ class TestFragmentation:
 
 class TestEncodedWireSize:
     def test_positive_and_cached(self):
-        message = _WireProbe(text="hello", number=12)
-        size = encoded_wire_size(message)
-        assert size > ENVELOPE_OVERHEAD
-        assert encoded_wire_size(message) == size  # cached on instance
-        out = bytearray()
-        from repro.common.codec import _binary_encode
+        # What Network(byte_model="encoded"), e15 and e16 charge is what the
+        # runtime sends: the envelope minus its <sender><protocol> prefix.
+        from repro.common.codec import _binary_encode, _write_str
 
-        _binary_encode(message, out)
-        assert size == len(out) + ENVELOPE_OVERHEAD
+        codec = BinaryCodec()
+        sender = NodeId(9001, "127.0.0.1:9001")
+        prefix = bytearray()
+        _binary_encode(sender, prefix)
+        _write_str("p", prefix)
+        for message in (_WireProbe(text="hello", number=12),
+                        _WireProbe(inner=_WireInner("sized", 2.5), pair=(1, 2))):
+            size = encoded_wire_size(message)
+            assert size > ENVELOPE_OVERHEAD
+            assert encoded_wire_size(message) == size
+            envelope = codec.encode_envelope(sender, "p", message)
+            assert envelope.startswith(bytes(prefix))
+            assert size - ENVELOPE_OVERHEAD == len(envelope) - len(prefix)
+            assert not hasattr(message, "_encoded_size_cache")  # one cache: the bytes
 
     def test_falls_back_to_estimate_for_unencodable(self):
         message = _WireProbe(data={"obj": object()})
@@ -466,6 +482,37 @@ class TestRegistryFuzz:
                 exercised += 1
         assert exercised == 3 * len(registry)
 
+    def test_caches_are_invisible_on_the_wire(self):
+        """Encode-once must not change a byte: re-encoding a decoded
+        message, encoding one instance twice and a cold encode of an equal
+        instance all give the same envelope, traced or not."""
+        _import_all_repro_modules()
+        registry = registered_message_types()
+        sender = NodeId(42, "127.0.0.1:4242")
+        ctx = TraceContext(trace_id="t1-9", span_id=4, hop=1, origin_time=2.5)
+        rng = random.Random(20261002)
+        sized = 0
+        for name in sorted(registry):
+            for _ in range(3):
+                message = _instance_of(registry[name], rng)
+                cold_twin = copy.deepcopy(message)  # copied before any cache exists
+                assert not any(k.startswith("_wire") for k in vars(cold_twin))
+                for trace in (None, ctx):
+                    codec = BinaryCodec()
+                    first = codec.encode_envelope(sender, "fuzz", message, trace)
+                    assert codec.encode_envelope(sender, "fuzz", message, trace) == first, name
+                    assert BinaryCodec().encode_envelope(sender, "fuzz", cold_twin, trace) \
+                        == first, name
+                    memo = DecodeMemo(Counter(), Counter())
+                    for received in (decode_binary_envelope(first),
+                                     decode_binary_envelope(first, memo),   # miss
+                                     decode_binary_envelope(first, memo)):  # hit, if sized
+                        assert received.message == message and received.trace == trace
+                        assert BinaryCodec().encode_envelope(
+                            sender, "fuzz", received.message, trace) == first, name
+                    sized += len(memo.payloads)
+        assert sized > 0, "no registered message carried a sized struct"
+
     def test_binary_never_larger_family(self):
         """Spot-check the compactness claim on real protocol messages."""
         _import_all_repro_modules()
@@ -523,6 +570,7 @@ class TestByteFlipFuzz:
         registry = registered_message_types()
         sender = NodeId(7, "127.0.0.1:7007")
         rng = random.Random(0xF1A5)
+        memo = DecodeMemo(Counter(), Counter())
         attempts = 0
         for name in sorted(registry):
             message = _instance_of(registry[name], rng)
@@ -534,11 +582,19 @@ class TestByteFlipFuzz:
                         codec.decode(corrupted)
                     except CodecError:
                         pass
-                    # the auto-detecting datagram path must be as strict
+                    # the auto-detecting datagram path must be as strict,
+                    # with and without the receiver's payload memo
                     try:
                         decode_datagram(corrupted)
                     except CodecError:
                         pass
+                    before = dict(memo.payloads), dict(memo.senders)
+                    try:
+                        decode_datagram_detailed(corrupted, memo)
+                    except CodecError:
+                        assert (memo.payloads, memo.senders) == before and not memo._staged
+                    assert len(memo.payloads) <= PAYLOAD_MEMO_ENTRIES
+                    assert len(memo.senders) <= SENDER_MEMO_ENTRIES
         assert attempts >= 15 * len(registry) * 2
 
     def test_random_garbage_datagrams(self):
@@ -550,3 +606,171 @@ class TestByteFlipFuzz:
                     decode_datagram(blob)
                 except CodecError:
                     pass
+
+
+class TestSizedStructs:
+    """The ``0x0D`` value: a frozen dataclass that is a direct field of
+    the envelope's message, behind a byte length."""
+
+    T_DATACLASS, T_SIZED = 0x0C, 0x0D
+
+    def setup_method(self):
+        self.codec = BinaryCodec()
+        self.sender = NodeId(7, "127.0.0.1:7007")
+        self.hits, self.misses = Counter(), Counter()
+        self.memo = DecodeMemo(self.hits, self.misses)
+
+    def _split(self, message):
+        """(bytes before the sized value's tag, length prefix, body, bytes after)."""
+        envelope = self.codec.encode_envelope(self.sender, "p", message)
+        body = bytearray()
+        from repro.common.codec import _encode_struct
+
+        _encode_struct(message.inner, body, size_fields=False)
+        prefix = bytearray()
+        encode_uvarint(len(body), prefix)
+        marker = bytes([self.T_SIZED]) + bytes(prefix) + bytes(body)
+        at = envelope.index(marker)
+        return envelope[:at], bytes(prefix), bytes(body), envelope[at + len(marker):]
+
+    def _sized(self, head, length, body, tail):
+        out = bytearray(head)
+        out.append(self.T_SIZED)
+        encode_uvarint(length, out)
+        return bytes(out) + body + tail
+
+    def test_direct_struct_field_is_sized_and_deeper_ones_are_not(self):
+        message = _WireProbe(inner=_WireInner("a", 1.5),
+                             data={"deep": [_WireInner("b", 2.5)]})
+        envelope = self.codec.encode_envelope(self.sender, "p", message)
+        head, prefix, body, tail = self._split(message)
+        assert self._sized(head, len(body), body, tail) == envelope
+        # the struct inside the dict travels under the plain tag
+        assert bytes([self.T_DATACLASS, len("_WireInner")]) + b"_WireInner" in head
+        assert bytes([self.T_SIZED, len("_WireInner")]) + b"_WireInner" not in head
+        assert decode_binary_envelope(envelope).message == message
+
+    def test_length_prefix_is_checked(self):
+        message = _WireProbe(text="t", inner=_WireInner("label", 1.5), pair=(4, 5))
+        head, prefix, body, tail = self._split(message)
+        good = self._sized(head, len(body), body, tail)
+        assert decode_binary_envelope(good, self.memo).message == message
+        assert len(self.memo.payloads) == 1
+        kept = dict(self.memo.payloads)
+        bad_frames = {
+            "truncated prefix": head + bytes([self.T_SIZED, 0x80]),
+            "overruns the envelope": self._sized(head, len(body) + len(tail) + 1, body, tail),
+            "shorter than its body": self._sized(head, len(body) - 1, body, tail),
+            "longer than its body": self._sized(head, len(body) + 1, body, tail),
+        }
+        for what, envelope in bad_frames.items():
+            for memo in (None, self.memo):
+                with pytest.raises(CodecError):
+                    decode_binary_envelope(envelope, memo)
+                with pytest.raises(CodecError):
+                    decode_datagram_detailed(self.codec.frame([envelope]), memo)
+            assert self.memo.payloads == kept and not self.memo._staged, what
+
+    def test_failed_frame_leaves_the_memo_unchanged(self):
+        # First envelope is fine and carries a new payload from a new sender,
+        # the second is garbage: the datagram is dropped as a whole, so
+        # nothing is kept.
+        fine = self.codec.encode_envelope(
+            self.sender, "p", _WireProbe(inner=_WireInner("new", 9.0)))
+        with pytest.raises(CodecError):
+            decode_datagram_detailed(self.codec.frame([fine, fine[:-3]]), self.memo)
+        assert not self.memo.payloads and not self.memo.senders and not self.memo._staged
+        decode_datagram_detailed(self.codec.frame([fine, fine]), self.memo)
+        assert len(self.memo.payloads) == 1 and len(self.memo.senders) == 1
+
+    def test_sender_memo_is_bounded_and_a_hit_equals_a_fresh_decode(self):
+        # Same value, different label: NodeId equality ignores the label,
+        # the memo (keyed by the raw bytes) must not.
+        senders = [NodeId(i, label) for i in range(2 * SENDER_MEMO_ENTRIES)
+                   for label in (None, f"10.0.0.{i}:{7000 + i}")]
+        senders.append(NodeId(2**40, "x" * 200))  # two-byte label length: never memoised by guess
+        message = _WireProbe(text="who")
+        for _ in range(2):
+            for sender in senders:
+                envelope = self.codec.encode_envelope(sender, "p", message)
+                seen = decode_binary_envelope(envelope, self.memo).sender
+                assert (seen.value, seen.label) == (sender.value, sender.label)
+                assert len(self.memo.senders) <= SENDER_MEMO_ENTRIES
+        envelope = self.codec.encode_envelope(self.sender, "p", message)
+        first = decode_binary_envelope(envelope, self.memo).sender
+        again = decode_binary_envelope(envelope, self.memo).sender
+        fresh = decode_binary_envelope(envelope).sender
+        assert first is again and first is not fresh
+        assert (first.value, first.label) == (fresh.value, fresh.label) == (7, "127.0.0.1:7007")
+
+    def test_plain_tag_for_the_nested_struct_still_decodes(self):
+        # The layout every encoder before 0x0D produced.
+        message = _WireProbe(text="old", inner=_WireInner("peer", 0.25))
+        head, _, body, tail = self._split(message)
+        old_layout = head + bytes([self.T_DATACLASS]) + body + tail
+        assert len(old_layout) == len(
+            self.codec.encode_envelope(self.sender, "p", message)) - 1
+        for memo in (None, self.memo):
+            assert decode_binary_envelope(old_layout, memo).message == message
+        assert len(self.memo.payloads) == 0 and self.hits.value == self.misses.value == 0
+
+    def test_sized_value_is_read_at_any_depth(self):
+        message = _WireProbe(pair=(1, 2), inner=_WireInner("x", 1.0))
+        head, _, body, tail = self._split(message)
+        # Re-home the sized struct inside the tuple field ``pair``:
+        # (1, 2) -> (1, <sized struct>), and ``inner`` -> None.
+        from repro.common.codec import _binary_encode
+
+        pair = bytearray()
+        _binary_encode((1, 2), pair)
+        assert bytes(pair) in head
+        nested = bytearray(pair[:-2])
+        nested.append(self.T_SIZED)
+        encode_uvarint(len(body), nested)
+        nested += body
+        envelope = head.replace(bytes(pair), bytes(nested)) + b"\x00" + tail
+        decoded = decode_binary_envelope(envelope, self.memo).message
+        assert decoded.pair == (1, _WireInner("x", 1.0)) and decoded.inner is None
+        assert len(self.memo.payloads) == 0  # only the message's direct fields are memoised
+
+    def test_memo_is_bounded_and_a_hit_equals_a_fresh_decode(self):
+        envelopes = [
+            self.codec.encode_envelope(
+                self.sender, "p", _WireProbe(number=i, inner=_WireInner(f"payload-{i}", i / 3)))
+            for i in range(10 * PAYLOAD_MEMO_ENTRIES)
+        ]
+        for envelope in envelopes:
+            decode_binary_envelope(envelope, self.memo)
+            assert len(self.memo.payloads) <= PAYLOAD_MEMO_ENTRIES
+        assert len(self.memo.payloads) == PAYLOAD_MEMO_ENTRIES
+        assert (self.hits.value, self.misses.value) == (0, len(envelopes))
+        last = envelopes[-1]
+        hit = decode_binary_envelope(last, self.memo).message
+        again = decode_binary_envelope(last, self.memo).message
+        fresh = decode_binary_envelope(last).message
+        assert self.hits.value == 2
+        assert hit == fresh and hit.inner == fresh.inner
+        assert hit.inner is again.inner and hit.inner is not fresh.inner
+        # long evicted: decoded again, and counted as a miss
+        decode_binary_envelope(envelopes[0], self.memo)
+        assert self.misses.value == len(envelopes) + 1
+
+    def test_mutable_dataclass_is_neither_sized_nor_memoised(self):
+        message = _WireProbe(inner=_WireInner("a", 1.0))
+        head, _, body, tail = self._split(message)
+        mutable_body = body.replace(b"\x0a_WireInner", b"\x0c_WireMutable")
+        envelope = self._sized(head, len(mutable_body), mutable_body, tail)
+        first = decode_binary_envelope(envelope, self.memo).message.inner
+        second = decode_binary_envelope(envelope, self.memo).message.inner
+        assert first == second == _WireMutable("a", 1.0) and first is not second
+        assert len(self.memo.payloads) == 0 and set(vars(first)) == {"label", "weight"}  # no bytes pinned
+        # ... and the encoder writes it under the plain tag
+        assert self.codec.encode_envelope(self.sender, "p", _WireProbe(inner=first)) \
+            == head + bytes([self.T_DATACLASS]) + mutable_body + tail
+
+
+@wire_struct
+@dataclass
+class _WireMutable:
+    label: str
+    weight: float
