@@ -1,9 +1,10 @@
-"""E15 — Anti-entropy reconciliation cost: legacy vs bucketed digests.
+"""E15 — Anti-entropy reconciliation cost: full-digest baseline vs bucketed digests.
 
 The paper targets a "very large scale" persistent layer (§III-A) whose
-slow-but-certain repair channel is anti-entropy. The legacy exchange
-ships a full O(store) digest in both directions every round, so repair
-bandwidth grows with store size even when replicas barely differ. The
+slow-but-certain repair channel is anti-entropy. The full-digest
+exchange (``repro.baselines.fulldigest``; "legacy" below) ships a full
+O(store) digest in both directions every round, so repair bandwidth
+grows with store size even when replicas barely differ. The system's
 bucketed three-phase exchange (summaries → scoped digests → items)
 makes the wire cost proportional to *divergence*:
 

@@ -1,18 +1,15 @@
-"""Failure detection inside the soft-state layer.
+"""Heartbeat-mesh failure detection for the soft-state layer.
 
 The paper keeps the soft layer "moderately sized and thus manageable
 with a structured approach" (§II) — which implies it runs its own
-heartbeat-based failure detection rather than relying on any outside
-oracle. :class:`SoftMembership` implements that: every soft node
-heartbeats every other ring member and flips the shared ring's
-aliveness bits from what it observes.
-
-By default the simulation facade updates ring aliveness itself (an
-omniscient shortcut that keeps tests fast and focused); enabling
-``DataDropletsConfig.soft_failure_detection`` replaces the oracle with
-this protocol, at the price of a detection window of roughly
-``suspect_timeout`` during which requests may be routed to a dead
-coordinator.
+failure detection rather than relying on any outside oracle.
+:class:`SoftMembership` was the first implementation of that: every soft
+node heartbeats every other ring member and flips a shared ring's
+aliveness bits from what it observes, O(N²) messages per period.
+Single-hop routing tables fed by epidemic membership events
+(:mod:`repro.softstate.onehop`) do the same job at a cost that is flat
+in N (E5b), so the facade no longer assembles the mesh; it stays here as
+the mesh arm of :mod:`repro.baselines.routebench`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ under :class:`~repro.sim.churn.PoissonChurn`:
 
 * **chord** — the multi-hop baseline (`repro.baselines.chord`): O(log N)
   lookup hops, maintenance = stabilize + fix-fingers + pings.
-* **mesh** — the legacy soft-state detector (`repro.softstate.membership`):
+* **mesh** — the heartbeat-mesh detector (`repro.baselines.heartbeat`):
   one-hop routing against a shared ring, but every node heartbeats every
   other node — O(N²) messages per period. Simulated only up to
   ``mesh_cap`` nodes (beyond that the mesh itself is the bottleneck);
@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.baselines.chord import ChordProtocol, chord_id
+from repro.baselines.heartbeat import SoftMembership
 from repro.common.hashing import KEYSPACE_SIZE
 from repro.sim.churn import PoissonChurn
 from repro.sim.cluster import Cluster
 from repro.sim.network import UniformLatency
 from repro.sim.simulator import Simulation
-from repro.softstate.membership import SoftMembership
 from repro.softstate.onehop import OneHopRouting, RingSpace
 from repro.softstate.ring import ConsistentHashRing
 

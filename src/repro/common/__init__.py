@@ -6,7 +6,7 @@ class and registry used by both the simulator and the asyncio runtime,
 and the wire codec.
 """
 
-from repro.common.codec import Codec, CodecError
+from repro.common.codec import BinaryCodec, CodecError
 from repro.common.errors import (
     ConfigurationError,
     DataDropletsError,
@@ -26,7 +26,7 @@ from repro.common.messages import Message, message_type, registered_message_type
 
 __all__ = [
     "Arc",
-    "Codec",
+    "BinaryCodec",
     "CodecError",
     "ConfigurationError",
     "DataDropletsError",

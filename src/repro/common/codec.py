@@ -1,32 +1,28 @@
-"""Wire codecs for the asyncio runtime.
+"""Wire codec for the asyncio runtime.
 
-Two interoperable formats encode registered
-:class:`~repro.common.messages.Message` dataclasses:
+:class:`BinaryCodec` encodes registered
+:class:`~repro.common.messages.Message` dataclasses into a compact
+binary format: a one-byte format version (:data:`FORMAT_BINARY`),
+varint-length-prefixed envelopes, positional per-class field tables
+derived from ``dataclasses.fields`` and one-byte type tags for every
+supported value kind. No field names or structural overhead go on the
+wire. Nested dataclasses, :class:`NodeId`, tuples and sets round-trip
+exactly; non-finite floats (NaN/inf) are rejected.
 
-* :class:`Codec` — the original tagged-JSON format. A frame is a plain
-  JSON object, so its first byte is ``0x7b`` (``{``).
-* :class:`BinaryCodec` — a compact binary format: a one-byte format
-  version (:data:`FORMAT_BINARY`), varint-length-prefixed envelopes,
-  positional per-class field tables derived from ``dataclasses.fields``
-  and one-byte type tags for every supported value kind. No field names
-  or JSON structural overhead go on the wire, which is where the 3-6x
-  size reduction over JSON comes from.
-
-Because the two formats disagree on the first byte, a receiver can
-auto-detect the format per datagram (:func:`decode_datagram`) — clusters
-mixing JSON and binary nodes interoperate in both directions. Both
-codecs support nested dataclasses, :class:`NodeId`, tuples and sets
-(round-tripping exactly) and both reject non-finite floats (NaN/inf),
-which standard JSON cannot represent and a strict peer cannot parse.
+It is the only format a node sends or accepts: a datagram whose first
+byte is neither :data:`FORMAT_BINARY` nor :data:`FORMAT_FRAGMENT` is an
+unknown frame (:func:`decode_datagram_detailed` raises
+:class:`CodecError`). The tagged-JSON codec it replaced (E16: 2.4x the
+bytes) is :mod:`repro.baselines.jsonwire`, that experiment's offline
+comparison arm.
 
 The simulator never serializes — it passes message objects by reference
-— so the codecs sit only on the real-network path, in codec tests, and
+— so the codec sits only on the real-network path, in codec tests, and
 in the optional ``byte_model="encoded"`` accounting of the simulated
 network (:func:`encoded_wire_size`).
 
 Datagram layout (see also docs/API.md "Wire format & batching"):
 
-    JSON frame      ::=  <json envelope> *( "\\n" <json envelope> )
     binary frame    ::=  0x01 *( uvarint(len) <binary envelope> )
     fragment frame  ::=  0x02 uvarint(frag_id) uvarint(index)
                          uvarint(total) <chunk>
@@ -36,8 +32,7 @@ Datagram layout (see also docs/API.md "Wire format & batching"):
     struct          ::=  <class name str> uvarint(n_fields) n_fields * <value>
     value           ::=  ... | 0x0C <struct> | 0x0D uvarint(len) <struct>
 
-A fragment's reassembled payload is itself a complete JSON or binary
-frame, so fragmentation is format-agnostic.
+A fragment's reassembled payload is itself a complete binary frame.
 
 Encode once, decode once per node. An epidemic write reaches every node
 several times on purpose, and to a relay the payload struct inside a
@@ -79,24 +74,18 @@ tag at any depth, so frames from encoders that never size still decode.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import struct
-from typing import Any, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import DataDropletsError
 from repro.common.ids import NodeId
-from repro.common.messages import Message, lookup_message_type, lookup_wire_type
+from repro.common.messages import Message, lookup_wire_type
 from repro.obs.trace import TraceContext
 
-_TAG = "__t"  # type tag key used in JSON-encoded objects
-
-#: First byte of each wire format. JSON frames start with ``{`` and need
-#: no explicit header; binary and fragment frames claim low control
-#: bytes no JSON document can start with.
+#: First byte of each frame kind.
 FORMAT_BINARY = 0x01
 FORMAT_FRAGMENT = 0x02
-FORMAT_JSON = 0x7B  # ord("{")
 
 
 class CodecError(DataDropletsError):
@@ -111,117 +100,6 @@ class DecodedEnvelope:
     #: Causal trace context carried on the envelope, if the sender was
     #: tracing this message (None for untraced and pre-trace frames).
     trace: Optional[TraceContext] = None
-
-
-# ---------------------------------------------------------------------------
-# JSON codec (format 0x7b — legacy, still the default)
-# ---------------------------------------------------------------------------
-
-
-class Codec:
-    """Bidirectional JSON codec over the message registry."""
-
-    wire_name = "json"
-
-    def encode(self, sender: NodeId, protocol: str, message: Message,
-               trace: Optional[TraceContext] = None) -> bytes:
-        """Serialize an envelope (sender, protocol, message[, trace])."""
-        try:
-            envelope = {
-                "sender": _encode_value(sender),
-                "protocol": protocol,
-                "type": message.type_name(),
-                "body": _encode_value(message),
-            }
-            if trace is not None:
-                # Optional key: peers without tracing simply never emit it,
-                # and old decoders ignore unknown keys.
-                envelope["trace"] = list(trace.to_wire())
-            # allow_nan=False: json.dumps would otherwise emit NaN/Infinity
-            # literals that are not standard JSON and break strict peers.
-            return json.dumps(envelope, separators=(",", ":"), allow_nan=False).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot encode {message!r}: {exc}") from exc
-
-    #: One envelope == one frame in the JSON format, so the envelope
-    #: encoding doubles as the single-frame encoding.
-    encode_envelope = encode
-
-    def decode(self, payload: bytes) -> DecodedEnvelope:
-        """Parse bytes back into (sender, protocol, message[, trace])."""
-        try:
-            envelope = json.loads(payload.decode("utf-8"))
-            sender = _decode_value(envelope["sender"])
-            cls = lookup_message_type(envelope["type"])
-            message = _decode_dataclass(cls, envelope["body"])
-            raw_trace = envelope.get("trace")
-            trace = None
-            if raw_trace is not None:
-                try:
-                    trace = TraceContext.from_wire(raw_trace)
-                except (TypeError, ValueError) as exc:
-                    raise CodecError(f"malformed trace field: {exc}") from exc
-            return DecodedEnvelope(sender, envelope["protocol"], message, trace)
-        except CodecError:
-            raise
-        except Exception as exc:  # malformed input from the network
-            raise CodecError(f"cannot decode payload: {exc}") from exc
-
-    @staticmethod
-    def frame(envelopes: List[bytes]) -> bytes:
-        """Pack already-encoded envelopes into one datagram.
-
-        Compact JSON contains no raw newline bytes (strings escape them),
-        so newline-joining is unambiguous.
-        """
-        return b"\n".join(envelopes)
-
-
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, NodeId):
-        return {_TAG: "nid", "v": value.value, "l": value.label}
-    if isinstance(value, Message) or dataclasses.is_dataclass(value):
-        fields = {f.name: _encode_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        return {_TAG: "dc", "c": type(value).__name__, "f": fields}
-    if isinstance(value, tuple):
-        return {_TAG: "tup", "v": [_encode_value(v) for v in value]}
-    if isinstance(value, (set, frozenset)):
-        return {_TAG: "set", "v": [_encode_value(v) for v in sorted(value, key=repr)]}
-    if isinstance(value, dict):
-        return {_TAG: "map", "v": [[_encode_value(k), _encode_value(v)] for k, v in value.items()]}
-    if isinstance(value, list):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise CodecError(f"non-finite float {value!r} is not wire-encodable")
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise CodecError(f"unsupported value type: {type(value).__name__}")
-
-
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    if not isinstance(value, dict):
-        return value
-    tag = value.get(_TAG)
-    if tag == "nid":
-        return NodeId(value["v"], value["l"])
-    if tag == "tup":
-        return tuple(_decode_value(v) for v in value["v"])
-    if tag == "set":
-        return frozenset(_decode_value(v) for v in value["v"])
-    if tag == "map":
-        return {_decode_value(k): _decode_value(v) for k, v in value["v"]}
-    if tag == "dc":
-        cls = lookup_wire_type(value["c"])
-        return _decode_dataclass(cls, value)
-    raise CodecError(f"unknown encoded object tag: {tag!r}")
-
-
-def _decode_dataclass(cls: type, encoded: Dict[str, Any]) -> Any:
-    fields = encoded["f"]
-    kwargs = {name: _decode_value(v) for name, v in fields.items()}
-    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +268,7 @@ def _binary_encode(value: Any, out: bytearray) -> None:
     elif isinstance(value, (set, frozenset)):
         out.append(_T_SET)
         encode_uvarint(len(value), out)
-        # Deterministic wire order, matching the JSON codec's choice.
+        # Deterministic wire order.
         for item in sorted(value, key=repr):
             _binary_encode(item, out)
     elif isinstance(value, dict):
@@ -649,11 +527,8 @@ class BinaryCodec:
 
     Envelope layout: ``<sender NodeId> <protocol str> <message>`` using
     the tagged value encoding above. :meth:`encode` wraps one envelope
-    into a standalone frame (version byte + varint length + envelope),
-    so it is a drop-in replacement for :meth:`Codec.encode`.
+    into a standalone frame (version byte + varint length + envelope).
     """
-
-    wire_name = "binary"
 
     def __init__(self) -> None:
         #: (sender value, sender label, protocol) -> encoded prefix. Keyed
@@ -781,70 +656,54 @@ def decode_binary_envelope(envelope: bytes,
 
 
 # ---------------------------------------------------------------------------
-# datagram-level framing: auto-detection and multi-envelope packing
+# datagram-level framing: multi-envelope packing
 # ---------------------------------------------------------------------------
 
-_JSON_CODEC = Codec()
 
-#: Codec registry for runtime configuration.
-_CODECS: Dict[str, type] = {"json": Codec, "binary": BinaryCodec}
-
-CodecLike = Union[Codec, BinaryCodec]
-
-
-def make_codec(codec: Union[str, CodecLike]) -> CodecLike:
-    """Resolve a codec name ("json" | "binary") or pass through an instance."""
-    if isinstance(codec, str):
-        try:
-            return _CODECS[codec]()
-        except KeyError:
-            raise ValueError(f"unknown codec {codec!r}; available: {sorted(_CODECS)}") from None
-    return codec
+def make_codec(codec: str = "binary") -> BinaryCodec:
+    """A fresh codec for the named wire format. There is one, "binary";
+    any other name raises :class:`ValueError`."""
+    if codec != "binary":
+        raise ValueError(f"unknown codec {codec!r}; the wire format is 'binary'")
+    return BinaryCodec()
 
 
 def decode_datagram_detailed(
     data: bytes, memo: Optional[DecodeMemo] = None,
 ) -> List[Tuple[DecodedEnvelope, int]]:
-    """Decode a (possibly coalesced) datagram of either format.
+    """Decode a (possibly coalesced) datagram.
 
     Returns ``(envelope, envelope_bytes)`` pairs so receive-side byte
     accounting matches the per-envelope send-side accounting exactly.
-    The format is detected from the first byte — a node decodes frames
-    from peers running either codec. ``memo`` is the receiving node's
-    :class:`DecodeMemo`; it changes only if the whole datagram decodes.
+    ``memo`` is the receiving node's :class:`DecodeMemo`; it changes only
+    if the whole datagram decodes.
     """
     if not data:
         raise CodecError("empty datagram")
     lead = data[0]
-    if lead == FORMAT_BINARY:
-        results: List[Tuple[DecodedEnvelope, int]] = []
-        pos = 1
-        try:
-            while pos < len(data):
-                length, pos = read_uvarint(data, pos)
-                end = pos + length
-                if end > len(data):
-                    raise CodecError("truncated envelope in binary frame")
-                results.append((_decode_envelope(data[pos:end], memo), length))
-                pos = end
-            if not results:
-                raise CodecError("binary frame carries no envelopes")
-        except CodecError:
-            if memo is not None:
-                memo.settle(keep=False)
-            raise
+    if lead != FORMAT_BINARY:
+        if lead == FORMAT_FRAGMENT:
+            raise CodecError("fragment frame requires reassembly before decoding")
+        raise CodecError(f"unknown wire format byte 0x{lead:02x}")
+    results: List[Tuple[DecodedEnvelope, int]] = []
+    pos = 1
+    try:
+        while pos < len(data):
+            length, pos = read_uvarint(data, pos)
+            end = pos + length
+            if end > len(data):
+                raise CodecError("truncated envelope in binary frame")
+            results.append((_decode_envelope(data[pos:end], memo), length))
+            pos = end
+        if not results:
+            raise CodecError("binary frame carries no envelopes")
+    except CodecError:
         if memo is not None:
-            memo.settle(keep=True)
-        return results
-    if lead == FORMAT_JSON:
-        return [
-            (_JSON_CODEC.decode(part), len(part))
-            for part in data.split(b"\n")
-            if part
-        ]
-    if lead == FORMAT_FRAGMENT:
-        raise CodecError("fragment frame requires reassembly before decoding")
-    raise CodecError(f"unknown wire format byte 0x{lead:02x}")
+            memo.settle(keep=False)
+        raise
+    if memo is not None:
+        memo.settle(keep=True)
+    return results
 
 
 def decode_datagram(data: bytes) -> List[DecodedEnvelope]:
@@ -865,7 +724,7 @@ def fragment_payload(payload: bytes, frag_id: int, max_datagram: int) -> List[by
 
     Each fragment carries (frag_id, index, total) so the receiver can
     reassemble out-of-order arrivals; the reassembled payload is fed back
-    through normal frame decoding, so fragments work for both formats.
+    through normal frame decoding.
     """
     chunk_size = max_datagram - _FRAGMENT_HEADER_MAX
     if chunk_size <= 0:

@@ -226,18 +226,13 @@ class DataDroplets:
                 config=replace(self.config.soft, redirect_misrouted=True),
             )
             return [soft, router]
-        stack: List[Protocol] = [
+        return [
             SoftStateProtocol(
                 ring=self.ring,
                 storage_directory=self._storage_directory,
                 config=self.config.soft,
             )
         ]
-        if self.config.soft_failure_detection:
-            from repro.softstate.membership import SoftMembership
-
-            stack.append(SoftMembership(self.ring))
-        return stack
 
     def _storage_directory(self) -> List[NodeId]:
         return [n.node_id for n in self.storage_nodes if n.is_up]
@@ -397,7 +392,7 @@ class DataDroplets:
         # Requests or replies can be lost on a lossy network; clients
         # retry with a fresh request id (operations are idempotent at
         # the coordinator: re-puts take the next version, reads are pure).
-        attempts = 1 + max(0, self.config.client_retries)
+        attempts = 1 + self.config.client_retries
         invoked_at = self.sim.now
         trace_attempts: List[Tuple[str, int]] = []
         last_error: Exception = UnavailableError("no live soft-state coordinator")
@@ -500,7 +495,5 @@ class DataDroplets:
             for node in self.soft_nodes:
                 self.ring.set_alive(node.node_id, router.table.is_alive(node.node_id.value))
             return
-        if self.config.soft_failure_detection:
-            return  # the soft layer's own failure detector owns aliveness
         for node in self.soft_nodes:
             self.ring.set_alive(node.node_id, node.is_up)

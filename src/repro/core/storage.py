@@ -26,13 +26,11 @@ from repro.common.ids import NodeId
 from repro.common.messages import Message
 from repro.core.config import DataDropletsConfig, IndexSpec
 from repro.epidemic.eager import EagerGossip
-from repro.epidemic.lazy import LazyGossip
 from repro.estimation.extrema import ExtremaSizeEstimator
 from repro.estimation.histogram import HistogramEstimator
 from repro.estimation.pushsum import ExtremeAggregator, PushSumProtocol
 from repro.membership.cyclon import CyclonProtocol
-from repro.overlay.multiattr import SharedMultiOverlay
-from repro.overlay.tman import TManDescriptor, TManProtocol
+from repro.overlay.tman import TManProtocol
 from repro.randomwalk.walker import RandomWalkProtocol
 from repro.redundancy.manager import RedundancyManager
 from repro.redundancy.repair import RangeRepair
@@ -59,42 +57,6 @@ from repro.softstate.messages import (
 )
 from repro.store.memtable import Memtable
 from repro.store.tuples import VersionedTuple
-
-
-class _OverlayHandle:
-    """Uniform view over the two ordered-overlay implementations.
-
-    The storage node asks the same three questions (closest-to, strict
-    successor, current view) whether the node runs one TManProtocol per
-    attribute or a single SharedMultiOverlay (config.shared_overlays)."""
-
-    def __init__(self, host, attribute: str):
-        self._host = host
-        self._attribute = attribute
-
-    def _shared(self) -> Optional[SharedMultiOverlay]:
-        try:
-            return self._host.protocol("multi-overlay")  # type: ignore[return-value]
-        except KeyError:
-            return None
-
-    def closest_to(self, coordinate: float, count: int = 1) -> List[TManDescriptor]:
-        shared = self._shared()
-        if shared is not None:
-            return shared.closest_to(self._attribute, coordinate, count)
-        return self._host.protocol(f"tman:{self._attribute}").closest_to(coordinate, count)  # type: ignore[attr-defined]
-
-    def successor(self) -> Optional[TManDescriptor]:
-        shared = self._shared()
-        if shared is not None:
-            return shared.successor(self._attribute)
-        return self._host.protocol(f"tman:{self._attribute}").successor()  # type: ignore[attr-defined]
-
-    def view(self) -> List[TManDescriptor]:
-        shared = self._shared()
-        if shared is not None:
-            return shared.view_for(self._attribute)
-        return self._host.protocol(f"tman:{self._attribute}").view()  # type: ignore[attr-defined]
 
 
 class StorageNodeProtocol(Protocol):
@@ -366,7 +328,7 @@ class StorageNodeProtocol(Protocol):
             self._scan_reply(message, items=(), done=True)
             self.host.metrics.counter("storage.scan_unindexed").inc()
             return
-        tman = _OverlayHandle(self.host, message.attribute)
+        tman: TManProtocol = self.host.protocol(f"tman:{message.attribute}")  # type: ignore[assignment]
         buckets = sieve.inner.bucket_count()
         index = sieve.inner.bucket_index()
         arc_lo, arc_hi = index / buckets, (index + 1) / buckets
@@ -718,16 +680,7 @@ def make_storage_stack(
         )
 
         # --- dissemination ---------------------------------------------------
-        fanout = (
-            config.fixed_fanout
-            if config.fixed_fanout is not None
-            else size_estimator.fanout_fn(config.fanout_c)
-        )
-        if config.lazy_gossip:
-            gossip: Protocol = LazyGossip(fanout=fanout)
-        else:
-            gossip = EagerGossip(fanout=fanout, mode=config.gossip_mode)
-        protocols.append(gossip)
+        protocols.append(EagerGossip(fanout=size_estimator.fanout_fn(config.fanout_c)))
 
         # --- redundancy ------------------------------------------------------
         walker = RandomWalkProtocol()
@@ -764,29 +717,16 @@ def make_storage_stack(
             buckets = s.inner.bucket_count()
             return (s.inner.bucket_index() + 0.5) / buckets
 
-        if config.shared_overlays and config.indexes:
-            # one shared gossip stream carries all orderings (E10 design)
-            def vector() -> Dict[str, float]:
-                return {attr: coordinate_of(s) for attr, s in index_sieves.items()}
-
+        for spec in config.indexes:
+            sieve = index_sieves[spec.attribute]
             protocols.append(
-                SharedMultiOverlay(
-                    vector,
+                TManProtocol(
+                    spec.attribute,
+                    lambda s=sieve: coordinate_of(s),
                     view_size=config.tman_view,
                     period=config.tman_period,
                 )
             )
-        else:
-            for spec in config.indexes:
-                sieve = index_sieves[spec.attribute]
-                protocols.append(
-                    TManProtocol(
-                        spec.attribute,
-                        lambda s=sieve: coordinate_of(s),
-                        view_size=config.tman_view,
-                        period=config.tman_period,
-                    )
-                )
 
         storage = StorageNodeProtocol(
             memtable=memtable,

@@ -21,20 +21,11 @@ from repro.epidemic.analysis import (
     messages_per_broadcast,
     replica_success_probability,
 )
-from repro.epidemic.bimodal import (
-    BimodalMulticast,
-    PbcastData,
-    PbcastDigest,
-    PbcastSolicit,
-)
 from repro.epidemic.antientropy import (
     AntiEntropy,
     AntiEntropyStore,
     BucketDigestMessage,
     BucketSummaryMessage,
-    BucketedStore,
-    DictStore,
-    DigestMessage,
     ItemsPush,
     ItemsRequest,
     VersionedItem,
@@ -44,17 +35,10 @@ from repro.epidemic.lazy import Advertisement, LazyGossip, PullReply, PullReques
 
 __all__ = [
     "Advertisement",
-    "BimodalMulticast",
-    "PbcastData",
-    "PbcastDigest",
-    "PbcastSolicit",
     "AntiEntropy",
     "AntiEntropyStore",
     "BucketDigestMessage",
     "BucketSummaryMessage",
-    "BucketedStore",
-    "DictStore",
-    "DigestMessage",
     "EagerGossip",
     "FanoutSpec",
     "FanoutTableRow",

@@ -7,24 +7,21 @@ The persistent-state layer also reuses this machinery for redundancy
 restoration between nodes responsible for the same sieve range (§III-A).
 
 The protocol is generic over an :class:`AntiEntropyStore` adapter so the
-same code reconciles gossip caches, storage memtables, or anything
-versioned by (item id, monotone version).
+same code reconciles storage memtables, sieve-scoped views of them, or
+anything versioned by (item id, monotone version).
 
-Two wire exchanges are supported:
+There is one wire exchange, in three phases. Item ids hash into ``B``
+buckets with incrementally maintained rolling summaries. A round sends
+only the ``B`` summaries (:class:`BucketSummaryMessage`); the peer
+answers with per-key digests *for the differing buckets only*
+(:class:`BucketDigestMessage`); items flow last. Cost is proportional to
+*divergence*, not store size — the cheap-incremental-sync property
+Merkle-style reconcilers rely on. Both sides must use the same ``B``: a
+summary with another bucket count cannot be compared and is counted
+(``antientropy.bucket_count_mismatch``) and dropped.
 
-* **legacy full-digest** (any :class:`AntiEntropyStore`): each round
-  ships a complete ``item_id -> version`` digest in both directions —
-  ``O(store)`` bytes per round regardless of how much actually differs.
-* **bucketed three-phase** (stores implementing :class:`BucketedStore`):
-  item ids hash into ``B`` buckets with incrementally maintained rolling
-  summaries. A round sends only the ``B`` summaries; the peer answers
-  with per-key digests *for the differing buckets only*; items flow
-  last. Cost is proportional to *divergence*, not store size — the
-  cheap-incremental-sync property Merkle-style reconcilers rely on.
-
-Initiators probe with a :class:`BucketSummaryMessage`; a peer whose
-store is not bucketed (or whose bucket count differs) falls back to the
-legacy exchange, so mixed deployments still converge.
+The full-digest exchange this replaced (46x the digest bytes at 1 %
+divergence, E15) is :mod:`repro.baselines.fulldigest`.
 """
 
 from __future__ import annotations
@@ -49,7 +46,14 @@ ABSENT = -1
 
 
 class AntiEntropyStore(ABC):
-    """Adapter between anti-entropy and a versioned local store."""
+    """Adapter between anti-entropy and a versioned local store.
+
+    Implementations hash item ids into a fixed number of buckets (see
+    :func:`repro.common.hashing.key_bucket`) and maintain, per bucket,
+    the XOR of per-item :func:`~repro.common.hashing.fingerprint64`
+    values plus an item count — updated incrementally on every mutation,
+    never rebuilt from scratch on the reconciliation path.
+    """
 
     @abstractmethod
     def digest(self) -> Dict[str, int]:
@@ -65,6 +69,7 @@ class AntiEntropyStore(ABC):
         """Merge incoming items (last-writer-wins by version); return
         how many actually changed local state."""
 
+    @abstractmethod
     def fetch_newer(self, entries: Iterable[Tuple[str, int]]) -> Tuple[List[VersionedItem], int]:
         """Fetch only items strictly newer than the requester's version.
 
@@ -72,26 +77,9 @@ class AntiEntropyStore(ABC):
         already holds (:data:`ABSENT` for none). Returns the items worth
         shipping and the count of redundant fetches skipped — requests
         can race with other reconciliations, and shipping a payload the
-        peer already holds at an equal version is pure waste. The default
-        fetches then filters; stores that copy payloads should override
-        to check the version *before* copying.
+        peer already holds at an equal version is pure waste. Check the
+        version *before* copying a payload.
         """
-        entries = list(entries)
-        items = self.fetch(item_id for item_id, _ in entries)
-        known = dict(entries)
-        out = [item for item in items if item[1] > known.get(item[0], ABSENT)]
-        return out, len(items) - len(out)
-
-
-class BucketedStore(AntiEntropyStore):
-    """Capability: per-bucket rolling summaries for incremental sync.
-
-    Implementations hash item ids into a fixed number of buckets (see
-    :func:`repro.common.hashing.key_bucket`) and maintain, per bucket,
-    the XOR of per-item :func:`~repro.common.hashing.fingerprint64`
-    values plus an item count — updated incrementally on every mutation,
-    never rebuilt from scratch on the reconciliation path.
-    """
 
     @abstractmethod
     def bucket_count(self) -> int:
@@ -109,22 +97,8 @@ class BucketedStore(AntiEntropyStore):
 
 @message_type
 @dataclass(frozen=True)
-class DigestMessage(Message):
-    entries: Tuple[Tuple[str, int], ...] = field(default_factory=tuple)
-    is_reply: bool = False
-    #: Explicit truncation marker. Inferring truncation from
-    #: ``len(entries) < max_digest`` wrongly treats an untruncated digest
-    #: of exactly ``max_digest`` entries as sampled, which suppresses the
-    #: absence-based push path and stalls convergence.
-    truncated: bool = False
-
-    wire_category: ClassVar[str] = "digest"
-
-
-@message_type
-@dataclass(frozen=True)
 class BucketSummaryMessage(Message):
-    """Phase 1 of the bucketed exchange: B rolling bucket summaries."""
+    """Phase 1 of the exchange: B rolling bucket summaries."""
 
     bucket_count: int = 0
     summaries: Tuple[BucketSummary, ...] = field(default_factory=tuple)
@@ -176,9 +150,6 @@ class AntiEntropy(Protocol):
         membership: sibling PeerSampler protocol name.
         max_digest: cap on digest entries shipped per round (bandwidth
             guard for huge stores; a random cover is sent each round).
-        bucketed: force (True) or forbid (False) the bucketed exchange;
-            None (default) auto-enables it when ``store`` implements
-            :class:`BucketedStore`.
         ack_clean: reply to an agreeing bucket summary with an *empty*
             :class:`BucketDigestMessage` (a no-op at the receiver) so the
             initiator gets positive confirmation the round completed.
@@ -194,7 +165,6 @@ class AntiEntropy(Protocol):
         period: float = 5.0,
         membership: str = "membership",
         max_digest: Optional[int] = None,
-        bucketed: Optional[bool] = None,
         ack_clean: bool = False,
     ):
         super().__init__()
@@ -202,11 +172,6 @@ class AntiEntropy(Protocol):
         self.period = period
         self.membership = membership
         self.max_digest = max_digest
-        if bucketed is None:
-            bucketed = isinstance(store, BucketedStore)
-        elif bucketed and not isinstance(store, BucketedStore):
-            raise TypeError("bucketed=True requires a BucketedStore adapter")
-        self.bucketed = bucketed
         self.ack_clean = ack_clean
         self._timer = None
 
@@ -218,7 +183,7 @@ class AntiEntropy(Protocol):
             "antientropy.rounds", "antientropy.items_applied")
         self._c_unexpected = metrics.counter("antientropy.unexpected_message")
         self._c_redundant = metrics.counter("antientropy.redundant_fetches")
-        self._c_fallback = metrics.counter("antientropy.fallback_rounds")
+        self._c_bucket_mismatch = metrics.counter("antientropy.bucket_count_mismatch")
         self._c_buckets_diverged = metrics.counter("antientropy.buckets_diverged")
         self._c_buckets_clean = metrics.counter("antientropy.rounds_clean")
 
@@ -252,12 +217,8 @@ class AntiEntropy(Protocol):
         redundancy repair) can direct a round instead of waiting for the
         periodic random one.
         """
-        if self.bucketed:
-            store: BucketedStore = self.store  # type: ignore[assignment]
-            self.send(peer, BucketSummaryMessage(store.bucket_count(), store.bucket_summaries()))
-        else:
-            entries, truncated = self._digest_entries()
-            self.send(peer, DigestMessage(entries, is_reply=False, truncated=truncated))
+        store = self.store
+        self.send(peer, BucketSummaryMessage(store.bucket_count(), store.bucket_summaries()))
         self._c_rounds.inc()
         self._on_initiate(peer)
 
@@ -267,23 +228,10 @@ class AntiEntropy(Protocol):
     def _on_peer_response(self, sender: NodeId) -> None:
         """Hook: any anti-entropy traffic arrived from ``sender``."""
 
-    def _digest_entries(self) -> Tuple[Tuple[Tuple[str, int], ...], bool]:
-        digest = self.store.digest()
-        entries = sorted(digest.items())
-        truncated = False
-        if self.max_digest is not None and len(entries) > self.max_digest:
-            # Sample a random cover, then re-sort: deterministic wire
-            # order regardless of which entries the sample picked.
-            entries = sorted(self.host.rng.sample(entries, self.max_digest))
-            truncated = True
-        return tuple(entries), truncated
-
     # ------------------------------------------------------------------
     def on_message(self, sender: NodeId, message: Message) -> None:
         self._on_peer_response(sender)
-        if isinstance(message, DigestMessage):
-            self._reconcile(sender, dict(message.entries), message.is_reply, message.truncated)
-        elif isinstance(message, BucketSummaryMessage):
+        if isinstance(message, BucketSummaryMessage):
             self._on_bucket_summary(sender, message)
         elif isinstance(message, BucketDigestMessage):
             self._on_bucket_digest(sender, message)
@@ -302,15 +250,6 @@ class AntiEntropy(Protocol):
                              count=applied)
         else:
             self._c_unexpected.inc()
-
-    # -- legacy full-digest exchange -----------------------------------
-    def _reconcile(self, sender: NodeId, remote: Dict[str, int], is_reply: bool,
-                   remote_truncated: bool) -> None:
-        local = self.store.digest()
-        self._exchange(sender, local, remote, remote_truncated)
-        if not is_reply:
-            entries, truncated = self._digest_entries()
-            self.send(sender, DigestMessage(entries, is_reply=True, truncated=truncated))
 
     def _exchange(self, sender: NodeId, local: Dict[str, int], remote: Dict[str, int],
                   remote_truncated: bool) -> None:
@@ -332,17 +271,13 @@ class AntiEntropy(Protocol):
         if newer_here:
             self.send(sender, ItemsPush(tuple(self.store.fetch(newer_here))))
 
-    # -- bucketed three-phase exchange ---------------------------------
     def _on_bucket_summary(self, sender: NodeId, message: BucketSummaryMessage) -> None:
-        if not self.bucketed or message.bucket_count != self.store.bucket_count():  # type: ignore[attr-defined]
-            # Capability mismatch: answer by *initiating* a legacy
-            # exchange toward the summary's sender, which both sides
-            # support by construction.
-            self._c_fallback.inc()
-            entries, truncated = self._digest_entries()
-            self.send(sender, DigestMessage(entries, is_reply=False, truncated=truncated))
+        store = self.store
+        if message.bucket_count != store.bucket_count():
+            # Summaries over another bucket grid say nothing about which
+            # of *our* buckets differ.
+            self._c_bucket_mismatch.inc()
             return
-        store: BucketedStore = self.store  # type: ignore[assignment]
         local = store.bucket_summaries()
         differing = tuple(
             index for index, (mine, theirs) in enumerate(zip(local, message.summaries))
@@ -364,44 +299,6 @@ class AntiEntropy(Protocol):
         self.send(sender, BucketDigestMessage(differing, tuple(entries), truncated))
 
     def _on_bucket_digest(self, sender: NodeId, message: BucketDigestMessage) -> None:
-        if not self.bucketed:
-            # A crash/rebind changed capability mid-exchange; the peer's
-            # digest is still a valid (partial) digest — treat it as
-            # truncated so no absence is inferred from its scoping.
-            self._exchange(sender, self.store.digest(), dict(message.entries), True)
-            return
-        store: BucketedStore = self.store  # type: ignore[assignment]
-        local = store.bucket_digest(message.buckets)
+        local = self.store.bucket_digest(message.buckets)
         self._exchange(sender, local, dict(message.entries), message.truncated)
 
-
-class DictStore(AntiEntropyStore):
-    """Trivial in-memory AntiEntropyStore used by tests and examples."""
-
-    def __init__(self) -> None:
-        self.items: Dict[str, Tuple[int, Any]] = {}
-
-    def put(self, item_id: str, version: int, payload: Any) -> None:
-        current = self.items.get(item_id)
-        if current is None or version > current[0]:
-            self.items[item_id] = (version, payload)
-
-    def digest(self) -> Dict[str, int]:
-        return {i: v for i, (v, _) in self.items.items()}
-
-    def fetch(self, item_ids: Iterable[str]) -> List[VersionedItem]:
-        out = []
-        for item_id in item_ids:
-            held = self.items.get(item_id)
-            if held is not None:
-                out.append((item_id, held[0], held[1]))
-        return out
-
-    def apply(self, items: Iterable[VersionedItem]) -> int:
-        changed = 0
-        for item_id, version, payload in items:
-            current = self.items.get(item_id)
-            if current is None or version > current[0]:
-                self.items[item_id] = (version, payload)
-                changed += 1
-        return changed

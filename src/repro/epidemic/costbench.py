@@ -5,9 +5,10 @@ One *cell* boots a two-node simulated cluster whose memtables share
 missing on one side, half stale), runs anti-entropy for a fixed number
 of periods, and reports what the reconciliation cost on the wire:
 digest bytes, item bytes, rounds to convergence and wall-clock. The
-same cell runs with the legacy full-digest exchange (``bucketed=False``)
-or the bucketed three-phase exchange, so benchmarks and the CLI can
-compare the two paths on identical workloads.
+same cell runs the system's bucketed three-phase exchange or, with
+``bucketed=False``, the full-digest baseline it replaced
+(:mod:`repro.baselines.fulldigest`), so benchmarks and the CLI can
+compare the two on identical workloads.
 
 Shared by ``benchmarks/bench_e15_antientropy_cost.py`` and the
 ``repro bench e15`` CLI smoke check.
@@ -19,6 +20,7 @@ import random
 import time
 from typing import Any, Dict, Optional
 
+from repro.baselines.fulldigest import FullDigestAntiEntropy
 from repro.epidemic.antientropy import AntiEntropy
 from repro.membership.fullview import StaticMembership, cluster_directory
 from repro.sim.cluster import Cluster
@@ -63,9 +65,10 @@ def measure_antientropy_cost(
     def factory(node):
         memtable = node.durable.setdefault("memtable", Memtable(buckets=buckets))
         memtables.append(memtable)
+        exchange = AntiEntropy if bucketed else FullDigestAntiEntropy
         return [
             StaticMembership(cluster_directory(cluster)),
-            AntiEntropy(memtable, period=period, max_digest=max_digest, bucketed=bucketed),
+            exchange(memtable, period=period, max_digest=max_digest),
         ]
 
     cluster.add_nodes(2, factory)
@@ -100,7 +103,7 @@ def measure_antientropy_cost(
     digest_bytes = metrics.counter_value("net.bytes.anti-entropy.digest")
     items_bytes = metrics.counter_value("net.bytes.anti-entropy.items")
     return {
-        "path": "bucketed" if bucketed else "legacy",
+        "path": "bucketed" if bucketed else "baseline",
         "n_items": n_items,
         "divergence": divergence,
         "digest_bytes": digest_bytes,
@@ -108,7 +111,6 @@ def measure_antientropy_cost(
         "rounds": rounds,
         "digest_bytes_per_round": digest_bytes / rounds if rounds else 0.0,
         "redundant_fetches": metrics.counter_value("antientropy.redundant_fetches"),
-        "fallback_rounds": metrics.counter_value("antientropy.fallback_rounds"),
         "converged_at": converged_at,
         "identical": _snapshot(table_a) == _snapshot(table_b),
         "wall_s": wall_s,

@@ -4,21 +4,16 @@ All upper-layer protocols acquire gossip targets through the
 :class:`~repro.membership.views.PeerSampler` interface, implemented by:
 
 * :class:`CyclonProtocol` — shuffle-based partial views (the default),
-* :class:`NewscastProtocol` — freshest-wins full-view exchange,
 * :class:`StaticMembership` — the "know everyone" directory assumption
   of structured systems (used by the DHT baseline).
 """
 
 from repro.membership.cyclon import CyclonProtocol, ShuffleReply, ShuffleRequest
 from repro.membership.fullview import StaticMembership, cluster_directory
-from repro.membership.newscast import NewscastProtocol, NewsExchange, NewsItem
 from repro.membership.views import NodeDescriptor, PartialView, PeerSampler
 
 __all__ = [
     "CyclonProtocol",
-    "NewscastProtocol",
-    "NewsExchange",
-    "NewsItem",
     "NodeDescriptor",
     "PartialView",
     "PeerSampler",

@@ -2,8 +2,8 @@
 
 A partial view is a small, bounded set of *node descriptors* (peer id +
 age). All epidemic protocols in this library obtain gossip targets from
-a :class:`PeerSampler`, which partial-view protocols (Cyclon, Newscast)
-and the static full view all implement — so any dissemination/estimation
+a :class:`PeerSampler`, which partial-view protocols (Cyclon) and the
+static full view all implement — so any dissemination/estimation
 protocol can be paired with any membership substrate.
 """
 

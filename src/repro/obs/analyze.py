@@ -193,7 +193,6 @@ _PHASE_BY_MSG = (
     ("Rebuild", "coordinator-dispatch"),
     ("InjectRebuild", "coordinator-dispatch"),
     ("Gossip", "gossip-hop"),
-    ("PbcastData", "gossip-hop"),
     ("Advertisement", "gossip-lazy"),
     ("PullRequest", "gossip-lazy"),
     ("PullReply", "gossip-lazy"),
@@ -201,8 +200,6 @@ _PHASE_BY_MSG = (
     ("BucketSummary", "antientropy"),
     ("BucketDigest", "antientropy"),
     ("Items", "antientropy"),
-    ("PbcastDigest", "antientropy"),
-    ("PbcastSolicit", "antientropy"),
     # one-hop routing layer (PR 8): member-event epidemics, liveness
     # probes, and routing-table anti-entropy are all *routing* cost.
     ("MemberEvent", "route-gossip"),
@@ -217,7 +214,6 @@ _PHASE_BY_MSG = (
     ("WalkResult", "census"),
     # background membership / estimation / overlay maintenance.
     ("SoftHeartbeat", "membership"),
-    ("NewsExchange", "membership"),
     ("ShuffleRequest", "membership"),
     ("ShuffleReply", "membership"),
     ("TManExchange", "overlay"),

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 from repro.common.ids import NodeId
 from repro.epidemic.antientropy import (
     AntiEntropy,
-    BucketedStore,
+    AntiEntropyStore,
     BucketSummary,
     VersionedItem,
 )
@@ -42,7 +42,7 @@ _BATCH_MIN = 16
 PeerSource = Callable[[], List[NodeId]]
 
 
-class RangeScopedStore(BucketedStore):
+class RangeScopedStore(AntiEntropyStore):
     """Memtable view restricted to items the node's sieve admits.
 
     Incoming items the sieve does not admit are ignored rather than
@@ -119,7 +119,7 @@ class RangeScopedStore(BucketedStore):
             self.cache_bucket_refreshes += 1
         self._cache_epoch = epoch
 
-    # -- BucketedStore interface ----------------------------------------
+    # -- AntiEntropyStore interface -------------------------------------
     def digest(self) -> Dict[str, int]:
         self._refresh()
         out: Dict[str, int] = {}
@@ -196,7 +196,6 @@ class RangeRepair(AntiEntropy):
         peer_source: PeerSource,
         period: float = 10.0,
         max_digest: Optional[int] = None,
-        bucketed: Optional[bool] = None,
         exchange_timeout: float = 4.0,
         max_failures: int = 2,
         on_peer_failed: Optional[Callable[[NodeId], None]] = None,
@@ -205,7 +204,6 @@ class RangeRepair(AntiEntropy):
             store=RangeScopedStore(memtable, sieve),
             period=period,
             max_digest=max_digest,
-            bucketed=bucketed,
             ack_clean=True,
         )
         if exchange_timeout <= 0:

@@ -7,14 +7,11 @@ from repro.runtime.host import (
     localhost_address_book,
     node_id_for,
 )
-from repro.runtime.wirebench import codec_throughput, measure_wire_cost
 
 __all__ = [
     "AddressBook",
     "AsyncioNode",
     "LocalCluster",
-    "codec_throughput",
     "localhost_address_book",
-    "measure_wire_cost",
     "node_id_for",
 ]

@@ -12,12 +12,12 @@ carries ``host:port``. The default address book resolves ids to
 ``127.0.0.1:<value>`` (localhost clusters); pass a custom resolver for
 multi-host deployments.
 
-Wire path: each node encodes with its configured codec ("json" or
-"binary" — see :mod:`repro.common.codec`) but decodes any format, so
-mixed clusters interoperate. ``send()`` does not transmit immediately:
-envelopes are coalesced per destination and flushed on the next event
-loop tick or when the buffer would exceed the MTU budget, packing many
-protocol messages into one datagram. Single messages larger than
+Wire path: one binary format (:mod:`repro.common.codec`); a datagram in
+any other is counted in ``runtime.decode_errors`` and dropped.
+``send()`` does not transmit immediately: envelopes are coalesced per
+destination and flushed on the next event loop tick or when the buffer
+would exceed the MTU budget, packing many protocol messages into one
+datagram. Single messages larger than
 ``max_datagram`` are split into fragment frames and reassembled on the
 receive side instead of being rejected by the OS. A payload struct is
 serialised once however many peers it is relayed to and decoded once per
@@ -38,12 +38,11 @@ import collections
 import mmap
 import random
 import socket
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.codec import (
     FORMAT_FRAGMENT,
     CodecError,
-    CodecLike,
     DecodeMemo,
     decode_datagram_detailed,
     fragment_payload,
@@ -60,7 +59,7 @@ from repro.sim.node import Host, Protocol
 AddressBook = Callable[[NodeId], Tuple[str, int]]
 
 #: Conservative per-envelope framing budget used when filling an MTU:
-#: the varint length prefix (binary) or newline separator (JSON).
+#: the varint length prefix.
 _PER_ENVELOPE_OVERHEAD = 3
 
 #: Cap on concurrently reassembling fragmented messages per node; above
@@ -102,16 +101,14 @@ class AsyncioNode(Host):
     """One real process-like node: UDP endpoint + protocol stack.
 
     Args:
-        codec: wire format this node encodes with — "json", "binary" or
-            a codec instance. Decoding always auto-detects per datagram.
         coalesce: batch same-destination envelopes into one datagram,
             flushed on the next loop tick or at the MTU budget.
         mtu: coalescing budget in bytes; a buffer never grows past it.
         max_datagram: largest datagram handed to the socket; larger
             single frames are split into fragments and reassembled.
         tracer: causal tracer for this node. Outgoing sends made while a
-            context is active carry a child span on the envelope (either
-            codec); incoming traced envelopes re-activate their context
+            context is active carry a child span on the envelope;
+            incoming traced envelopes re-activate their context
             around the handler. Timestamps are ``loop.time()`` seconds.
     """
 
@@ -123,7 +120,6 @@ class AsyncioNode(Host):
         seed: int = 0,
         metrics: Optional[Metrics] = None,
         bind_host: str = "127.0.0.1",
-        codec: Union[str, CodecLike] = "json",
         coalesce: bool = True,
         mtu: int = 1400,
         max_datagram: int = 60000,
@@ -139,7 +135,7 @@ class AsyncioNode(Host):
         self._metrics = metrics if metrics is not None else Metrics()
         self._rng = random.Random(f"{seed}/{port}")
         self._durable: Dict[str, Any] = {}
-        self._codec = make_codec(codec)
+        self._codec = make_codec()
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.coalesce = coalesce
         self.mtu = mtu
@@ -508,11 +504,7 @@ class AsyncioNode(Host):
 
 
 class LocalCluster:
-    """N AsyncioNodes on consecutive localhost ports, one event loop.
-
-    ``codec`` may be a single name/instance for a homogeneous cluster or
-    a callable ``index -> codec`` for mixed-format clusters.
-    """
+    """N AsyncioNodes on consecutive localhost ports, one event loop."""
 
     def __init__(
         self,
@@ -520,7 +512,6 @@ class LocalCluster:
         stack_factory: Callable[[AsyncioNode], Sequence[Protocol]],
         base_port: int = 29000,
         seed: int = 0,
-        codec: Union[str, CodecLike, Callable[[int], Union[str, CodecLike]]] = "json",
         coalesce: bool = True,
         mtu: int = 1400,
         max_datagram: int = 60000,
@@ -532,12 +523,10 @@ class LocalCluster:
         # One shared tracer is safe here: all nodes run on one event loop
         # thread, and handlers never yield while a context is active.
         self.tracer = tracer
-        codec_for = codec if callable(codec) and not isinstance(codec, type) else (lambda i: codec)
         self.nodes: List[AsyncioNode] = [
             AsyncioNode(
                 base_port + i, stack_factory, seed=seed, metrics=self.metrics,
-                codec=codec_for(i), coalesce=coalesce, mtu=mtu, max_datagram=max_datagram,
-                tracer=tracer,
+                coalesce=coalesce, mtu=mtu, max_datagram=max_datagram, tracer=tracer,
             )
             for i in range(count)
         ]

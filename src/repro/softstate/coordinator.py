@@ -90,7 +90,6 @@ class SoftStateConfig:
     write_retries: int = 2
     read_fanout: int = 2  # hint nodes probed in parallel
     read_timeout: float = 3.0
-    epidemic_read_fallback: bool = True
     flood_retries: int = 2  # extra entry points tried for epidemic reads
     multiget_timeout: float = 5.0
     scan_timeout: float = 8.0
@@ -98,7 +97,6 @@ class SoftStateConfig:
     aggregate_timeout: float = 3.0
     cache_capacity: int = 10_000
     hint_capacity: int = 8  # remembered storage nodes per key
-    auto_rebuild: bool = False  # rebuild metadata on every (re)boot
     fallback_flush_period: float = 4.0  # retry dissemination of parked writes
     # Single-hop routing fallback: forward misrouted ops to the believed
     # owner (RedirectedOp) instead of bouncing an error to the client.
@@ -225,8 +223,6 @@ class SoftStateProtocol(Protocol):
         # without this loop an acknowledged write could sit in the
         # coordinator's durable store forever and never gain redundancy.
         self.every(self.config.fallback_flush_period, self._flush_fallback)
-        if self.config.auto_rebuild:
-            self.rebuild_metadata()
 
     # -- helpers ---------------------------------------------------------
     def _next_id(self, prefix: str) -> str:
@@ -495,8 +491,6 @@ class SoftStateProtocol(Protocol):
         self.host.set_timer(self.config.read_timeout, lambda: self._read_deadline(read_id))
 
     def _flood_read(self, read_id: str, state: _ReadState) -> None:
-        if not self.config.epidemic_read_fallback:
-            return
         # Always consume an attempt, even with no reachable entry —
         # otherwise the deadline loop would retry forever.
         state.flood_attempts += 1
@@ -517,10 +511,7 @@ class SoftStateProtocol(Protocol):
         state = self._reads.get(read_id)
         if state is None or state.done:
             return
-        if (
-            self.config.epidemic_read_fallback
-            and state.flood_attempts <= self.config.flood_retries
-        ):
+        if state.flood_attempts <= self.config.flood_retries:
             # Hinted probes (or a previous flood) went unanswered — escalate
             # under the op's trace context (timers drop the ambient one).
             with self.host.tracer.activate(state.ctx):

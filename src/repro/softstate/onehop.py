@@ -3,7 +3,7 @@
 Every node keeps a *full* routing table — node → ring position,
 aliveness, incarnation — so a coordinator lookup is one table read plus
 one network hop. The table is kept fresh not by heartbeating everyone
-(the O(N²) mesh of :mod:`repro.softstate.membership`) but by membership
+(the O(N²) mesh of :mod:`repro.baselines.heartbeat`) but by membership
 **events** (join / recover / suspect / dead) riding the epidemic
 substrate: each node buffers fresh events and periodically relays the
 batch to ``fanout`` random alive peers, infect-and-die per event (a

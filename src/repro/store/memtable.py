@@ -6,7 +6,7 @@ churn model: "nodes suffer from transient faults solved with a reboot"
 — their disk contents come back with them). Permanent failures destroy
 it, which is what redundancy maintenance must then repair.
 
-The memtable implements the :class:`BucketedStore` interface directly,
+The memtable implements the :class:`AntiEntropyStore` interface directly,
 so the same object plugs into gossip repair and same-range redundancy
 reconciliation — with incremental per-bucket summaries that make
 anti-entropy cost proportional to divergence instead of store size.
@@ -20,7 +20,7 @@ from bisect import bisect_left, insort
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.hashing import fingerprint64, key_bucket, key_hash
-from repro.epidemic.antientropy import BucketedStore, BucketSummary, VersionedItem
+from repro.epidemic.antientropy import AntiEntropyStore, BucketSummary, VersionedItem
 from repro.store.tuples import Version, VersionedTuple
 
 #: Default summary-bucket count. Scoped digests cover ~(diverged keys /
@@ -37,7 +37,7 @@ def _numeric(value) -> Optional[float]:
     return None
 
 
-class Memtable(BucketedStore):
+class Memtable(AntiEntropyStore):
     """Last-writer-wins versioned key-value store.
 
     Args:
@@ -237,7 +237,7 @@ class Memtable(BucketedStore):
         return matches
 
     # ------------------------------------------------------------------
-    # BucketedStore interface (digests use packed integer versions)
+    # AntiEntropyStore interface (digests use packed integer versions)
     # ------------------------------------------------------------------
     def digest(self) -> Dict[str, int]:
         return {key: item.version.packed() for key, item in self._tuples.items()}

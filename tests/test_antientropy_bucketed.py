@@ -1,8 +1,9 @@
-"""Bucketed anti-entropy: summaries, three-phase exchange, fallbacks.
+"""Bucketed anti-entropy: summaries and the three-phase exchange, with
+the full-digest baseline (``repro.baselines.fulldigest``) beside it.
 
 Covers the incremental-summary regression oracle (rolling == from
-scratch), convergence with identical contents on both the bucketed and
-legacy/fallback paths, the explicit digest-truncation flag, and the
+scratch), convergence with identical contents on the live exchange and
+on the baseline, the baseline's explicit digest-truncation flag, and the
 redundant-fetch skip.
 """
 
@@ -10,11 +11,11 @@ import random
 
 import pytest
 
+from repro.baselines.fulldigest import DictStore, DigestMessage, FullDigestAntiEntropy
 from repro.epidemic import (
     AntiEntropy,
+    BucketDigestMessage,
     BucketSummaryMessage,
-    DictStore,
-    DigestMessage,
     ItemsPush,
     ItemsRequest,
 )
@@ -51,8 +52,8 @@ class _FakeHost:
         return [m for _, _, m in self.sent if isinstance(m, kind)]
 
 
-def _bound(store, **kwargs) -> "tuple[AntiEntropy, _FakeHost]":
-    proto = AntiEntropy(store, **kwargs)
+def _bound(store, protocol=AntiEntropy, **kwargs) -> "tuple[AntiEntropy, _FakeHost]":
+    proto = protocol(store, **kwargs)
     host = _FakeHost()
     proto.bind(host)
     return proto, host
@@ -113,11 +114,13 @@ class TestIncrementalSummaries:
 
 
 class TestTruncationFlag:
+    """The full-digest baseline's truncation marker."""
+
     def test_digest_at_exact_cap_is_not_truncated(self):
         store = DictStore()
         for i in range(10):
             store.put(f"k{i}", 1, i)
-        proto, host = _bound(store, max_digest=10)
+        proto, host = _bound(store, FullDigestAntiEntropy, max_digest=10)
         entries, truncated = proto._digest_entries()
         assert len(entries) == 10 and not truncated
         assert list(entries) == sorted(entries)
@@ -126,7 +129,7 @@ class TestTruncationFlag:
         store = DictStore()
         for i in range(25):
             store.put(f"k{i}", 1, i)
-        proto, host = _bound(store, max_digest=10)
+        proto, host = _bound(store, FullDigestAntiEntropy, max_digest=10)
         entries, truncated = proto._digest_entries()
         assert len(entries) == 10 and truncated
         assert list(entries) == sorted(entries)
@@ -137,7 +140,7 @@ class TestTruncationFlag:
         # items the peer demonstrably lacks.
         store = DictStore()
         store.put("mine", 7, "payload")
-        proto, host = _bound(store, max_digest=10)
+        proto, host = _bound(store, FullDigestAntiEntropy, max_digest=10)
         remote = tuple((f"r{i}", 1) for i in range(10))  # exactly the cap
         proto.on_message(_peer(), DigestMessage(remote, is_reply=True, truncated=False))
         pushes = host.sent_of(ItemsPush)
@@ -147,7 +150,7 @@ class TestTruncationFlag:
     def test_truncated_digest_suppresses_absence_pushes(self):
         store = DictStore()
         store.put("mine", 7, "payload")
-        proto, host = _bound(store, max_digest=10)
+        proto, host = _bound(store, FullDigestAntiEntropy, max_digest=10)
         remote = tuple((f"r{i}", 1) for i in range(10))
         proto.on_message(_peer(), DigestMessage(remote, is_reply=True, truncated=True))
         assert host.sent_of(ItemsPush) == []
@@ -157,20 +160,20 @@ class TestTruncationFlag:
 
 class TestRedundantFetchSkip:
     def test_equal_version_request_is_skipped_and_counted(self):
-        store = DictStore()
-        store.put("k", 3, "v")
+        store = Memtable()
+        store.put(make_tuple("k", {"v": 1}, Version(3, 0)))
         proto, host = _bound(store)
-        proto.on_message(_peer(), ItemsRequest((("k", 3),)))
+        proto.on_message(_peer(), ItemsRequest((("k", Version(3, 0).packed()),)))
         assert host.sent_of(ItemsPush) == []
         assert host.metrics.counter_value("antientropy.redundant_fetches") == 1
 
     def test_newer_version_is_shipped(self):
-        store = DictStore()
-        store.put("k", 5, "v")
+        store = Memtable()
+        store.put(make_tuple("k", {"v": 1}, Version(5, 0)))
         proto, host = _bound(store)
-        proto.on_message(_peer(), ItemsRequest((("k", 3), ("absent", -1))))
+        proto.on_message(_peer(), ItemsRequest((("k", Version(3, 0).packed()), ("absent", -1))))
         pushes = host.sent_of(ItemsPush)
-        assert pushes and pushes[0].items == (("k", 5, "v"),)
+        assert pushes and pushes[0].items == tuple(store.fetch(["k"]))
         assert host.metrics.counter_value("antientropy.redundant_fetches") == 0
 
     def test_memtable_fetch_newer_skips_before_copying(self):
@@ -218,7 +221,7 @@ class TestBucketedExchange:
         b.put(make_tombstone("k7", Version(2, 0)))  # b knows a deletion a lacks
         sim.run_for(20.0)
         assert _memtable_snapshot(a) == _memtable_snapshot(b)
-        assert cluster.metrics.counter_value("antientropy.fallback_rounds") == 0
+        assert cluster.metrics.counter_value("antientropy.bucket_count_mismatch") == 0
         assert cluster.metrics.counter_value("net.bytes.anti-entropy.digest") > 0
         assert a.get("k7") is None and a.get_any("k7").tombstone
 
@@ -235,19 +238,7 @@ class TestBucketedExchange:
         assert cluster.metrics.counter_value("antientropy.buckets_diverged") == 0
         assert cluster.metrics.counter_value("net.bytes.anti-entropy.items") == 0
 
-    def test_mixed_capability_falls_back_and_converges(self):
-        sim, cluster, stores = _two_node_cluster(
-            lambda i: Memtable(buckets=32) if i == 0 else DictStore(),
-            lambda s: AntiEntropy(s, period=1.0),
-        )
-        memtable, plain = stores
-        for i in range(20):
-            memtable.put(make_tuple(f"k{i}", {"v": i}, Version(1, 0)))
-        sim.run_for(20.0)
-        assert plain.digest() == memtable.digest()
-        assert cluster.metrics.counter_value("antientropy.fallback_rounds") > 0
-
-    def test_bucket_count_mismatch_falls_back_and_converges(self):
+    def test_bucket_count_mismatch_is_counted_and_never_reconciles(self):
         sim, cluster, stores = _two_node_cluster(
             lambda i: Memtable(buckets=16 if i == 0 else 64),
             lambda s: AntiEntropy(s, period=1.0),
@@ -256,34 +247,49 @@ class TestBucketedExchange:
         for i in range(20):
             a.put(make_tuple(f"k{i}", {"v": i}, Version(1, 0)))
         sim.run_for(20.0)
-        assert _memtable_snapshot(a) == _memtable_snapshot(b)
-        assert cluster.metrics.counter_value("antientropy.fallback_rounds") > 0
+        assert len(a) == 20 and len(b) == 0
+        rounds = cluster.metrics.counter_value("antientropy.rounds")
+        assert cluster.metrics.counter_value("antientropy.bucket_count_mismatch") == rounds > 0
+        assert cluster.metrics.counter_value("net.sent.anti-entropy.items") == 0
 
     def test_forced_legacy_on_bucketed_store(self):
         sim, cluster, stores = _two_node_cluster(
             lambda i: Memtable(buckets=32),
-            lambda s: AntiEntropy(s, period=1.0, bucketed=False),
+            lambda s: FullDigestAntiEntropy(s, period=1.0),
         )
         a, b = stores
         a.put(make_tuple("k", {"v": 1}, Version(1, 0)))
         sim.run_for(10.0)
         assert _memtable_snapshot(a) == _memtable_snapshot(b)
-        # legacy path: full digests, never summaries
+        # the baseline: full digests, never summaries
         assert cluster.metrics.counter_value("net.sent.anti-entropy.digest") > 0
+        assert cluster.metrics.counter_value("antientropy.rounds_clean") == 0
 
-    def test_bucketed_true_requires_capability(self):
-        with pytest.raises(TypeError):
-            AntiEntropy(DictStore(), bucketed=True)
+    def test_baseline_converges_plain_stores(self):
+        sim, cluster, stores = _two_node_cluster(
+            lambda i: DictStore(),
+            lambda s: FullDigestAntiEntropy(s, period=1.0),
+        )
+        a, b = stores
+        for i in range(20):
+            a.put(f"k{i}", 1, i)
+        b.put("k3", 2, "newer")
+        sim.run_for(10.0)
+        assert a.digest() == b.digest() and a.items == b.items
 
     def test_summary_message_ignored_without_divergence_effects(self):
-        # A plain-store node receiving a summary starts a legacy exchange.
-        store = DictStore()
-        store.put("k", 1, "v")
+        # A summary over another bucket grid is counted and dropped:
+        # nothing is sent back, nothing is inferred from it.
+        store = Memtable(buckets=16)
+        store.put(make_tuple("k", {"v": 1}, Version(1, 0)))
         proto, host = _bound(store)
         proto.on_message(_peer(), BucketSummaryMessage(32, tuple([(0, 0)] * 32)))
-        digests = host.sent_of(DigestMessage)
-        assert len(digests) == 1 and not digests[0].is_reply
-        assert host.metrics.counter_value("antientropy.fallback_rounds") == 1
+        assert host.sent == []
+        assert host.metrics.counter_value("antientropy.bucket_count_mismatch") == 1
+        assert host.metrics.counter_value("antientropy.buckets_diverged") == 0
+        # the same summary over our own grid is answered
+        proto.on_message(_peer(), BucketSummaryMessage(16, tuple([(0, 0)] * 16)))
+        assert len(host.sent_of(BucketDigestMessage)) == 1
 
 
 class TestEndToEndCost:

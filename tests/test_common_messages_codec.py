@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.codec import Codec, CodecError
+from repro.baselines import jsonwire
+from repro.common.codec import CodecError
 from repro.common.errors import UnknownMessageError
 from repro.common.ids import NodeId, new_node_id
 from repro.common.messages import (
@@ -85,7 +86,7 @@ class TestSizeEstimate:
 
 class TestCodecRoundTrip:
     def setup_method(self):
-        self.codec = Codec()
+        self.codec = jsonwire.Codec()
         self.sender = new_node_id("codec-test")
 
     def roundtrip(self, message: Message) -> Message:

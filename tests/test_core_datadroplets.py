@@ -1,5 +1,11 @@
 """End-to-end tests of the assembled DataDroplets system."""
 
+import collections
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import (
@@ -11,6 +17,7 @@ from repro import (
 )
 from repro.core.config import IndexSpec as CoreIndexSpec
 from repro.common.errors import ConfigurationError
+from repro.softstate.coordinator import SoftStateConfig
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +143,78 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             DataDropletsConfig(n_storage=0)
 
-    def test_rejects_bad_gossip_mode(self):
+    @pytest.mark.parametrize("bad", [
+        {"estimator_epoch": 0.0},  # used to construct, then ZeroDivisionError in start()
+        {"tman_view": 0},  # used to be accepted silently
+        {"membership_period": 0.0}, {"pushsum_period": -1.0}, {"repair_period": 0.0},
+        {"size_estimator_period": 0.0}, {"tman_period": 0.0},
+        {"view_size": 0}, {"shuffle_size": 17}, {"shuffle_size": 0}, {"size_estimator_k": 2},
+        {"loss_rate": 1.0}, {"loss_rate": -0.1},
+        {"latency_low": 0.2, "latency_high": 0.1}, {"latency_low": -0.01},
+        {"virtual_nodes": 0}, {"client_timeout": 0.0}, {"client_retries": -1},
+    ], ids=lambda bad: ",".join(bad))
+    def test_bad_values_fail_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
-            DataDropletsConfig(gossip_mode="magic")
+            DataDropletsConfig(**bad)
+
+    def test_edge_values_still_construct(self):
+        DataDropletsConfig(estimator_epoch=None, loss_rate=0.0, latency_low=0.0,
+                           latency_high=0.0, client_retries=0, shuffle_size=16,
+                           size_estimator_k=3, tman_view=1)
 
     def test_repair_target_follows_replication(self):
         config = DataDropletsConfig(replication=7).with_replication_target()
         assert config.repair.target_replication == 7
+
+
+class TestDefaultsAreTheMeasuredPath:
+    """The paths the benchmark pins are the only ones: no option selects
+    a predecessor, and the live system does not even import one."""
+
+    RETIRED = {"lazy_gossip", "gossip_mode", "fixed_fanout", "shared_overlays",
+               "soft_failure_detection", "epidemic_read_fallback", "auto_rebuild"}
+
+    def test_retired_options_are_not_config_fields(self):
+        names = {f.name for cls in (DataDropletsConfig, SoftStateConfig)
+                 for f in dataclasses.fields(cls)}
+        assert not names & self.RETIRED
+        assert DataDropletsConfig().routing_mode == "legacy"  # waits for ROADMAP item 1
+
+    def test_default_run_speaks_one_anti_entropy_exchange(self):
+        dd = DataDroplets(DataDropletsConfig(
+            seed=5, n_storage=24, n_soft=2, indexes=(IndexSpec("age", lo=0, hi=120),)))
+        sent = collections.Counter()
+        # A tap, not a fault: the filter sees every send and drops none.
+        dd.cluster.network.set_drop_filter(
+            lambda src, dst, protocol, message: sent.update([(protocol, type(message).__name__)]))
+        dd.start(warmup=15.0)
+        dd.put("users:1", {"age": 36})
+        assert dd.get("users:1") == {"age": 36}
+        dd.run_for(30.0)
+        assert [row["age"] for row in dd.scan("age", 30, 40)] == [36]
+        assert "antientropy.fallback_rounds" not in dd.metrics.counters
+        assert dd.metrics.counter_value("antientropy.bucket_count_mismatch") == 0
+        repair = {name for protocol, name in sent if protocol == "range-repair"}
+        assert {"BucketSummaryMessage"} <= repair <= {
+            "BucketSummaryMessage", "BucketDigestMessage", "ItemsRequest", "ItemsPush"}
+        rounds = dd.metrics.counter_value("antientropy.rounds")
+        assert sent[("range-repair", "BucketSummaryMessage")] == rounds > 0
+        assert not any(protocol in ("soft-membership", "multi-overlay") for protocol, _ in sent)
+
+    def test_live_system_loads_no_baseline(self):
+        script = (
+            "import sys\n"
+            "import repro, repro.core.datadroplets, repro.core.storage, repro.runtime.host\n"
+            "from repro.common.messages import registered_message_types\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.baselines'))\n"
+            "assert not loaded, loaded\n"
+            "retired = {'DigestMessage', 'SoftHeartbeat'} & set(registered_message_types())\n"
+            "assert not retired, retired\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestChurnSurvival:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.fulldigest import DictStore
 from repro.epidemic import (
     AntiEntropy,
-    DictStore,
     EagerGossip,
     LazyGossip,
     atomic_infection_probability,
@@ -22,6 +22,7 @@ from repro.epidemic import (
 )
 from repro.membership import CyclonProtocol
 from repro.sim import Cluster, Simulation, UniformLatency
+from repro.store import Memtable, Version, make_tuple
 
 from tests.conftest import build_connected
 
@@ -214,7 +215,7 @@ class TestAntiEntropy:
         stores = []
 
         def factory(node):
-            store = DictStore()
+            store = Memtable()
             stores.append(store)
             return [
                 CyclonProtocol(view_size=8, shuffle_size=4, period=1.0),
@@ -222,11 +223,11 @@ class TestAntiEntropy:
             ]
 
         nodes = build_connected(sim, cluster, 20, factory, warmup=5.0)
-        stores[0].put("a", 1, "va")
-        stores[3].put("b", 2, "vb")
+        stores[0].put(make_tuple("a", {"v": "va"}, Version(1, 0)))
+        stores[3].put(make_tuple("b", {"v": "vb"}, Version(2, 0)))
         sim.run_for(40.0)
         for store in stores:
-            assert store.digest() == {"a": 1, "b": 2}
+            assert store.digest() == {"a": Version(1, 0).packed(), "b": Version(2, 0).packed()}
 
     def test_newer_version_wins(self):
         sim = Simulation(seed=52)
@@ -234,7 +235,7 @@ class TestAntiEntropy:
         stores = []
 
         def factory(node):
-            store = DictStore()
+            store = Memtable()
             stores.append(store)
             return [
                 CyclonProtocol(view_size=8, shuffle_size=4, period=1.0),
@@ -242,11 +243,12 @@ class TestAntiEntropy:
             ]
 
         build_connected(sim, cluster, 10, factory, warmup=5.0)
-        stores[0].put("k", 1, "old")
-        stores[5].put("k", 9, "new")
+        stores[0].put(make_tuple("k", {"v": "old"}, Version(1, 0)))
+        stores[5].put(make_tuple("k", {"v": "new"}, Version(9, 0)))
         sim.run_for(30.0)
         for store in stores:
-            assert store.items["k"] == (9, "new")
+            assert store.get("k").version == Version(9, 0)
+            assert store.get("k").record == {"v": "new"}
 
     def test_dict_store_apply_counts_changes(self):
         store = DictStore()
@@ -257,9 +259,9 @@ class TestAntiEntropy:
     def test_digest_cap_limits_entries(self):
         sim = Simulation(seed=53)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-        store_a, store_b = DictStore(), DictStore()
+        store_a, store_b = Memtable(), Memtable()
         for i in range(100):
-            store_a.put(f"k{i}", 1, i)
+            store_a.put(make_tuple(f"k{i}", {"v": i}, Version(1, 0)))
         holder = [store_a, store_b]
 
         def factory(node):
@@ -273,4 +275,4 @@ class TestAntiEntropy:
         sim.run_for(30.0)
         # reconciliation proceeds in capped chunks but still converges on
         # a sample; eventually items flow despite the cap
-        assert len(store_b.items) > 20
+        assert len(store_b) > 20

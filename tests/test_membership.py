@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.common.ids import NodeId
 from repro.membership import (
     CyclonProtocol,
-    NewscastProtocol,
     NodeDescriptor,
     PartialView,
     StaticMembership,
@@ -220,26 +219,6 @@ class TestCyclon:
         indegree = sum(victim in n.protocol("membership").neighbors()
                        for n in nodes if n.node_id != victim)
         assert indegree > 0  # the overlay knows the node again
-
-
-class TestNewscast:
-    def test_converges_and_samples(self):
-        sim = Simulation(seed=16)
-        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-        factory = lambda n: [NewscastProtocol(view_size=10, period=0.5)]
-        nodes = build_connected(sim, cluster, 40, factory, warmup=20.0)
-        sizes = [len(n.protocol("membership").neighbors()) for n in nodes]
-        assert min(sizes) >= 8
-        assert _overlay_connected(nodes)
-
-    def test_freshness_merge_keeps_latest(self):
-        sim = Simulation(seed=17)
-        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-        factory = lambda n: [NewscastProtocol(view_size=6, period=0.5)]
-        nodes = build_connected(sim, cluster, 12, factory, warmup=10.0)
-        proto = nodes[0].protocol("membership")
-        stamps = [item.stamp for item in proto._items.values()]
-        assert all(s >= 0 for s in stamps)
 
 
 class TestStaticMembership:

@@ -230,8 +230,7 @@ class TestRuntimeTracePropagation:
             from repro.epidemic.eager import GossipMessage
 
             tracer = Tracer(enabled=True)
-            cluster = LocalCluster(2, stack, base_port=31200, codec="binary",
-                                   tracer=tracer)
+            cluster = LocalCluster(2, stack, base_port=31200, tracer=tracer)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             ctx = tracer.start_trace(src.node_id.value, "probe", src.now)
@@ -272,7 +271,7 @@ class TestRuntimeTracePropagation:
         async def scenario():
             from repro.epidemic.eager import GossipMessage
 
-            cluster = LocalCluster(2, stack, base_port=31210, codec="json")
+            cluster = LocalCluster(2, stack, base_port=31210)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             src.send(dst.node_id, "sink", GossipMessage("m", {"x": 1}))

@@ -5,7 +5,8 @@ import statistics
 
 import pytest
 
-from repro.common.codec import BinaryCodec, Codec
+from repro.baselines import jsonwire
+from repro.common.codec import BinaryCodec
 from repro.common.ids import NodeId
 from repro.epidemic import EagerGossip
 from repro.estimation import ExtremaSizeEstimator
@@ -292,7 +293,7 @@ class TestSamplingWalks:
         assert [len(b) for b in batches] == [1]
         assert cluster.metrics.counter_value("walks.timeouts") == 1
 
-    @pytest.mark.parametrize("codec", [Codec(), BinaryCodec()], ids=["json", "binary"])
+    @pytest.mark.parametrize("codec", [jsonwire.Codec(), BinaryCodec()], ids=["json", "binary"])
     def test_walk_step_samples_round_trips(self, codec):
         step = WalkStep("7:3.1", NodeId(7), 4, {"key": "K"}, samples=6)
         decoded = codec.decode(codec.encode(NodeId(9), "random-walk", step))

@@ -4,9 +4,10 @@ import asyncio
 
 import pytest
 
-from repro.epidemic import DictStore, AntiEntropy, EagerGossip
+from repro.epidemic import AntiEntropy, EagerGossip
 from repro.membership import CyclonProtocol
 from repro.runtime import AsyncioNode, LocalCluster, localhost_address_book, node_id_for
+from repro.store import Memtable, Version, make_tuple
 
 
 def run(coro):
@@ -60,17 +61,17 @@ class TestLocalCluster:
             stores = []
 
             def stack(node):
-                store = DictStore()
+                store = Memtable()
                 stores.append(store)
                 return [CyclonProtocol(view_size=5, shuffle_size=3, period=0.1),
                         AntiEntropy(store, period=0.2)]
 
             cluster = LocalCluster(6, stack, base_port=30300)
             await cluster.start(seed_views=2)
-            stores[0].put("k", 3, "value")
+            stores[0].put(make_tuple("k", {"v": "value"}, Version(3, 0)))
             await cluster.run_for(2.0)
             cluster.stop()
-            return sum(1 for s in stores if s.digest().get("k") == 3)
+            return sum(1 for s in stores if s.digest().get("k") == Version(3, 0).packed())
 
         assert run(scenario()) == 6
 

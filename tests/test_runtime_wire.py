@@ -1,15 +1,16 @@
-"""Tests for the runtime wire path: coalescing, fragmentation, codec
-mixing and metric parity with the simulated network."""
+"""Tests for the runtime wire path: coalescing, fragmentation, the one
+wire format and metric parity with the simulated network."""
 
 import asyncio
 import socket
 
 import pytest
 
-from repro.common.codec import BinaryCodec
+from repro.baselines import jsonwire
+from repro.common.codec import FORMAT_BINARY, BinaryCodec
 from repro.common.ids import NodeId
 from repro.epidemic import EagerGossip
-from repro.epidemic.antientropy import DigestMessage
+from repro.epidemic.antientropy import BucketDigestMessage
 from repro.epidemic.eager import GossipMessage
 from repro.membership import CyclonProtocol
 from repro.membership.views import PeerSampler
@@ -56,7 +57,7 @@ class TestCounterParity:
         }
 
     def test_sent_counter_families_match_simulator(self):
-        message = DigestMessage(entries=(("k", 1),))  # wire_category "digest"
+        message = BucketDigestMessage((0,), (("k", 1),))  # wire_category "digest"
 
         sim = Simulation(seed=1)
         sim_net = Network(sim, metrics=Metrics())
@@ -82,10 +83,9 @@ class TestCounterParity:
 
 
 class TestDeliveredBytes:
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_delivered_bytes_equal_sent_bytes_without_loss(self, codec):
+    def test_delivered_bytes_equal_sent_bytes_without_loss(self):
         async def scenario():
-            cluster = LocalCluster(2, _sink_stack, base_port=31010, codec=codec)
+            cluster = LocalCluster(2, _sink_stack, base_port=31010)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             for i in range(20):
@@ -105,7 +105,7 @@ class TestDeliveredBytes:
 class TestCoalescing:
     def test_burst_to_one_destination_packs_datagrams(self):
         async def scenario():
-            cluster = LocalCluster(2, _sink_stack, base_port=31020, codec="binary")
+            cluster = LocalCluster(2, _sink_stack, base_port=31020)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             for i in range(50):
@@ -122,8 +122,7 @@ class TestCoalescing:
 
     def test_coalescing_respects_mtu_budget(self):
         async def scenario():
-            cluster = LocalCluster(2, _sink_stack, base_port=31030,
-                                   codec="binary", mtu=256)
+            cluster = LocalCluster(2, _sink_stack, base_port=31030, mtu=256)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             for i in range(40):
@@ -143,8 +142,7 @@ class TestCoalescing:
 
     def test_coalesce_off_means_one_datagram_per_send(self):
         async def scenario():
-            cluster = LocalCluster(2, _sink_stack, base_port=31040,
-                                   codec="json", coalesce=False)
+            cluster = LocalCluster(2, _sink_stack, base_port=31040, coalesce=False)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             for i in range(10):
@@ -162,7 +160,7 @@ class TestCoalescing:
         """Bugfix: flushed buffers used to stay behind, one entry per
         address ever sent to, and every flush walked all of them."""
         async def scenario():
-            node = AsyncioNode(31045, _sink_stack, codec="binary")
+            node = AsyncioNode(31045, _sink_stack)
             await node.start()
             message = GossipMessage("m", None)
             for port in range(40000, 41000):
@@ -226,7 +224,7 @@ class TestPayloadDecodedOncePerNode:
                 gossip.subscribe(lambda item_id, payload, hops: delivered.append((item_id, payload, hops)))
                 return [_FixedPeers([NodeId(31061, "127.0.0.1:31061")]), gossip]
 
-            node = AsyncioNode(31060, stack, codec="binary")
+            node = AsyncioNode(31060, stack)
             await node.start()
             try:
                 for index, hops in enumerate((2, 0, 4, 1, 3)):
@@ -258,7 +256,7 @@ class TestPayloadDecodedOncePerNode:
 
     def test_nodes_in_one_process_do_not_share_a_memo(self):
         async def scenario():
-            nodes = [AsyncioNode(31070 + i, _sink_stack, codec="binary") for i in range(2)]
+            nodes = [AsyncioNode(31070 + i, _sink_stack) for i in range(2)]
             for node in nodes:
                 await node.start()
             for node in nodes:
@@ -279,12 +277,11 @@ class TestPayloadDecodedOncePerNode:
 
 
 class TestFragmentation:
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_oversized_message_survives_the_wire(self, codec):
+    def test_oversized_message_survives_the_wire(self):
         big_payload = {"blob": "z" * 200_000}
 
         async def scenario():
-            cluster = LocalCluster(2, _sink_stack, base_port=31050, codec=codec)
+            cluster = LocalCluster(2, _sink_stack, base_port=31050)
             await cluster.start(seed_views=0)
             src, dst = cluster.nodes
             src.send(dst.node_id, "sink", GossipMessage("big", big_payload))
@@ -304,29 +301,72 @@ class TestFragmentation:
 
 
 class TestMixedCodecCluster:
-    def test_mixed_cluster_gossip_converges(self):
-        """Acceptance: half JSON, half binary nodes; auto-detection must
-        let a broadcast cross format boundaries in both directions."""
+    """There is none: binary is the wire, and a node that hears the JSON
+    baseline's frames drops them like any other unknown datagram."""
+
+    def test_default_node_sends_binary_frames(self):
+        async def scenario():
+            listener = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            listener.bind(("127.0.0.1", 31101))
+            listener.setblocking(False)
+            node = AsyncioNode(31100, _sink_stack)  # no wire argument exists
+            await node.start()
+            try:
+                node.send(node_id_for("127.0.0.1", 31101), "sink", GossipMessage("m", None))
+                await asyncio.sleep(0.1)
+                return listener.recv(65536)
+            finally:
+                node.stop()
+                listener.close()
+
+        assert run(scenario())[0] == FORMAT_BINARY
+
+    def test_json_datagram_is_counted_and_dropped(self):
+        """One decoder, one answer: a ``{``-led datagram is a decode error
+        that delivers nothing and touches neither the memo nor its
+        counters, and the node goes on decoding valid frames."""
+        from repro.softstate.messages import WritePayload
+        from repro.store.tuples import Version, VersionedTuple
+
+        sender = node_id_for("127.0.0.1", 31111)
+        # A sized payload struct, so the valid frame goes through the memo.
+        payload = WritePayload(VersionedTuple("k", Version(3, 1), {"score": 0.5}), sender)
+        message = GossipMessage("w:1", payload, hops=1)
+        json_frame = jsonwire.Codec().encode(sender, "sink", message)
+        assert json_frame[:1] == b"{"
+        binary = BinaryCodec()
+        binary_frame = binary.frame([binary.encode_envelope(sender, "sink", message)])
+
+        def memo_state(node):
+            memo = node._decode_memo
+            return (dict(memo.payloads), dict(memo.senders), list(memo._staged),
+                    node.metrics.counter_value("runtime.payload_decode_hits"),
+                    node.metrics.counter_value("runtime.payload_decode_misses"))
 
         async def scenario():
-            cluster = LocalCluster(
-                10,
-                lambda node: [CyclonProtocol(view_size=6, shuffle_size=3, period=0.1),
-                              EagerGossip(fanout=4)],
-                base_port=31100,
-                codec=lambda i: "binary" if i % 2 else "json",
-            )
-            await cluster.start(seed_views=3)
-            await cluster.run_for(0.8)
-            # Originate on a JSON node; relays hop across binary nodes.
-            cluster.nodes[0].protocol("gossip").broadcast("item", {"v": 1})
-            await cluster.run_for(0.8)
-            reached = sum(1 for n in cluster.nodes
-                          if n.protocol("gossip").has_seen("item"))
-            cluster.stop()
-            return reached
+            node = AsyncioNode(31110, _sink_stack)
+            await node.start()
+            out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                out.sendto(binary_frame, ("127.0.0.1", 31110))  # fills the memo
+                await asyncio.sleep(0.1)
+                before = memo_state(node)
+                out.sendto(json_frame, ("127.0.0.1", 31110))
+                await asyncio.sleep(0.1)
+                after_json = (memo_state(node), len(node.test_sink.received),
+                              node.metrics.counter_value("runtime.decode_errors"))
+                out.sendto(binary_frame, ("127.0.0.1", 31110))
+                await asyncio.sleep(0.1)
+            finally:
+                out.close()
+                node.stop()
+            return before, after_json, node
 
-        assert run(scenario()) >= 8
+        before, (state, delivered, errors), node = run(scenario())
+        assert before[3:] == (0, 1) and len(before[0]) == 1
+        assert (state, delivered, errors) == (before, 1, 1)
+        assert [m for _, m in node.test_sink.received] == [message, message]
+        assert node.metrics.counter_value("runtime.payload_decode_hits") == 1
 
     def test_binary_homogeneous_cluster_converges(self):
         async def scenario():
@@ -334,7 +374,6 @@ class TestMixedCodecCluster:
                 8,
                 lambda node: [CyclonProtocol(view_size=5, shuffle_size=3, period=0.1)],
                 base_port=31200,
-                codec="binary",
             )
             await cluster.start(seed_views=2)
             await cluster.run_for(1.2)
@@ -354,7 +393,7 @@ class TestSimEncodedByteModel:
     def test_encoded_model_charges_real_frame_bytes(self):
         from repro.common.codec import encoded_wire_size
 
-        message = DigestMessage(entries=tuple((f"key:{i:04d}", i) for i in range(30)))
+        message = BucketDigestMessage((0,), tuple((f"key:{i:04d}", i) for i in range(30)))
         charged = {}
         for model in ("estimate", "encoded"):
             sim = Simulation(seed=1)

@@ -122,7 +122,7 @@ class TestStoreIntegration:
     """RangeScopedStore batches admission; results must not change."""
 
     def _store_pair(self, n_items: int):
-        from repro.epidemic.antientropy import BucketedStore  # noqa: F401 - import check
+        from repro.epidemic.antientropy import AntiEntropyStore  # noqa: F401 - import check
         from repro.redundancy.repair import RangeScopedStore
         from repro.store.memtable import Memtable
 

@@ -1,11 +1,12 @@
-"""Tests for the soft-layer heartbeat failure detector."""
+"""Tests for the heartbeat-mesh failure detector (E5b's mesh baseline)."""
 
 import pytest
 
 from repro import DataDroplets, DataDropletsConfig
 from repro.common.ids import NodeId
 from repro.sim import Cluster, FixedLatency, Simulation
-from repro.softstate import ConsistentHashRing, SoftMembership
+from repro.baselines.heartbeat import SoftMembership
+from repro.softstate import ConsistentHashRing
 
 
 def _trio(seed=141, heartbeat=0.5, timeout=2.0):
@@ -52,30 +53,11 @@ class TestSoftMembership:
 
 
 class TestIntegratedFailureDetection:
-    def test_system_fails_over_without_oracle(self):
-        dd = DataDroplets(DataDropletsConfig(
-            seed=142, n_storage=24, n_soft=3, replication=4,
-            soft_failure_detection=True,
-        )).start(warmup=15.0)
-        for i in range(12):
-            dd.put(f"k{i}", {"v": i})
-        dd.run_for(10.0)
-        # kill one coordinator; detection is heartbeat-driven now
-        dd.soft_nodes[0].crash()
-        dd.run_for(6.0)  # > suspect_timeout
-        assert dd.soft_nodes[0].node_id not in dd.ring.alive_members()
-        ok = sum(1 for i in range(12) if dd.get(f"k{i}") == {"v": i})
-        assert ok == 12  # survivors took over the dead node's keys
-
-    def test_detector_runs_in_stack(self):
-        dd = DataDroplets(DataDropletsConfig(
-            seed=143, n_storage=10, n_soft=2, soft_failure_detection=True,
-        )).start(warmup=5.0)
-        assert dd.soft_nodes[0].has_protocol("soft-membership")
-        assert dd.metrics.counter_value("softmembership.heartbeats") > 0
-
     def test_detector_absent_by_default(self):
-        dd = DataDroplets(DataDropletsConfig(
-            seed=144, n_storage=10, n_soft=2,
-        )).start(warmup=5.0)
-        assert not dd.soft_nodes[0].has_protocol("soft-membership")
+        # The facade assembles no heartbeat mesh, in either routing mode.
+        for mode in ("legacy", "onehop"):
+            dd = DataDroplets(DataDropletsConfig(
+                seed=144, n_storage=10, n_soft=2, routing_mode=mode,
+            )).start(warmup=5.0)
+            assert not dd.soft_nodes[0].has_protocol("soft-membership")
+            assert dd.metrics.counter_value("softmembership.heartbeats") == 0

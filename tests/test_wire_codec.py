@@ -1,5 +1,6 @@
 """Tests for the binary wire codec, framing, fragmentation and the
-registry-driven JSON<->binary round-trip fuzz."""
+registry-driven round-trip fuzz, with the JSON baseline codec
+(``repro.baselines.jsonwire``) as the second opinion."""
 
 import copy
 import dataclasses
@@ -16,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.baselines import jsonwire
 from repro.common.codec import (
     ENVELOPE_OVERHEAD,
     FORMAT_BINARY,
     PAYLOAD_MEMO_ENTRIES,
     SENDER_MEMO_ENTRIES,
     BinaryCodec,
-    Codec,
     CodecError,
     DecodeMemo,
     decode_binary_envelope,
@@ -62,6 +63,14 @@ class _WireProbe(Message):
     maybe: Optional[NodeId] = None
     pair: Tuple[int, int] = (0, 0)
     inner: Optional[_WireInner] = None
+
+
+def _wire(name: str):
+    """``(codec, frame -> [(envelope, envelope_bytes)])`` for a format."""
+    if name == "json":
+        codec = jsonwire.Codec()
+        return codec, codec.decode_frame
+    return BinaryCodec(), decode_datagram_detailed
 
 
 class TestVarint:
@@ -126,7 +135,7 @@ class TestBinaryRoundTrip:
     def test_binary_smaller_than_json(self):
         msg = _WireProbe(text="x" * 40, number=123456,
                          data={"a": 1, "b": 2.5}, maybe=NodeId(9, "n9"))
-        json_frame = Codec().encode(self.sender, "proto", msg)
+        json_frame = jsonwire.Codec().encode(self.sender, "proto", msg)
         binary_frame = self.codec.encode(self.sender, "proto", msg)
         assert len(binary_frame) < len(json_frame) / 2
 
@@ -157,9 +166,15 @@ class TestAutoDetection:
         self.msg = _WireProbe(text="payload", number=5)
 
     def test_detects_json_frame(self):
-        frame = Codec().encode(self.sender, "p", self.msg)
-        [envelope] = decode_datagram(frame)
-        assert envelope.message == self.msg
+        # ...as an unknown format. One decoder, one answer: the datagram
+        # path and BinaryCodec.decode both refuse a well-formed frame of
+        # the JSON baseline.
+        frame = jsonwire.Codec().encode(self.sender, "p", self.msg)
+        assert jsonwire.Codec().decode(frame).message == self.msg
+        with pytest.raises(CodecError, match="unknown wire format byte 0x7b"):
+            decode_datagram(frame)
+        with pytest.raises(CodecError, match="unknown wire format byte 0x7b"):
+            BinaryCodec().decode(frame)
 
     def test_detects_binary_frame(self):
         frame = BinaryCodec().encode(self.sender, "p", self.msg)
@@ -168,18 +183,20 @@ class TestAutoDetection:
 
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_multi_envelope_frame(self, codec_name):
-        codec = make_codec(codec_name)
+        codec, decode = _wire(codec_name)
         messages = [_WireProbe(text=f"m{i}", number=i) for i in range(5)]
         envelopes = [codec.encode_envelope(self.sender, "p", m) for m in messages]
         frame = codec.frame(envelopes)
-        detailed = decode_datagram_detailed(frame)
+        detailed = decode(frame)
         assert [env.message for env, _ in detailed] == messages
         # Receive-side byte attribution matches the send-side envelopes.
         assert [size for _, size in detailed] == [len(e) for e in envelopes]
 
     def test_make_codec_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_codec("protobuf")
+        assert isinstance(make_codec("binary"), BinaryCodec)
+        for name in ("protobuf", "json"):
+            with pytest.raises(ValueError):
+                make_codec(name)
 
 
 class TestMalformedFrames:
@@ -247,10 +264,10 @@ class TestTraceField:
 
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_traced_roundtrip(self, codec_name):
-        codec = make_codec(codec_name)
+        codec, decode = _wire(codec_name)
         frame = codec.frame([codec.encode_envelope(
             self.sender, "p", self.msg, self.ctx)])
-        [envelope] = decode_datagram(frame)
+        [(envelope, _)] = decode(frame)
         assert envelope.message == self.msg
         assert envelope.trace == self.ctx
 
@@ -258,9 +275,9 @@ class TestTraceField:
     def test_untraced_frame_decodes_with_none(self, codec_name):
         # A v0x01 frame (sender without the trace field) must decode on
         # trace-aware nodes with trace=None.
-        codec = make_codec(codec_name)
+        codec, decode = _wire(codec_name)
         frame = codec.frame([codec.encode_envelope(self.sender, "p", self.msg)])
-        [envelope] = decode_datagram(frame)
+        [(envelope, _)] = decode(frame)
         assert envelope.message == self.msg
         assert envelope.trace is None
 
@@ -268,10 +285,10 @@ class TestTraceField:
     def test_traced_frame_readable_by_non_tracing_node(self, codec_name):
         # Decoding is stateless: a receiver with tracing disabled gets
         # the same message and may simply ignore envelope.trace.
-        codec = make_codec(codec_name)
+        codec, decode = _wire(codec_name)
         frame = codec.frame([codec.encode_envelope(
             self.sender, "p", self.msg, self.ctx)])
-        [envelope] = decode_datagram(frame)
+        [(envelope, _)] = decode(frame)
         assert envelope.message == self.msg
         # nothing about the trace is required to process the message
         assert envelope.protocol == "p"
@@ -279,7 +296,7 @@ class TestTraceField:
     def test_json_malformed_trace_rejected(self):
         import json as json_module
 
-        codec = Codec()
+        codec = jsonwire.Codec()
         frame = codec.encode(self.sender, "p", self.msg, self.ctx)
         doc = json_module.loads(frame.decode("utf-8"))
         for bad in ([], ["only-id"], ["id", "not-int", 0, 0.0],
@@ -320,7 +337,7 @@ class TestTraceField:
 
 
 class TestNonFiniteFloats:
-    @pytest.mark.parametrize("codec_cls", [Codec, BinaryCodec])
+    @pytest.mark.parametrize("codec_cls", [jsonwire.Codec, BinaryCodec])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejected_with_codec_error(self, codec_cls, bad):
         message = _WireProbe(data={"x": bad})
@@ -329,7 +346,7 @@ class TestNonFiniteFloats:
 
     def test_finite_floats_fine(self):
         message = _WireProbe(data={"x": 1e308, "y": -0.0})
-        for codec_cls in (Codec, BinaryCodec):
+        for codec_cls in (jsonwire.Codec, BinaryCodec):
             codec = codec_cls()
             out = codec.decode(codec.encode(new_node_id(), "p", message))
             assert out.message == message
@@ -460,7 +477,7 @@ class TestRegistryFuzz:
         _import_all_repro_modules()
         registry = registered_message_types()
         assert len(registry) >= 30, "registry import walk looks broken"
-        json_codec, binary_codec = Codec(), BinaryCodec()
+        json_codec, binary_codec = jsonwire.Codec(), BinaryCodec()
         sender = NodeId(42, "127.0.0.1:4242")
         rng = random.Random(20260806)
         exercised = 0
@@ -475,7 +492,7 @@ class TestRegistryFuzz:
                 assert json_rt == message, f"JSON round-trip changed {name}"
                 assert binary_rt == message, f"binary round-trip changed {name}"
                 # Cross-format: JSON-encoded then re-encoded as binary and
-                # back must still be the same value (mixed-cluster path).
+                # back must still be the same value.
                 cross = binary_codec.decode(
                     binary_codec.encode(sender, "fuzz", json_rt)).message
                 assert cross == message, f"JSON->binary cross-trip changed {name}"
@@ -516,7 +533,7 @@ class TestRegistryFuzz:
     def test_binary_never_larger_family(self):
         """Spot-check the compactness claim on real protocol messages."""
         _import_all_repro_modules()
-        from repro.epidemic.antientropy import DigestMessage
+        from repro.baselines.fulldigest import DigestMessage
         from repro.membership.cyclon import ShuffleRequest
         from repro.membership.views import NodeDescriptor
 
@@ -528,7 +545,7 @@ class TestRegistryFuzz:
                 for i in range(8))),
         ]
         for message in samples:
-            json_size = len(Codec().encode(sender, "p", message))
+            json_size = len(jsonwire.Codec().encode(sender, "p", message))
             binary_size = len(BinaryCodec().encode(sender, "p", message))
             assert binary_size * 2 <= json_size, type(message).__name__
 
@@ -540,7 +557,7 @@ class TestJsonCodecStillStrict:
         # Both rejection layers (explicit check, allow_nan=False) agree.
         assert not math.isfinite(float("nan"))
         with pytest.raises(CodecError):
-            Codec().encode(new_node_id(), "p", _WireProbe(number=0, data={"f": float("inf")}))
+            jsonwire.Codec().encode(new_node_id(), "p", _WireProbe(number=0, data={"f": float("inf")}))
 
 
 class TestByteFlipFuzz:
@@ -548,10 +565,10 @@ class TestByteFlipFuzz:
 
     The runtime drops any datagram whose decode raises CodecError; an
     escape of any other exception type would crash the receive loop. So:
-    for every registered message type, encode with both codecs, flip
-    random bits, and require decode to either succeed (the flip hit a
-    don't-care or produced a different-but-valid value) or raise
-    CodecError — nothing else."""
+    for every registered message type, encode with the binary codec and
+    the JSON baseline, flip random bits, and require decode to either
+    succeed (the flip hit a don't-care or produced a different-but-valid
+    value) or raise CodecError — nothing else."""
 
     def _corruptions(self, payload: bytes, rng: random.Random):
         for _ in range(12):
@@ -574,7 +591,7 @@ class TestByteFlipFuzz:
         attempts = 0
         for name in sorted(registry):
             message = _instance_of(registry[name], rng)
-            for codec in (Codec(), BinaryCodec()):
+            for codec in (jsonwire.Codec(), BinaryCodec()):
                 payload = codec.encode(sender, "fuzz", message)
                 for corrupted in self._corruptions(payload, rng):
                     attempts += 1
@@ -582,8 +599,9 @@ class TestByteFlipFuzz:
                         codec.decode(corrupted)
                     except CodecError:
                         pass
-                    # the auto-detecting datagram path must be as strict,
-                    # with and without the receiver's payload memo
+                    # the datagram path must be as strict (to it a JSON
+                    # frame is garbage too), with and without the
+                    # receiver's payload memo
                     try:
                         decode_datagram(corrupted)
                     except CodecError:
