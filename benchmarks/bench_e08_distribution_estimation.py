@@ -5,16 +5,22 @@ distribution in a scalable and lightweight fashion. Still, our scenario
 has particular characteristics that may affect [them], namely a large
 number of duplicates due to the redundancy, and high churn rates."
 
-Measured: KS error of the gossip histogram vs ground truth (a) on clean
-data, (b) with *non-uniform* duplication (hot items replicated more —
-the naive estimator skews), (c) naive vs 1/copies duplicate correction,
-and (d) under churn with epoch restarts.
+Measured: KS error of the gossip histogram (a slot of a push-sum
+vector, read through ``DistributionEstimate.normalised``) vs ground
+truth (a) on clean data, (b) with *non-uniform* duplication (hot items
+replicated more — the naive estimator skews), (c) naive vs 1/copies
+duplicate correction, and (d) under churn with epoch restarts.
 """
 
 import random
 import statistics
 
-from repro.estimation import HistogramEstimator, empirical_distribution
+from repro.estimation import (
+    DistributionEstimate,
+    PushSumProtocol,
+    empirical_distribution,
+    local_histogram,
+)
 from repro.membership import CyclonProtocol
 from repro.sim import Cluster, PoissonChurn, Simulation, UniformLatency
 
@@ -54,9 +60,9 @@ def _build(seed, duplication: str, corrected: bool, epoch=None):
         weight = (lambda item_id: 1.0 / copies[item_id]) if corrected else None
         return [
             CyclonProtocol(view_size=12, shuffle_size=6, period=1.0),
-            HistogramEstimator("v", value_source=lambda l=local: l, lo=0, hi=100,
-                               bins=BINS, period=0.5, weight_fn=weight,
-                               epoch_length=epoch),
+            PushSumProtocol(
+                "v", lambda l=local: {"bins": local_histogram(l, 0, 100, BINS, weight)},
+                period=0.5, epoch_length=epoch),
         ]
 
     nodes = cluster.add_nodes(N, factory)
@@ -69,7 +75,8 @@ def _mean_ks(nodes, truth):
     for node in nodes:
         if not node.is_up:
             continue
-        estimate = node.protocol("histogram:v").estimate()
+        estimate = DistributionEstimate.normalised(
+            0, 100, node.protocol("push-sum:v").mass("bins"))
         if estimate is not None:
             errors.append(estimate.ks_distance(truth.cdf, samples=200))
     return statistics.fmean(errors) if errors else float("nan")

@@ -10,6 +10,9 @@ client API — static, then under churn — including the 1/range-population
 duplicate correction the storage layer applies.
 """
 
+import math
+import statistics
+
 from repro import DataDroplets, DataDropletsConfig, IndexSpec
 from repro.processing import GroundTruth, relative_errors, snapshot
 
@@ -33,35 +36,66 @@ def _build(seed):
     return dd, GroundTruth.of(values)
 
 
+KINDS = ("count", "sum", "avg", "max", "min")
+#: One seed is a lottery: count/sum carry the size estimator's k=64
+#: variance plus census variance (the parent read sum errors of 0.02 to
+#: 0.47 over these six), so the gate is on the median over the seeds.
+SEEDS = (1100, 1101, 1102, 1103, 1104, 1105)
+
+
+def _measure(seed):
+    dd, truth = _build(seed)
+    static = relative_errors(snapshot(dd, "score"), truth)
+
+    churn = dd.churn(event_rate=0.5, mean_downtime=10.0)
+    churn.start()
+    dd.run_for(45.0)
+    churned = relative_errors(snapshot(dd, "score"), truth)
+    churn.stop()
+    return static, churned
+
+
+def _median(errors):
+    # an unavailable aggregate (NaN) must not sort its way past the gate
+    return statistics.median(math.inf if math.isnan(e) else e for e in errors)
+
+
 def test_e11_aggregate_accuracy(benchmark):
     def experiment():
-        dd, truth = _build(1100)
-        static = relative_errors(snapshot(dd, "score"), truth)
-
-        churn = dd.churn(event_rate=0.5, mean_downtime=10.0)
-        churn.start()
-        dd.run_for(45.0)
-        churned = relative_errors(snapshot(dd, "score"), truth)
-        churn.stop()
-
+        runs = {seed: _measure(seed) for seed in SEEDS}
+        print_table(
+            f"E11 — aggregate relative error per seed, static / under churn "
+            f"(N={N}, {ITEMS} rows, r=4)",
+            ["seed", *KINDS],
+            [(seed, *(f"{static[k]:.3f} / {churned[k]:.3f}" for k in KINDS))
+             for seed, (static, churned) in runs.items()],
+        )
         rows = [
-            (kind, static[kind], churned[kind])
-            for kind in ("count", "sum", "avg", "max", "min")
+            (kind,
+             _median(static[kind] for static, _ in runs.values()),
+             _median(churned[kind] for _, churned in runs.values()))
+            for kind in KINDS
         ]
         print_table(
-            f"E11 — aggregate relative error (N={N}, {ITEMS} rows, r=4)",
+            f"E11 — median over seeds {SEEDS[0]}-{SEEDS[-1]}",
             ["aggregate", "static err", "under-churn err"],
             rows,
         )
-        return rows
+        return runs, rows
 
-    rows = run_once(benchmark, experiment)
+    runs, rows = run_once(benchmark, experiment)
     stash(benchmark, "rows", [dict(zip(["kind", "static", "churn"], r)) for r in rows])
+    stash(benchmark, "per_seed", [
+        {"seed": seed, "static": static, "churn": churned}
+        for seed, (static, churned) in runs.items()
+    ])
 
+    for static, churned in runs.values():
+        # extremes are exact (monotone merge) on every seed
+        assert static["max"] == 0.0
+        assert static["min"] == 0.0
+        assert churned["max"] == 0.0
     by_kind = {r[0]: r for r in rows}
-    # extremes are exact (monotone merge)
-    assert by_kind["max"][1] == 0.0
-    assert by_kind["min"][1] == 0.0
     # avg is duplicate-insensitive and tight
     assert by_kind["avg"][1] < 0.2
     # count/sum carry size-estimator + census variance but stay usable
@@ -72,4 +106,3 @@ def test_e11_aggregate_accuracy(benchmark):
     # ("robust aggregation within the dynamic environment [...] still
     # remain[s]"), so they are reported but not asserted.
     assert by_kind["avg"][2] < 0.3
-    assert by_kind["max"][2] == 0.0

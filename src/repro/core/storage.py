@@ -19,7 +19,7 @@ from a :class:`~repro.core.config.DataDropletsConfig`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import Arc, key_hash
 from repro.common.ids import NodeId
@@ -27,7 +27,7 @@ from repro.common.messages import Message
 from repro.core.config import DataDropletsConfig, IndexSpec
 from repro.epidemic.eager import EagerGossip
 from repro.estimation.extrema import ExtremaSizeEstimator
-from repro.estimation.histogram import HistogramEstimator
+from repro.estimation.histogram import DistributionEstimate, bin_of
 from repro.estimation.pushsum import ExtremeAggregator, PushSumProtocol
 from repro.membership.cyclon import CyclonProtocol
 from repro.overlay.tman import TManProtocol
@@ -408,9 +408,15 @@ class StorageNodeProtocol(Protocol):
             )
             self.host.metrics.counter("storage.scan_walked").inc()
 
+    def distribution(self, attribute: str) -> Optional[DistributionEstimate]:
+        """The indexed attribute's estimated value distribution: the
+        view of its histogram slot (None until any data is seen)."""
+        spec = self.indexes[attribute]
+        aggregates: PushSumProtocol = self.host.protocol("push-sum:agg")  # type: ignore[assignment]
+        return DistributionEstimate.normalised(spec.lo, spec.hi, aggregates.mass(f"bins:{attribute}"))
+
     def _cdf(self, attribute: str, spec: IndexSpec, value: float) -> float:
-        estimator: HistogramEstimator = self.host.protocol(f"histogram:{attribute}")  # type: ignore[assignment]
-        estimate = estimator.estimate()
+        estimate = self.distribution(attribute)
         if estimate is None:
             span = spec.hi - spec.lo
             return min(0.999999, max(0.0, (value - spec.lo) / span))
@@ -440,28 +446,23 @@ class StorageNodeProtocol(Protocol):
 
     def _aggregate_value(self, attribute: str, kind: str) -> Optional[float]:
         size: ExtremaSizeEstimator = self.host.protocol("size-estimator")  # type: ignore[assignment]
-        n_estimate = size.estimate()
-        if kind == "count":
-            counts: PushSumProtocol = self.host.protocol("push-sum:count")  # type: ignore[assignment]
-            average = counts.average()
-            return None if average is None else average * n_estimate
-        if attribute not in self.indexes:
+        aggregates: PushSumProtocol = self.host.protocol("push-sum:agg")  # type: ignore[assignment]
+        if kind != "count" and attribute not in self.indexes:
             raise KeyError(attribute)
-        if kind == "sum":
-            sums: PushSumProtocol = self.host.protocol(f"push-sum:sum:{attribute}")  # type: ignore[assignment]
-            average = sums.average()
-            return None if average is None else average * n_estimate
+        if kind in ("count", "sum"):
+            average = aggregates.average("count" if kind == "count" else f"sum:{attribute}")
+            return None if average is None else average * size.estimate()
         if kind == "avg":
-            sums = self.host.protocol(f"push-sum:sum:{attribute}")  # type: ignore[assignment]
-            counts = self.host.protocol(f"push-sum:cnt:{attribute}")  # type: ignore[assignment]
-            sum_avg = sums.average()
-            cnt_avg = counts.average()
-            if sum_avg is None or cnt_avg is None or cnt_avg <= 0:
+            # Two cells of one vector: same paths, same weight, so no
+            # size estimate and no weight enters the ratio.
+            sums = aggregates.mass(f"sum:{attribute}")
+            counts = aggregates.mass(f"cnt:{attribute}")
+            if sums is None or counts is None or counts[0] <= 0:
                 return None
-            return sum_avg / cnt_avg
+            return sums[0] / counts[0]
         if kind in ("max", "min"):
-            extreme: ExtremeAggregator = self.host.protocol(f"extreme:{kind}:{attribute}")  # type: ignore[assignment]
-            return extreme.value()
+            extremes: ExtremeAggregator = self.host.protocol("extreme:agg")  # type: ignore[assignment]
+            return extremes.maximum(attribute) if kind == "max" else extremes.minimum(attribute)
         raise KeyError(kind)
 
     def _aggregate_reply(self, message: AggregateRequest, ok: bool,
@@ -475,44 +476,52 @@ class StorageNodeProtocol(Protocol):
     # ------------------------------------------------------------------
     # duplicate-corrected local contributions (claims C7/C9)
     # ------------------------------------------------------------------
-    def corrected_count(self) -> float:
-        """This node's contribution to the distinct-tuple count: its
+    def local_aggregates(self) -> Dict[str, List[float]]:
+        """This node's cells for every push-sum slot, from one walk over
+        the memtable.
+
+        ``count``, ``sum:<a>`` and ``cnt:<a>`` take the node's
         primary-range items divided by the census population of that
-        range (each of the ~p replicas contributes 1/p)."""
-        return self._corrected(lambda item: 1.0)
-
-    def corrected_sum(self, attribute: str) -> float:
-        def value(item: VersionedTuple) -> float:
-            v = item.record.get(attribute)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                return float(v)
-            return 0.0
-
-        return self._corrected(value)
-
-    def corrected_attr_count(self, attribute: str) -> float:
-        def value(item: VersionedTuple) -> float:
-            v = item.record.get(attribute)
-            return 1.0 if isinstance(v, (int, float)) and not isinstance(v, bool) else 0.0
-
-        return self._corrected(value)
-
-    def _corrected(self, value_fn) -> float:
+        range (each of the ~p replicas contributes 1/p); ``bins:<a>`` is
+        the naive histogram — one count per replica held (C7; E8 shows
+        what that costs under skewed duplication)."""
         manager: RedundancyManager = self.host.protocol("redundancy")  # type: ignore[assignment]
         population = manager.last_population
         denominator = (population + 1.0) if population is not None else float(self.replication)
         denominator = max(1.0, denominator)
-        total = 0.0
+        count = 0.0
+        sums = dict.fromkeys(self.indexes, 0.0)
+        counts = dict.fromkeys(self.indexes, 0.0)
+        bins = {attribute: [0.0] * spec.bins for attribute, spec in self.indexes.items()}
         for item in self.memtable.items():
-            if self.primary_sieve.admits(item.key, item.record):
-                total += value_fn(item)
-        return total / denominator
+            primary = self.primary_sieve.admits(item.key, item.record)
+            if primary:
+                count += 1.0
+            for attribute, spec in self.indexes.items():
+                value = item.record.get(attribute)
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    continue
+                cell = bin_of(value, spec.lo, spec.hi, spec.bins)
+                if cell is not None:
+                    bins[attribute][cell] += 1.0
+                if primary:
+                    sums[attribute] += float(value)
+                    counts[attribute] += 1.0
+        slots = {"count": [count / denominator]}
+        for attribute in self.indexes:
+            slots[f"sum:{attribute}"] = [sums[attribute] / denominator]
+            slots[f"cnt:{attribute}"] = [counts[attribute] / denominator]
+            slots[f"bins:{attribute}"] = bins[attribute]
+        return slots
 
-    def local_extreme(self, attribute: str, is_max: bool) -> Optional[float]:
-        values = [v for _, v in self.memtable.attribute_values(attribute)]
-        if not values:
-            return None
-        return max(values) if is_max else min(values)
+    def local_extremes(self) -> Dict[str, Tuple[Optional[float], Optional[float]]]:
+        """(max, min) of the values held per indexed attribute (None, None
+        when the node holds none)."""
+        extremes = {}
+        for attribute in self.indexes:
+            values = [v for _, v in self.memtable.attribute_values(attribute)]
+            extremes[attribute] = (max(values), min(values)) if values else (None, None)
+        return extremes
 
     # ------------------------------------------------------------------
     # self-stabilisation: periodic state audit + corruption seam
@@ -651,26 +660,16 @@ def make_storage_stack(
             field_name = config.collocation.split(":", 1)[1]
             primary = TagSieve(node.node_id, config.replication, size_fn, field_tag(field_name))
 
-        histograms: Dict[str, HistogramEstimator] = {}
+        # The sieves read the distribution through the storage protocol,
+        # which is assembled last (it needs the sieves).
         index_sieves: Dict[str, DistributionAwareSieve] = {}
         for spec in config.indexes:
-            histogram = HistogramEstimator(
-                instance=spec.attribute,
-                value_source=lambda attr=spec.attribute: memtable.attribute_values(attr),
-                lo=spec.lo,
-                hi=spec.hi,
-                bins=spec.bins,
-                period=config.pushsum_period,
-                epoch_length=config.estimator_epoch,
-            )
-            histograms[spec.attribute] = histogram
-            protocols.append(histogram)
             index_sieves[spec.attribute] = DistributionAwareSieve(
                 node_id=node.node_id,
                 attribute=spec.attribute,
                 replication=config.replication,
                 size_estimate_fn=size_fn,
-                distribution_fn=histogram.estimate,
+                distribution_fn=lambda attr=spec.attribute: storage.distribution(attr),
                 fallback_lo=spec.lo,
                 fallback_hi=spec.hi,
             )
@@ -712,7 +711,7 @@ def make_storage_stack(
             )
         )
 
-        # --- ordered overlays and per-attribute stats ------------------------
+        # --- ordered overlays ------------------------------------------------
         def coordinate_of(s: DistributionAwareSieve) -> float:
             buckets = s.inner.bucket_count()
             return (s.inner.bucket_index() + 0.5) / buckets
@@ -739,44 +738,20 @@ def make_storage_stack(
             audit_period=config.audit_period,
         )
 
+        # --- aggregates: one protocol per merge algebra ---------------------
         protocols.append(
             PushSumProtocol(
-                "count",
-                value_fn=storage.corrected_count,
+                "agg",
+                values_fn=storage.local_aggregates,
                 period=config.pushsum_period,
                 epoch_length=config.estimator_epoch,
             )
         )
-        for spec in config.indexes:
-            protocols.append(
-                PushSumProtocol(
-                    f"sum:{spec.attribute}",
-                    value_fn=lambda attr=spec.attribute: storage.corrected_sum(attr),
-                    period=config.pushsum_period,
-                    epoch_length=config.estimator_epoch,
-                )
-            )
-            protocols.append(
-                PushSumProtocol(
-                    f"cnt:{spec.attribute}",
-                    value_fn=lambda attr=spec.attribute: storage.corrected_attr_count(attr),
-                    period=config.pushsum_period,
-                    epoch_length=config.estimator_epoch,
-                )
-            )
+        if config.indexes:
             protocols.append(
                 ExtremeAggregator(
-                    f"max:{spec.attribute}",
-                    value_fn=lambda attr=spec.attribute: storage.local_extreme(attr, True),
-                    is_max=True,
-                    period=config.pushsum_period,
-                )
-            )
-            protocols.append(
-                ExtremeAggregator(
-                    f"min:{spec.attribute}",
-                    value_fn=lambda attr=spec.attribute: storage.local_extreme(attr, False),
-                    is_max=False,
+                    "agg",
+                    values_fn=storage.local_extremes,
                     period=config.pushsum_period,
                 )
             )

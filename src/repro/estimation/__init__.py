@@ -10,11 +10,9 @@ redundancy (§III-A claim C5).
 from repro.estimation.extrema import ExtremaExchange, ExtremaSizeEstimator
 from repro.estimation.histogram import (
     DistributionEstimate,
-    HistogramEstimator,
-    HistogramShare,
-    ValueSource,
     WeightFn,
     empirical_distribution,
+    local_histogram,
 )
 from repro.estimation.lifetimes import LifetimeEstimator, SurvivalFit
 from repro.estimation.pushsum import (
@@ -30,13 +28,11 @@ __all__ = [
     "ExtremaSizeEstimator",
     "ExtremeAggregator",
     "ExtremeShare",
-    "HistogramEstimator",
-    "HistogramShare",
     "LifetimeEstimator",
     "PushSumProtocol",
     "PushSumShare",
     "SurvivalFit",
-    "ValueSource",
     "WeightFn",
     "empirical_distribution",
+    "local_histogram",
 ]

@@ -126,6 +126,10 @@ class ExtremaSizeEstimator(Protocol):
         if not isinstance(message, ExtremaExchange):
             self.host.metrics.counter("extrema.unexpected_message").inc()
             return
+        if len(message.minima) != self.k:
+            # zip() below would truncate the vector for good and inflate N.
+            self.host.metrics.counter("extrema.shape_mismatch").inc()
+            return
         self._maybe_advance_epoch()
         if message.epoch < self._epoch:
             return  # stale epoch

@@ -9,16 +9,20 @@ attribute, which powers two of the paper's mechanisms:
   every node a consistent coordinate for T-Man ordering (§III-B2).
 
 Mechanism: each node builds a local equi-width histogram of the values
-it stores and the histograms are *averaged* by vector push-sum. The
-normalised average is an estimate of the global value distribution.
+it stores (:func:`local_histogram`) and the histograms are *averaged* as
+one slot of the node's :class:`~repro.estimation.pushsum.PushSumProtocol`
+vector. The normalised average is an estimate of the global value
+distribution (:meth:`DistributionEstimate.normalised`). This module is
+the math only; the gossip is push-sum's.
 
 The paper explicitly flags two hazards of this setting (claim C7):
 
 * **duplicates** — replication means a tuple is counted once per
   replica, so non-uniform replication skews the estimate. The
-  ``weight_fn`` hook lets callers down-weight items by their (estimated)
-  replication degree; E8 ablates naive vs corrected.
-* **churn** — handled with epoch restarts like the other estimators.
+  ``weight_fn`` hook of :func:`local_histogram` lets callers down-weight
+  items by their (estimated) replication degree; E8 ablates naive vs
+  corrected.
+* **churn** — handled with push-sum's epoch restarts.
 """
 
 from __future__ import annotations
@@ -26,25 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.ids import NodeId
-from repro.common.messages import Message, message_type
-from repro.membership.views import PeerSampler
-from repro.sim.node import Protocol
-
-#: Yields (item_id, value) pairs for locally stored items.
-ValueSource = Callable[[], Iterable[Tuple[str, float]]]
-
 #: Optional per-item weight (e.g. 1/replication_estimate for dedup).
 WeightFn = Callable[[str], float]
-
-
-@message_type
-@dataclass(frozen=True)
-class HistogramShare(Message):
-    instance: str
-    epoch: int
-    bins: Tuple[float, ...]
-    weight_part: float
 
 
 @dataclass(frozen=True)
@@ -54,6 +41,15 @@ class DistributionEstimate:
     lo: float
     hi: float
     densities: Tuple[float, ...]  # sums to ~1 (all-zero when unknown)
+
+    @staticmethod
+    def normalised(lo: float, hi: float,
+                   masses: Optional[Sequence[float]]) -> Optional["DistributionEstimate"]:
+        """The view of a (gossip-averaged) histogram; None without data."""
+        total = sum(masses) if masses else 0.0
+        if total <= 0:
+            return None
+        return DistributionEstimate(lo, hi, tuple(m / total for m in masses))
 
     @property
     def bins(self) -> int:
@@ -105,148 +101,47 @@ class DistributionEstimate:
         return worst
 
 
+def bin_of(value: float, lo: float, hi: float, bins: int) -> Optional[int]:
+    """Cell of ``value`` among ``bins`` equal-width cells over [lo, hi]
+    (``hi`` itself falls in the last one); None outside the domain."""
+    if not lo <= value <= hi:
+        return None
+    return min(bins - 1, int((value - lo) / ((hi - lo) / bins)))
+
+
+def local_histogram(
+    values: Iterable[Tuple[str, float]],
+    lo: float,
+    hi: float,
+    bins: int = 32,
+    weight_fn: Optional[WeightFn] = None,
+) -> List[float]:
+    """One node's push-sum cells for a histogram slot.
+
+    Args:
+        values: (item_id, value) pairs of the locally stored items.
+        weight_fn: per-item weight for duplicate correction (C7); the
+            naive histogram counts 1 for every replica.
+    """
+    if hi <= lo:
+        raise ValueError("need hi > lo")
+    if bins <= 0:
+        raise ValueError("bins must be positive")
+    cells = [0.0] * bins
+    for item_id, value in values:
+        cell = bin_of(value, lo, hi, bins)
+        if cell is not None:
+            cells[cell] += 1.0 if weight_fn is None else weight_fn(item_id)
+    return cells
+
+
 def empirical_distribution(values: Sequence[float], lo: float, hi: float, bins: int) -> DistributionEstimate:
     """Exact histogram of ``values`` — the centralised reference that
     benchmarks compare the gossip estimate against."""
     counts = [0.0] * bins
-    width = (hi - lo) / bins
-    total = 0
     for v in values:
-        if lo <= v < hi:
-            counts[min(bins - 1, int((v - lo) / width))] += 1
-            total += 1
-        elif v == hi:
-            counts[-1] += 1
-            total += 1
-    if total == 0:
-        return DistributionEstimate(lo, hi, tuple(counts))
-    return DistributionEstimate(lo, hi, tuple(c / total for c in counts))
-
-
-class HistogramEstimator(Protocol):
-    """Gossip histogram averaging via vector push-sum.
-
-    Args:
-        instance: attribute name (also names the protocol).
-        value_source: yields (item_id, value) for local items; sampled
-            at each epoch start.
-        lo / hi / bins: histogram domain and resolution.
-        weight_fn: per-item weight for duplicate correction (C7); the
-            naive estimator uses weight 1 for every replica.
-    """
-
-    def __init__(
-        self,
-        instance: str,
-        value_source: ValueSource,
-        lo: float,
-        hi: float,
-        bins: int = 32,
-        weight_fn: Optional[WeightFn] = None,
-        period: float = 1.0,
-        epoch_length: Optional[float] = None,
-        membership: str = "membership",
-    ):
-        super().__init__()
-        if hi <= lo:
-            raise ValueError("need hi > lo")
-        if bins <= 0:
-            raise ValueError("bins must be positive")
-        self.name = f"histogram:{instance}"
-        self.instance = instance
-        self.value_source = value_source
-        self.lo = lo
-        self.hi = hi
-        self.bins = bins
-        self.weight_fn = weight_fn
-        self.period = period
-        self.epoch_length = epoch_length
-        self.membership = membership
-        self._epoch = 0
-        self._vector: List[float] = [0.0] * bins
-        self._weight = 0.0
-        self._last: Optional[DistributionEstimate] = None
-        self._timer = None
-
-    # ------------------------------------------------------------------
-    def on_start(self) -> None:
-        self._epoch = self._current_epoch()
-        self._reset()
-        self._timer = self.every(self.period, self._round)
-
-    def on_stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-
-    def _current_epoch(self) -> int:
-        if self.epoch_length is None:
-            return 0
-        return int(self.host.now / self.epoch_length)
-
-    def _reset(self) -> None:
-        vector = [0.0] * self.bins
-        width = (self.hi - self.lo) / self.bins
-        for item_id, value in self.value_source():
-            if not self.lo <= value <= self.hi:
-                continue
-            idx = min(self.bins - 1, int((value - self.lo) / width))
-            weight = 1.0 if self.weight_fn is None else self.weight_fn(item_id)
-            vector[idx] += weight
-        self._vector = vector
-        self._weight = 1.0
-
-    def _sampler(self) -> PeerSampler:
-        return self.host.protocol(self.membership)  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _round(self) -> None:
-        self._maybe_advance_epoch()
-        peers = self._sampler().sample_peers(1)
-        if not peers:
-            return
-        self._vector = [v / 2.0 for v in self._vector]
-        self._weight /= 2.0
-        self.send(
-            peers[0],
-            HistogramShare(self.instance, self._epoch, tuple(self._vector), self._weight),
-        )
-        self.host.metrics.counter("histogram.rounds").inc()
-
-    def _maybe_advance_epoch(self) -> None:
-        epoch = self._current_epoch()
-        if epoch > self._epoch:
-            self._last = self._normalise()
-            self._epoch = epoch
-            self._reset()
-
-    def on_message(self, sender: NodeId, message: Message) -> None:
-        if not isinstance(message, HistogramShare):
-            self.host.metrics.counter("histogram.unexpected_message").inc()
-            return
-        self._maybe_advance_epoch()
-        if message.epoch < self._epoch:
-            return
-        if message.epoch > self._epoch:
-            self._last = self._normalise()
-            self._epoch = message.epoch
-            self._reset()
-        self._vector = [a + b for a, b in zip(self._vector, message.bins)]
-        self._weight += message.weight_part
-
-    # ------------------------------------------------------------------
-    def _normalise(self) -> Optional[DistributionEstimate]:
-        total = sum(self._vector)
-        if total <= 0:
-            return None
-        return DistributionEstimate(self.lo, self.hi, tuple(v / total for v in self._vector))
-
-    def estimate(self) -> Optional[DistributionEstimate]:
-        """Current best distribution estimate (None until any data seen)."""
-        current = self._normalise()
-        if current is None:
-            return self._last
-        if self._last is not None and self.epoch_length is not None:
-            progress = (self.host.now % self.epoch_length) / self.epoch_length
-            if progress < 0.25:
-                return self._last
-        return current
+        cell = bin_of(v, lo, hi, bins)
+        if cell is not None:
+            counts[cell] += 1
+    estimate = DistributionEstimate.normalised(lo, hi, counts)
+    return estimate if estimate is not None else DistributionEstimate(lo, hi, tuple(counts))

@@ -1,24 +1,30 @@
 """Push-sum gossip aggregation (paper ref [37], Jelasity et al. style).
 
-Each node holds a (sum, weight) pair initialised to (local value, 1).
-Every round it keeps half of both and pushes the other half to a random
-peer; sum/weight converges exponentially fast to the global average at
-every node. From the average, count/sum are recovered with a size
-estimate (or by electing one node to hold weight 1).
+Each node holds a (vector, weight) pair initialised to (local values,
+1). Every round it keeps half of both and pushes the other half to a
+random peer; vector/weight converges exponentially fast to the global
+per-node average at every node. From an average, count/sum are
+recovered with a size estimate; the ratio of two cells needs neither.
 
 Like the size estimator, dynamism is handled by epoch restarts: mass
 lost to crashed nodes or dropped messages corrupts a single epoch only.
 The paper's §III-C observes that these aggregates are the basis of the
-data-processing story — we expose them through the client API.
+data-processing story — we expose them through the client API — and
+§III-B1's distribution estimate is the same machinery: a histogram is
+one more slot of the vector (see :mod:`repro.estimation.histogram`).
 
 For maximum/minimum the library uses :class:`ExtremeAggregator`, a
 monotone-merge gossip that is trivially churn- and duplicate-proof.
+
+There are two merge algebras here — mass-conserving and idempotent —
+and a node needs one protocol instance of each, however many
+quantities it aggregates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NodeId
 from repro.common.messages import Message, message_type
@@ -31,18 +37,25 @@ from repro.sim.node import Protocol
 class PushSumShare(Message):
     instance: str
     epoch: int
-    sum_part: float
+    parts: Tuple[float, ...]
     weight_part: float
 
 
 class PushSumProtocol(Protocol):
-    """Average a node-local quantity across the system.
+    """Average node-local quantities across the system.
+
+    One instance carries a vector of named *slots* under one weight and
+    one epoch counter, so all of a node's mass travels the same paths:
+    the ratio of two slots stays a convex combination of the nodes'
+    local ratios whatever shares are lost. A scalar push-sum is the
+    one-slot, one-cell case.
 
     Args:
-        instance: name suffix; lets several aggregations coexist on one
-            node (each is its own protocol instance).
-        value_fn: returns this node's current local value; sampled at
-            the start of each epoch.
+        instance: name suffix of the protocol.
+        values_fn: returns this node's local cells per slot name (one
+            cell for a scalar, the bins for a histogram), in wire order
+            and with the same shape at every node; sampled at the start
+            of each epoch.
         period: gossip period.
         epoch_length: restart grid (None = run a single computation).
     """
@@ -50,7 +63,7 @@ class PushSumProtocol(Protocol):
     def __init__(
         self,
         instance: str,
-        value_fn: Callable[[], float],
+        values_fn: Callable[[], Mapping[str, Sequence[float]]],
         period: float = 1.0,
         epoch_length: Optional[float] = None,
         membership: str = "membership",
@@ -58,14 +71,16 @@ class PushSumProtocol(Protocol):
         super().__init__()
         self.name = f"push-sum:{instance}"
         self.instance = instance
-        self.value_fn = value_fn
+        self.values_fn = values_fn
         self.period = period
         self.epoch_length = epoch_length
         self.membership = membership
+        self._span: Dict[str, Tuple[int, int]] = {}  # slot -> its cells in _vector
         self._epoch = 0
-        self._sum = 0.0
+        self._vector: List[float] = []
         self._weight = 0.0
-        self._last_average: Optional[float] = None
+        # (vector, weight) the previous epoch ended with.
+        self._last: Optional[Tuple[List[float], float]] = None
         self._timer = None
 
     # ------------------------------------------------------------------
@@ -84,8 +99,18 @@ class PushSumProtocol(Protocol):
         return int(self.host.now / self.epoch_length)
 
     def _reset(self) -> None:
-        self._sum = float(self.value_fn())
+        vector: List[float] = []
+        for slot, cells in self.values_fn().items():
+            self._span[slot] = (len(vector), len(vector) + len(cells))
+            vector.extend(float(cell) for cell in cells)
+        self._vector = vector
         self._weight = 1.0
+
+    def _enter_epoch(self, epoch: int) -> None:
+        if self._weight > 0:
+            self._last = (self._vector, self._weight)
+        self._epoch = epoch
+        self._reset()
 
     def _sampler(self) -> PeerSampler:
         return self.host.protocol(self.membership)  # type: ignore[return-value]
@@ -96,73 +121,103 @@ class PushSumProtocol(Protocol):
         peers = self._sampler().sample_peers(1)
         if not peers:
             return
-        self._sum /= 2.0
+        self._vector = [cell / 2.0 for cell in self._vector]
         self._weight /= 2.0
-        self.send(peers[0], PushSumShare(self.instance, self._epoch, self._sum, self._weight))
+        self.send(
+            peers[0],
+            PushSumShare(self.instance, self._epoch, tuple(self._vector), self._weight),
+        )
         self.host.metrics.counter("pushsum.rounds").inc()
 
     def _maybe_advance_epoch(self) -> None:
         epoch = self._current_epoch()
         if epoch > self._epoch:
-            if self._weight > 0:
-                self._last_average = self._sum / self._weight
-            self._epoch = epoch
-            self._reset()
+            self._enter_epoch(epoch)
 
     def on_message(self, sender: NodeId, message: Message) -> None:
         if not isinstance(message, PushSumShare):
             self.host.metrics.counter("pushsum.unexpected_message").inc()
             return
+        if len(message.parts) != len(self._vector):
+            # Another slot layout, or a forged datagram: zip() below
+            # would truncate the local vector for good.
+            self.host.metrics.counter("pushsum.shape_mismatch").inc()
+            return
         self._maybe_advance_epoch()
         if message.epoch < self._epoch:
             return
         if message.epoch > self._epoch:
-            if self._weight > 0:
-                self._last_average = self._sum / self._weight
-            self._epoch = message.epoch
-            self._reset()
-        self._sum += message.sum_part
+            self._enter_epoch(message.epoch)
+        self._vector = [a + b for a, b in zip(self._vector, message.parts)]
         self._weight += message.weight_part
 
     # ------------------------------------------------------------------
-    def average(self) -> Optional[float]:
-        """Best current estimate of the global average of value_fn."""
-        if self._weight > 1e-12:
-            current = self._sum / self._weight
-        else:
-            current = None
-        if current is None:
-            return self._last_average
-        if self._last_average is not None and self.epoch_length is not None:
+    def _readable(self) -> Optional[Tuple[List[float], float]]:
+        """(vector, weight) of the epoch to answer from."""
+        current = (self._vector, self._weight) if self._weight > 1e-12 else None
+        if self._last is None:
+            return current
+        if current is None or not any(self._vector):
+            return self._last  # no mass has reached this node this epoch
+        if self.epoch_length is not None:
             # Early in an epoch the local ratio is just the local value;
             # prefer last epoch's converged answer until mixing resumes.
             progress = (self.host.now % self.epoch_length) / self.epoch_length
             if progress < 0.25:
-                return self._last_average
+                return self._last
         return current
+
+    def mass(self, slot: str) -> Optional[List[float]]:
+        """The slot's cells as this node holds them. Ratios of cells (of
+        one slot or of two) are already estimates of the global ratios:
+        every cell rides under the same weight."""
+        start, end = self._span[slot]
+        readable = self._readable()
+        return None if readable is None else readable[0][start:end]
+
+    def average(self, slot: str) -> Optional[float]:
+        """Best current estimate of the global per-node average of the
+        slot's local value (its first cell)."""
+        readable = self._readable()
+        if readable is None:
+            return None
+        vector, weight = readable
+        return vector[self._span[slot][0]] / weight
 
 
 @message_type
 @dataclass(frozen=True)
 class ExtremeShare(Message):
     instance: str
-    value: float
-    is_max: bool
+    maxima: Tuple[Optional[float], ...]
+    minima: Tuple[Optional[float], ...]
+
+
+def _merged(pick, ours: Sequence[Optional[float]],
+            theirs: Sequence[Optional[float]]) -> List[Optional[float]]:
+    return [b if a is None else a if b is None else pick(a, b)
+            for a, b in zip(ours, theirs)]
 
 
 class ExtremeAggregator(Protocol):
-    """Monotone gossip for global max (or min) of a local quantity.
+    """Monotone gossip for the global max and min of local quantities.
 
-    Idempotent merge makes it exact under duplicates and loss; it only
-    ever lags, never errs, which is why the paper can offer these
-    "simple summaries" at almost no cost (§III-C).
+    One instance carries a table with a (max, min) pair per named slot
+    and gossips the whole table in one share. Idempotent merge makes it
+    exact under duplicates and loss; it only ever lags, never errs,
+    which is why the paper can offer these "simple summaries" at almost
+    no cost (§III-C).
+
+    Args:
+        values_fn: returns this node's local (max, min) per slot name, in
+            wire order — either may be None while the node has nothing
+            to offer; sampled every round.
     """
 
     def __init__(
         self,
         instance: str,
-        value_fn: Callable[[], float],
-        is_max: bool = True,
+        values_fn: Callable[[], Mapping[str, Tuple[Optional[float], Optional[float]]]],
         period: float = 1.0,
         fanout: int = 2,
         membership: str = "membership",
@@ -170,16 +225,19 @@ class ExtremeAggregator(Protocol):
         super().__init__()
         self.name = f"extreme:{instance}"
         self.instance = instance
-        self.value_fn = value_fn
-        self.is_max = is_max
+        self.values_fn = values_fn
         self.period = period
         self.fanout = fanout
         self.membership = membership
-        self._best: Optional[float] = None
+        self.slots: Tuple[str, ...] = ()
+        self._maxima: List[Optional[float]] = []
+        self._minima: List[Optional[float]] = []
         self._timer = None
 
     def on_start(self) -> None:
-        self._best = None
+        self.slots = tuple(self.values_fn())
+        self._maxima = [None] * len(self.slots)
+        self._minima = [None] * len(self.slots)
         self._timer = self.every(self.period, self._round)
 
     def on_stop(self) -> None:
@@ -189,21 +247,17 @@ class ExtremeAggregator(Protocol):
     def _sampler(self) -> PeerSampler:
         return self.host.protocol(self.membership)  # type: ignore[return-value]
 
-    def _merge(self, value: Optional[float]) -> None:
-        if value is None:
-            return
-        if self._best is None:
-            self._best = value
-        elif self.is_max:
-            self._best = max(self._best, value)
-        else:
-            self._best = min(self._best, value)
+    def _merge(self, maxima: Sequence[Optional[float]], minima: Sequence[Optional[float]]) -> None:
+        self._maxima = _merged(max, self._maxima, maxima)
+        self._minima = _merged(min, self._minima, minima)
 
     def _round(self) -> None:
-        self._merge(self.value_fn())
-        if self._best is None:
+        local = self.values_fn()
+        self._merge([local[slot][0] for slot in self.slots],
+                    [local[slot][1] for slot in self.slots])
+        if all(v is None for v in self._maxima + self._minima):
             return
-        share = ExtremeShare(self.instance, self._best, self.is_max)
+        share = ExtremeShare(self.instance, tuple(self._maxima), tuple(self._minima))
         for peer in self._sampler().sample_peers(self.fanout):
             self.send(peer, share)
 
@@ -211,7 +265,14 @@ class ExtremeAggregator(Protocol):
         if not isinstance(message, ExtremeShare):
             self.host.metrics.counter("extreme.unexpected_message").inc()
             return
-        self._merge(message.value)
+        if not len(message.maxima) == len(message.minima) == len(self.slots):
+            # zip() in the merge would truncate the table for good.
+            self.host.metrics.counter("extreme.shape_mismatch").inc()
+            return
+        self._merge(message.maxima, message.minima)
 
-    def value(self) -> Optional[float]:
-        return self._best
+    def maximum(self, slot: str) -> Optional[float]:
+        return self._maxima[self.slots.index(slot)]
+
+    def minimum(self, slot: str) -> Optional[float]:
+        return self._minima[self.slots.index(slot)]

@@ -221,7 +221,6 @@ _PHASE_BY_MSG = (
     ("PushSumShare", "estimation"),
     ("ExtremeShare", "estimation"),
     ("ExtremaExchange", "estimation"),
-    ("HistogramShare", "estimation"),
 )
 
 #: protocol → phase for spans whose message name matches no prefix
@@ -248,7 +247,6 @@ _PHASE_BY_PROTO_PREFIX = (
     ("tman:", "overlay"),
     ("push-sum:", "estimation"),
     ("extreme:", "estimation"),
-    ("histogram:", "estimation"),
 )
 
 #: fine phase → coarse bucket for tail attribution: where did the slow

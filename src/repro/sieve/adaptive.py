@@ -34,7 +34,7 @@ class DistributionAwareSieve(Sieve):
         replication: target copies per item.
         size_estimate_fn: live N estimate (drives bucket count).
         distribution_fn: live distribution estimate for the attribute
-            (typically ``HistogramEstimator.estimate``); until one is
+            (the view of a push-sum histogram slot); until one is
             available, falls back to treating values scaled by
             ``fallback_lo/hi`` as uniform.
     """

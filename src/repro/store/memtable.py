@@ -203,7 +203,7 @@ class Memtable(AntiEntropyStore):
         return [t.key for t in self.items()]
 
     def attribute_values(self, attribute: str) -> Iterator[Tuple[str, float]]:
-        """(key, numeric value) pairs — the HistogramEstimator's source."""
+        """(key, numeric value) pairs of the live tuples carrying ``attribute``."""
         index = self._indexes.get(attribute)
         if index is not None:
             return ((key, value) for value, key in index)

@@ -208,7 +208,7 @@ class TestDefaultsAreTheMeasuredPath:
             "from repro.common.messages import registered_message_types\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('repro.baselines'))\n"
             "assert not loaded, loaded\n"
-            "retired = {'DigestMessage', 'SoftHeartbeat'} & set(registered_message_types())\n"
+            "retired = {'DigestMessage', 'SoftHeartbeat', 'HistogramShare'} & set(registered_message_types())\n"
             "assert not retired, retired\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))

@@ -18,14 +18,21 @@ def system():
 
 
 class TestStorageProtocolWiring:
-    def test_every_node_runs_the_full_stack(self, system):
-        node = system.storage_nodes[0]
-        for name in ("membership", "size-estimator", "gossip", "random-walk",
-                     "redundancy", "range-repair", "storage",
-                     "histogram:v", "tman:v", "push-sum:count",
-                     "push-sum:sum:v", "push-sum:cnt:v",
-                     "extreme:max:v", "extreme:min:v"):
-            assert node.has_protocol(name), name
+    def test_every_node_runs_the_full_stack(self):
+        # One protocol per merge algebra, whatever the number of indexes:
+        # a further index costs one T-Man and no gossip estimator.
+        for attributes, size in (((), 8), (("v",), 10), (("v", "w"), 11)):
+            dd = DataDroplets(DataDropletsConfig(
+                seed=66, n_storage=6, n_soft=1, replication=2,
+                indexes=tuple(IndexSpec(a, lo=0, hi=100) for a in attributes),
+            )).start(warmup=1.0)
+            expected = ["membership", "size-estimator", "gossip", "random-walk",
+                        "redundancy", "range-repair"]
+            expected += [f"tman:{a}" for a in attributes] + ["push-sum:agg"]
+            expected += ["extreme:agg"] if attributes else []
+            names = list(dd.storage_nodes[0]._protocols)
+            assert names == expected + ["storage"]
+            assert len(names) == size
 
     def test_memtable_persists_across_reboot(self, system):
         node = next(n for n in system.storage_nodes if len(n.durable["memtable"]) > 0)
@@ -49,7 +56,7 @@ class TestStorageProtocolWiring:
 class TestCorrectedContributions:
     def test_corrected_count_sums_to_distinct_items(self, system):
         total = sum(
-            node.protocol("storage").corrected_count()
+            node.protocol("storage").local_aggregates()["count"][0]
             for node in system.storage_nodes if node.is_up
         )
         distinct = len({
@@ -63,18 +70,25 @@ class TestCorrectedContributions:
     def test_corrected_sum_scales_with_values(self, system):
         node = next(n for n in system.storage_nodes
                     if n.is_up and len(n.durable["memtable"]) > 0)
-        storage = node.protocol("storage")
-        assert storage.corrected_sum("v") >= 0.0
-        assert storage.corrected_attr_count("v") <= storage.corrected_count() + 1e-9
+        slots = node.protocol("storage").local_aggregates()
+        assert list(slots) == ["count", "sum:v", "cnt:v", "bins:v"]
+        assert slots["sum:v"][0] >= 0.0
+        assert slots["cnt:v"][0] <= slots["count"][0] + 1e-9
+        # the live histogram is the naive one: a count per replica held
+        held = sum(1 for _ in node.durable["memtable"].attribute_values("v"))
+        assert len(slots["bins:v"]) == 32 and sum(slots["bins:v"]) == held
 
     def test_local_extreme(self, system):
         node = next(n for n in system.storage_nodes
                     if n.is_up and any(True for _ in n.durable["memtable"].attribute_values("v")))
-        storage = node.protocol("storage")
-        lo = storage.local_extreme("v", is_max=False)
-        hi = storage.local_extreme("v", is_max=True)
+        hi, lo = node.protocol("storage").local_extremes()["v"]
         assert lo is not None and hi is not None and lo <= hi
-        assert storage.local_extreme("nope", is_max=True) is None
+        fresh = DataDroplets(DataDropletsConfig(
+            seed=1, n_storage=4, n_soft=1, replication=2,
+            indexes=(IndexSpec("v", lo=0, hi=100),),
+        )).start(warmup=1.0)
+        storage = fresh.storage_nodes[0].protocol("storage")
+        assert storage.local_extremes() == {"v": (None, None)}
 
 
 class TestTombstonePropagation:

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.ids import NodeId
 from repro.estimation import (
     DistributionEstimate,
+    ExtremaExchange,
     ExtremaSizeEstimator,
     ExtremeAggregator,
-    HistogramEstimator,
+    ExtremeShare,
     PushSumProtocol,
+    PushSumShare,
     empirical_distribution,
+    local_histogram,
 )
 from repro.membership import CyclonProtocol
 from repro.sim import Cluster, Simulation, UniformLatency
@@ -107,17 +111,22 @@ class TestExtremaSizeEstimator:
         assert node.protocol("size-estimator").estimate() >= 1.0
 
 
+def _scalar(instance, value_fn, **kwargs):
+    """A one-slot, one-cell push-sum: the scalar case of the vector protocol."""
+    return PushSumProtocol(instance, lambda: {instance: [value_fn()]}, **kwargs)
+
+
 class TestPushSum:
     def test_average_converges(self):
         values = {}
 
         def extra(node):
             values[node.node_id] = float(node.node_id.value % 7)
-            return [PushSumProtocol("load", value_fn=lambda v=values[node.node_id]: v, period=0.5)]
+            return [_scalar("load", lambda v=values[node.node_id]: v, period=0.5)]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=80, warmup=25.0)
         truth = statistics.fmean(values.values())
-        estimates = [n.protocol("push-sum:load").average() for n in nodes]
+        estimates = [n.protocol("push-sum:load").average("load") for n in nodes]
         assert all(e is not None for e in estimates)
         assert statistics.fmean(estimates) == pytest.approx(truth, rel=0.01)
 
@@ -125,47 +134,111 @@ class TestPushSum:
         box = {"scale": 1.0}
 
         def extra(node):
-            return [PushSumProtocol("v", value_fn=lambda: box["scale"], period=0.5,
-                                    epoch_length=10.0)]
+            return [_scalar("v", lambda: box["scale"], period=0.5, epoch_length=10.0)]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=40, warmup=25.0)
         box["scale"] = 5.0
         sim.run_for(30.0)  # multiple epochs with the new value
-        est = nodes[0].protocol("push-sum:v").average()
+        est = nodes[0].protocol("push-sum:v").average("v")
         assert est == pytest.approx(5.0, rel=0.05)
 
     def test_multiple_instances_coexist(self):
+        # What used to take one protocol instance per quantity rides in
+        # one vector (slots of different widths, one share per round);
+        # separately named instances still coexist on a node.
         def extra(node):
             return [
-                PushSumProtocol("a", value_fn=lambda: 1.0, period=0.5),
-                PushSumProtocol("b", value_fn=lambda: 3.0, period=0.5),
+                PushSumProtocol(
+                    "ab", lambda: {"a": [1.0], "wide": [0.0, 2.0, 4.0], "b": [3.0]}, period=0.5),
+                _scalar("c", lambda: 7.0, period=0.5),
             ]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=30, warmup=20.0)
-        assert nodes[0].protocol("push-sum:a").average() == pytest.approx(1.0, rel=0.01)
-        assert nodes[0].protocol("push-sum:b").average() == pytest.approx(3.0, rel=0.01)
+        proto = nodes[0].protocol("push-sum:ab")
+        assert proto.average("a") == pytest.approx(1.0, rel=0.01)
+        assert proto.average("b") == pytest.approx(3.0, rel=0.01)
+        wide = proto.mass("wide")
+        assert len(wide) == 3 and wide[0] == 0.0
+        assert wide[2] / wide[1] == pytest.approx(2.0, rel=1e-9)
+        assert nodes[0].protocol("push-sum:c").average("c") == pytest.approx(7.0, rel=0.01)
 
 
 class TestExtremeAggregator:
     def test_max_and_min(self):
         def extra(node):
             v = float(node.node_id.value)
-            return [
-                ExtremeAggregator("hi", value_fn=lambda v=v: v, is_max=True, period=0.5),
-                ExtremeAggregator("lo", value_fn=lambda v=v: v, is_max=False, period=0.5),
-            ]
+            return [ExtremeAggregator("t", lambda v=v: {"id": (v, v), "neg": (-v, -v)}, period=0.5)]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=50, warmup=20.0)
-        assert nodes[3].protocol("extreme:hi").value() == 49.0
-        assert nodes[3].protocol("extreme:lo").value() == 0.0
+        table = nodes[3].protocol("extreme:t")
+        assert table.maximum("id") == 49.0
+        assert table.minimum("id") == 0.0
+        assert table.maximum("neg") == 0.0
+        assert table.minimum("neg") == -49.0
 
     def test_none_values_skipped(self):
         def extra(node):
             value = None if node.node_id.value % 2 else float(node.node_id.value)
-            return [ExtremeAggregator("m", value_fn=lambda v=value: v, is_max=True, period=0.5)]
+            return [ExtremeAggregator("m", lambda v=value: {"m": (v, v), "never": (None, None)},
+                                      period=0.5)]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=20, warmup=15.0)
-        assert nodes[0].protocol("extreme:m").value() == 18.0
+        table = nodes[0].protocol("extreme:m")
+        assert table.maximum("m") == 18.0
+        assert table.minimum("m") == 0.0
+        assert table.maximum("never") is None and table.minimum("never") is None
+
+
+class TestShortShareIsDropped:
+    """A share whose length differs from the local one (a peer with
+    another layout, a forged datagram) used to be zip()-merged and
+    truncated the local state for good; it is now counted and dropped."""
+
+    def _node(self, protocol):
+        sim = Simulation(seed=1)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        node = cluster.add_node(lambda n: [CyclonProtocol(), protocol])
+        return cluster, node, NodeId(99)
+
+    def test_push_sum(self):
+        proto = PushSumProtocol("p", lambda: {"a": [4.0], "bins": [1.0, 2.0, 3.0]})
+        cluster, node, peer = self._node(proto)
+        for parts in ((9.0,), (1.0,) * 5):
+            proto.on_message(peer, PushSumShare("p", 0, parts, 0.5))
+        assert cluster.metrics.counter_value("pushsum.shape_mismatch") == 2
+        assert (proto.mass("a"), proto.mass("bins"), proto.average("a")) == ([4.0], [1.0, 2.0, 3.0], 4.0)
+        proto.on_message(peer, PushSumShare("p", 0, (2.0, 1.0, 1.0, 1.0), 1.0))
+        assert (proto.mass("a"), proto.mass("bins"), proto.average("a")) == ([6.0], [2.0, 3.0, 4.0], 3.0)
+
+    def test_short_share_from_a_future_epoch_does_not_restart_the_epoch(self):
+        proto = PushSumProtocol("p", lambda: {"a": [4.0, 4.0]}, epoch_length=10.0)
+        cluster, node, peer = self._node(proto)
+        proto.on_message(peer, PushSumShare("p", 7, (1.0,), 0.5))
+        assert proto._epoch == 0 and proto.mass("a") == [4.0, 4.0]
+
+    def test_extreme_table(self):
+        table = ExtremeAggregator("t", lambda: {"x": (5.0, 5.0), "y": (None, None)})
+        cluster, node, peer = self._node(table)
+        table._round()
+        for maxima, minima in (((9.0,), (1.0,)), ((9.0, 9.0), (1.0,)), ((9.0,) * 3, (1.0,) * 3)):
+            table.on_message(peer, ExtremeShare("t", maxima, minima))
+        assert cluster.metrics.counter_value("extreme.shape_mismatch") == 3
+        assert (table.maximum("x"), table.minimum("x"), table.maximum("y")) == (5.0, 5.0, None)
+        table.on_message(peer, ExtremeShare("t", (9.0, None), (1.0, 2.0)))
+        assert (table.maximum("x"), table.minimum("x")) == (9.0, 1.0)
+        assert (table.maximum("y"), table.minimum("y")) == (None, 2.0)
+
+    def test_size_estimator(self):
+        size = ExtremaSizeEstimator(k=16)
+        cluster, node, peer = self._node(size)
+        before = (list(size._minima), size.estimate())
+        size.on_message(peer, ExtremaExchange(0, (1e-9,) * 8))  # would read N ~ 1e9
+        assert cluster.metrics.counter_value("extrema.shape_mismatch") == 1
+        assert (size._minima, size.estimate()) == before
+        assert cluster.metrics.counter_value("net.sent.size-estimator") == 0  # and no reply
+        size.on_message(peer, ExtremaExchange(0, (1e-9,) * 16))
+        assert len(size._minima) == 16 and size.estimate() > before[1]
+        assert cluster.metrics.counter_value("net.sent.size-estimator") == 1  # the push-pull reply
 
 
 class TestDistributionEstimate:
@@ -228,7 +301,20 @@ class TestDistributionEstimate:
         assert est.cdf(v) == pytest.approx(q, abs=1e-6)
 
 
+def _histogram(local, bins, weight_fn=None, **kwargs):
+    """A push-sum whose only slot is the histogram of ``local``."""
+    return PushSumProtocol(
+        "v", lambda: {"bins": local_histogram(local, 0, 100, bins, weight_fn)}, **kwargs)
+
+
+def _estimate(node):
+    return DistributionEstimate.normalised(0, 100, node.protocol("push-sum:v").mass("bins"))
+
+
 class TestHistogramEstimator:
+    """The histogram estimator is a push-sum slot plus the
+    ``DistributionEstimate.normalised`` view."""
+
     def test_gossip_histogram_matches_truth(self):
         all_values = []
 
@@ -236,12 +322,11 @@ class TestHistogramEstimator:
             local = [(f"{node.node_id.value}:{i}", float((node.node_id.value * 13 + i * 7) % 100))
                      for i in range(5)]
             all_values.extend(v for _, v in local)
-            return [HistogramEstimator("v", value_source=lambda l=local: l,
-                                       lo=0, hi=100, bins=20, period=0.5)]
+            return [_histogram(local, 20, period=0.5)]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=60, warmup=25.0)
         truth = empirical_distribution(all_values, 0, 100, 20)
-        estimate = nodes[0].protocol("histogram:v").estimate()
+        estimate = _estimate(nodes[0])
         assert estimate is not None
         assert estimate.ks_distance(truth.cdf) < 0.05
 
@@ -257,27 +342,27 @@ class TestHistogramEstimator:
             else:
                 local = [(f"u{node.node_id.value}", 90.0)]
                 weight = lambda item_id: 1.0
-            return [HistogramEstimator("v", value_source=lambda l=local: l,
-                                       lo=0, hi=100, bins=10, period=0.5,
-                                       weight_fn=weight)]
+            return [_histogram(local, 10, weight, period=0.5)]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=40, warmup=25.0)
-        estimate = nodes[1].protocol("histogram:v").estimate()
+        estimate = _estimate(nodes[1])
         assert estimate is not None
         # true distinct values: 10 low keys + 20 unique value-90 keys
         assert estimate.densities[9] > estimate.densities[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HistogramEstimator("v", lambda: [], lo=1, hi=1)
+            local_histogram([], lo=1, hi=1)
         with pytest.raises(ValueError):
-            HistogramEstimator("v", lambda: [], lo=0, hi=1, bins=0)
+            local_histogram([], lo=0, hi=1, bins=0)
+
+    def test_local_histogram_bins_and_domain(self):
+        cells = local_histogram([("a", 0.0), ("b", 49.9), ("c", 100.0), ("d", 100.1), ("e", -1.0)],
+                                0, 100, 4)
+        assert cells == [1.0, 1.0, 0.0, 1.0]  # hi lands in the last cell, outside is dropped
 
     def test_estimate_none_without_data(self):
         sim = Simulation(seed=1)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-        node = cluster.add_node(lambda n: [
-            CyclonProtocol(),
-            HistogramEstimator("v", lambda: [], lo=0, hi=1),
-        ])
-        assert node.protocol("histogram:v").estimate() is None
+        node = cluster.add_node(lambda n: [CyclonProtocol(), _histogram([], 32)])
+        assert _estimate(node) is None

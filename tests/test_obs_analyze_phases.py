@@ -59,6 +59,8 @@ class TestPhaseOf:
         ("size-estimator", "PushSumShare", "estimation", "disseminate"),
         ("tman:rank", "TManExchange", "overlay", "disseminate"),
         ("push-sum:size", "PushSumShare", "estimation", "disseminate"),
+        ("push-sum:agg", "PushSumShare", "estimation", "disseminate"),
+        ("extreme:agg", "ExtremeShare", "estimation", "disseminate"),
         ("dht", "Lookup", "baseline", "route"),
         ("chord", "Stabilize", "baseline", "route"),
     ])

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from repro.common.ids import NodeId
 from repro.epidemic import expected_coverage, fanout_for_atomic
+from repro.estimation import PushSumProtocol
 from repro.membership import CyclonProtocol
 from repro.sieve import BucketSieve, TagSieve, UniformSieve, prefix_tag
 from repro.sim import Cluster, Simulation, UniformLatency
+from repro.sim.metrics import Metrics
 from repro.store import Memtable, Version, make_tuple
 
 node_ids = st.integers(min_value=0, max_value=5000).map(NodeId)
@@ -101,6 +103,124 @@ class TestStoreInvariants:
         for item in shuffled:
             table_b.put(item)
         assert table_a.digest() == table_b.digest()
+
+
+class _PushSumWorld:
+    """Push-sum protocols on scripted hosts: the test decides who gossips
+    to whom and which share in flight is delivered (or lost) next."""
+
+    class _Host:
+        def __init__(self, world, index):
+            self.world, self.node_id = world, NodeId(index)
+            self.now, self.metrics = 0.0, world.metrics
+
+        def protocol(self, name):
+            return self  # stands in for the peer sampler
+
+        def sample_peers(self, count):
+            return [NodeId(self.world.next_peer)]
+
+        def send(self, dst, protocol, message):
+            self.world.in_flight.append((self.node_id, dst.value, message))
+
+        def set_timer(self, delay, callback):
+            return None
+
+    def __init__(self, local_values):
+        self.metrics = Metrics()
+        self.in_flight = []
+        self.next_peer = 0
+        self.nodes = []
+        for index, values in enumerate(local_values):
+            proto = PushSumProtocol("p", lambda v=values: v)
+            proto.bind(self._Host(self, index))
+            proto._reset()
+            self.nodes.append(proto)
+
+    def step(self, action, a, b):
+        if action == "round":
+            self.next_peer = b % len(self.nodes)
+            self.nodes[a % len(self.nodes)]._round()
+        elif self.in_flight:
+            sender, dst, share = self.in_flight.pop(a % len(self.in_flight))
+            if action == "deliver":
+                self.nodes[dst].on_message(sender, share)
+
+    def total(self, cell):
+        """Mass of one cell (or of the weight, cell=None) over the nodes
+        and the shares still in flight."""
+        if cell is None:
+            return (sum(n._weight for n in self.nodes)
+                    + sum(m.weight_part for _, _, m in self.in_flight))
+        return (sum(n._vector[cell] for n in self.nodes)
+                + sum(m.parts[cell] for _, _, m in self.in_flight))
+
+
+_layouts = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(
+    lambda widths: {f"s{i}": w for i, w in enumerate(widths)})
+_steps = st.lists(st.tuples(st.sampled_from(["round", "round", "deliver"]),
+                            st.integers(0, 50), st.integers(0, 50)), max_size=30)
+_cells = st.floats(min_value=0, max_value=1000).map(lambda v: round(v * 8) / 8)
+
+
+class TestPushSumVectorInvariants:
+    @given(_layouts, st.integers(2, 6), _steps, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mass_is_conserved_and_slots_equal_scalar_push_sums(self, slots, n, steps, data):
+        """Any slot layout, any delivery order (each share delivered at
+        most once): every cell and the weight are conserved over nodes
+        plus shares in flight, and every cell evolves exactly as a scalar
+        push-sum making the same peer choices would."""
+        size = sum(slots.values())
+        flat = [data.draw(st.lists(_cells, min_size=size, max_size=size)) for _ in range(n)]
+        local = []
+        for row in flat:
+            cells = iter(row)
+            local.append({slot: [next(cells) for _ in range(w)] for slot, w in slots.items()})
+        vector = _PushSumWorld(local)
+        scalars = [_PushSumWorld([{"x": [row[c]]} for row in flat])
+                   for c in range(size)]
+        before = [vector.total(c) for c in range(size)]
+        for step in steps:
+            vector.step(*step)
+            for world in scalars:
+                world.step(*step)
+        for c in range(size):
+            # eighths below 1000 halved at most 30 times add exactly in doubles
+            assert vector.total(c) == before[c]
+            assert [n._vector[c] for n in vector.nodes] == [n._vector[0] for n in scalars[c].nodes]
+        assert vector.total(None) == n
+        assert [n._weight for n in vector.nodes] == [n._weight for n in scalars[0].nodes]
+
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 100)), min_size=2, max_size=6),
+           st.lists(st.tuples(st.sampled_from(["round", "round", "deliver", "drop"]),
+                              st.integers(0, 50), st.integers(0, 50)), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_of_two_slots_stays_within_local_ratios_under_loss(self, holdings, steps):
+        """avg = mass(sum)/mass(cnt) is, at every node and every step, a
+        convex combination of the nodes' local ratios — lost shares
+        remove sum and count mass in proportion."""
+        local = [{"sum": [float(count * value)], "cnt": [float(count)]}
+                 for count, value in holdings]
+        ratios = [value for count, value in holdings if count]
+        world = _PushSumWorld(local)
+        for step in steps:
+            world.step(*step)
+            for node in world.nodes:
+                (total,), (count,) = node.mass("sum"), node.mass("cnt")
+                if count > 0:
+                    assert min(ratios) - 1e-9 <= total / count <= max(ratios) + 1e-9
+
+    def test_two_independent_push_sums_do_not_have_it(self):
+        """The counter-example the merge removes: with sum and count in
+        separate protocols one lost *count* share pushes avg outside the
+        range of any node's data."""
+        sums = _PushSumWorld([{"x": [10.0]}, {"x": [10.0]}])
+        counts = _PushSumWorld([{"x": [1.0]}, {"x": [1.0]}])
+        for world, fate in ((sums, "deliver"), (counts, "drop")):
+            world.step("round", 0, 1)
+            world.step(fate, 0, 0)
+        assert sums.nodes[1].mass("x")[0] / counts.nodes[1].mass("x")[0] == 15.0
 
 
 class TestSimulationDeterminism:

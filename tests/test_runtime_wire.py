@@ -300,6 +300,46 @@ class TestFragmentation:
             metrics.counter_value("runtime.fragments.sent")
 
 
+class TestForgedShareOverUdp:
+    def test_short_push_sum_share_is_counted_and_dropped(self):
+        """A well-formed datagram carrying a share of the wrong length
+        reaches the protocol (the codec cannot know the layout): the
+        node counts it, keeps its vector, and merges the next good one."""
+        from repro.estimation import PushSumProtocol, PushSumShare
+
+        sender = node_id_for("127.0.0.1", 31121)
+        binary = BinaryCodec()
+
+        def frame(parts):
+            share = PushSumShare("agg", 0, parts, 0.5)
+            return binary.frame([binary.encode_envelope(sender, "push-sum:agg", share)])
+
+        async def scenario():
+            proto = PushSumProtocol("agg", lambda: {"count": [4.0], "bins": [1.0, 2.0, 3.0]},
+                                    period=3600.0)  # no round of its own during the test
+            node = AsyncioNode(31120, lambda n: [proto])
+            await node.start()
+            out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                out.sendto(frame((9.0,)), ("127.0.0.1", 31120))
+                await asyncio.sleep(0.1)
+                after_forged = (node.metrics.counter_value("pushsum.shape_mismatch"),
+                                proto.mass("count"), proto.mass("bins"), proto.average("count"))
+                out.sendto(frame((2.0, 1.0, 1.0, 1.0)), ("127.0.0.1", 31120))
+                await asyncio.sleep(0.1)
+            finally:
+                out.close()
+                node.stop()
+            return after_forged, proto, node
+
+        after_forged, proto, node = run(scenario())
+        assert after_forged == (1, [4.0], [1.0, 2.0, 3.0], 4.0)
+        assert (proto.mass("count"), proto.mass("bins")) == ([6.0], [2.0, 3.0, 4.0])
+        assert proto.average("count") == 4.0  # (4 + 2) / (1 + 0.5)
+        assert node.metrics.counter_value("pushsum.shape_mismatch") == 1
+        assert node.metrics.counter_value("runtime.decode_errors") == 0
+
+
 class TestMixedCodecCluster:
     """There is none: binary is the wire, and a node that hears the JSON
     baseline's frames drops them like any other unknown datagram."""
