@@ -26,7 +26,8 @@ def coverage_cell(config: dict, seed: int) -> dict:
 
     Module-level so the parallel sweep runner can ship it to workers.
     """
-    from repro.epidemic import EagerGossip, LazyGossip
+    from repro.baselines.lazy import LazyGossip
+    from repro.epidemic import EagerGossip
     from repro.membership import CyclonProtocol
     from repro.sim import Cluster, Simulation, UniformLatency
 

@@ -11,7 +11,8 @@ shared-stream design, plus the resulting ordering quality of both.
 """
 
 from repro.membership import CyclonProtocol
-from repro.overlay import SharedMultiOverlay, TManProtocol
+from repro.baselines.multiattr import SharedMultiOverlay
+from repro.overlay import TManProtocol
 from repro.sim import Cluster, Simulation, UniformLatency
 
 from _helpers import print_table, run_once, stash

@@ -5,6 +5,13 @@
 * :class:`ChordProtocol` — the classic multi-hop structured overlay
   with successor lists, fingers and periodic stabilization; measures
   structure-maintenance cost under churn (E5b).
+
+Comparison arms the live system superseded or never assembled are
+modules here too, imported by their experiment only:
+:mod:`~repro.baselines.fulldigest` (E15), :mod:`~repro.baselines.jsonwire`
+(E16), :mod:`~repro.baselines.heartbeat` (E5b),
+:mod:`~repro.baselines.lazy` (E2) and :mod:`~repro.baselines.multiattr`
+(E10).
 """
 
 from repro.baselines.chord import ChordProtocol, chord_id, in_half_open, in_open_interval

@@ -4,8 +4,9 @@ Instead of shipping full payloads ``fanout`` times per node, a node
 gossips only item *ids* (IHAVE); peers that have not seen an id pull the
 body once (IWANT → payload). This trades one extra round-trip of latency
 for a large reduction in payload bytes — the classic network-friendly
-variant ([19], [20] in the paper). The dissemination-cost benchmarks
-(E2) compare this against eager push in bytes and messages.
+variant ([19], [20] in the paper). No stack assembles it: it is E2's
+comparison arm against the live eager push
+(:class:`~repro.epidemic.eager.EagerGossip`) in bytes and messages.
 """
 
 from __future__ import annotations

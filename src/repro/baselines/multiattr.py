@@ -7,7 +7,8 @@ recent work [34] shows that it is possible to support several
 independent such organizations [...] without ever compromising the
 resilience of the underlying protocol."
 
-Two constructions, compared by experiment E10:
+Two constructions, compared by experiment E10 and assembled by no
+stack (the live system runs one :class:`TManProtocol` per index):
 
 * :func:`naive_overlays` — one full :class:`TManProtocol` per attribute;
   k attributes cost k × (messages, bytes).

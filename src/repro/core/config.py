@@ -91,10 +91,6 @@ class DataDropletsConfig:
     # census cadence and grace from predicted survival over the recovery
     # window (claim C5; the E6 adaptive-vs-static ablation).
     redundancy_mode: str = "static"
-    adaptive_r_min: int = 2
-    adaptive_r_max: Optional[int] = None  # None: max(replication, 2*r_min)
-    adaptive_loss_tolerance: float = 1e-2
-    adaptive_recovery_window: Optional[float] = None  # None: grace + 2*period
     adaptive_min_deaths: int = 8  # completed sessions before the fit engages
 
     # storage
@@ -153,14 +149,6 @@ class DataDropletsConfig:
             raise ConfigurationError(f"unknown routing_mode {self.routing_mode!r}")
         if self.redundancy_mode not in ("static", "adaptive"):
             raise ConfigurationError(f"unknown redundancy_mode {self.redundancy_mode!r}")
-        if self.adaptive_r_min <= 0:
-            raise ConfigurationError("adaptive_r_min must be positive")
-        if self.adaptive_r_max is not None and self.adaptive_r_max < self.adaptive_r_min:
-            raise ConfigurationError("adaptive_r_max must be >= adaptive_r_min")
-        if not 0.0 < self.adaptive_loss_tolerance < 1.0:
-            raise ConfigurationError("adaptive_loss_tolerance must be in (0, 1)")
-        if self.adaptive_recovery_window is not None and self.adaptive_recovery_window <= 0:
-            raise ConfigurationError("adaptive_recovery_window must be positive when set")
         if self.adaptive_min_deaths <= 0:
             raise ConfigurationError("adaptive_min_deaths must be positive")
         if self.onehop_quarantine_window < 0:

@@ -154,10 +154,6 @@ class DataDroplets:
             self.repair_provider = AdaptiveRepairPolicy(
                 base=self.config.repair,
                 lifetimes=self.lifetimes,
-                r_min=self.config.adaptive_r_min,
-                r_max=self.config.adaptive_r_max,
-                loss_tolerance=self.config.adaptive_loss_tolerance,
-                recovery_window=self.config.adaptive_recovery_window,
             )
             liveness = self.lifetimes.is_alive
 

@@ -1,9 +1,8 @@
 """Epidemic dissemination substrates (paper §III-A).
 
-* :class:`EagerGossip` — payload-carrying push gossip (infect-and-die /
-  infect-forever), the primary write-dissemination channel.
-* :class:`LazyGossip` — lpbcast-style advertise/pull variant trading
-  latency for bandwidth.
+* :class:`EagerGossip` — payload-carrying push gossip (infect-and-die),
+  the primary write-dissemination channel. (Its lpbcast-style
+  advertise/pull comparison arm is :mod:`repro.baselines.lazy`.)
 * :class:`AntiEntropy` — periodic pairwise digest reconciliation, the
   certain-but-slow repair channel (also reused for redundancy repair).
 * :mod:`repro.epidemic.analysis` — the analytical infection model behind
@@ -31,10 +30,8 @@ from repro.epidemic.antientropy import (
     VersionedItem,
 )
 from repro.epidemic.eager import EagerGossip, FanoutSpec, GossipMessage
-from repro.epidemic.lazy import Advertisement, LazyGossip, PullReply, PullRequest
 
 __all__ = [
-    "Advertisement",
     "AntiEntropy",
     "AntiEntropyStore",
     "BucketDigestMessage",
@@ -45,9 +42,6 @@ __all__ = [
     "GossipMessage",
     "ItemsPush",
     "ItemsRequest",
-    "LazyGossip",
-    "PullReply",
-    "PullRequest",
     "VersionedItem",
     "atomic_infection_probability",
     "c_for_probability",

@@ -1,4 +1,4 @@
-"""Eager push gossip (infect-and-die / infect-forever).
+"""Eager push gossip (infect-and-die).
 
 The workhorse dissemination primitive of the persistent-state layer:
 on first receipt of an item, a node delivers it to local subscribers and
@@ -7,12 +7,6 @@ fanout ln(N)+c this achieves atomic infection w.h.p. (see
 :mod:`repro.epidemic.analysis`); with smaller fanout it reaches a
 predictable fraction of the system, which is all the uniform-sieve
 replication strategy needs (claims C1/C2).
-
-Two classic variants are provided:
-
-* ``infect-and-die`` (default): relay only on first receipt.
-* ``infect-forever``: relay on every receipt while rounds remain, bounded
-  by ``max_hops`` (costlier, slightly better tail coverage).
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ class EagerGossip(Protocol):
 
     Args:
         fanout: copies relayed per (first) receipt; int or callable.
-        mode: ``"infect-and-die"`` or ``"infect-forever"``.
         max_hops: optional hop TTL (None = unlimited; atomic infection
             analysis assumes unlimited).
         membership: name of the PeerSampler protocol on the same node.
@@ -59,16 +52,12 @@ class EagerGossip(Protocol):
     def __init__(
         self,
         fanout: FanoutSpec = 8,
-        mode: str = "infect-and-die",
         max_hops: Optional[int] = None,
         membership: str = "membership",
         seen_capacity: int = 100_000,
     ):
         super().__init__()
-        if mode not in ("infect-and-die", "infect-forever"):
-            raise ValueError(f"unknown gossip mode {mode!r}")
         self.fanout = fanout
-        self.mode = mode
         self.max_hops = max_hops
         self.membership = membership
         self.seen_capacity = seen_capacity
@@ -114,8 +103,7 @@ class EagerGossip(Protocol):
 
     # ------------------------------------------------------------------
     def _receive(self, sender: NodeId, message: GossipMessage, local: bool = False) -> None:
-        first_time = message.item_id not in self._seen
-        if first_time:
+        if message.item_id not in self._seen:
             self._remember(message.item_id)
             for deliver in self._subscribers:
                 deliver(message.item_id, message.payload, message.hops)
@@ -124,11 +112,10 @@ class EagerGossip(Protocol):
             if tracer.active:
                 tracer.event("deliver", self.host.node_id.value, self.host.now,
                              item=message.item_id, hops=message.hops)
+            if self.max_hops is None or message.hops < self.max_hops:
+                self._relay(message)
         else:
             self._c_duplicates.inc()
-        should_relay = first_time if self.mode == "infect-and-die" else True
-        if should_relay and (self.max_hops is None or message.hops < self.max_hops):
-            self._relay(message)
 
     def _relay(self, message: GossipMessage) -> None:
         fanout = self._current_fanout()

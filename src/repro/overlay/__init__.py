@@ -1,11 +1,5 @@
 """Ordered overlays for item/node ordering (paper §III-B2)."""
 
-from repro.overlay.multiattr import (
-    SharedMultiOverlay,
-    VectorDescriptor,
-    VectorExchange,
-    naive_overlays,
-)
 from repro.overlay.tman import (
     CoordinateFn,
     TManDescriptor,
@@ -17,13 +11,9 @@ from repro.overlay.tman import (
 
 __all__ = [
     "CoordinateFn",
-    "SharedMultiOverlay",
     "TManDescriptor",
     "TManExchange",
     "TManProtocol",
-    "VectorDescriptor",
-    "VectorExchange",
     "line_distance",
-    "naive_overlays",
     "ring_distance",
 ]

@@ -214,7 +214,6 @@ class RedundancyManager(Protocol):
         info: Dict[str, Any] = {
             "node": self.host.node_id.value,
             "range_key": self.sieve.range_key(),
-            "stored": len(self.memtable),
         }
         probed = probe.get("key")
         if probed is not None:

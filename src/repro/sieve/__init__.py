@@ -15,8 +15,7 @@ keep each item. Variants:
 :mod:`repro.sieve.coverage` checks the paper's coverage/replication
 correctness requirement over sieve populations, and
 :class:`BatchAdmission` (:mod:`repro.sieve.vectorized`) evaluates any
-sieve over key batches — numpy-accelerated when available, bit-exact
-either way.
+sieve over key batches, bit-exact with the per-item path.
 """
 
 from repro.sieve.adaptive import DistributionAwareSieve
@@ -31,7 +30,7 @@ from repro.sieve.keyspace import (
     node_position,
 )
 from repro.sieve.uniform import UniformSieve
-from repro.sieve.vectorized import HAVE_NUMPY, BatchAdmission, measure_admission
+from repro.sieve.vectorized import BatchAdmission, measure_admission
 
 __all__ = [
     "AcceptAllSieve",
@@ -41,7 +40,6 @@ __all__ = [
     "CapacityScaledSieve",
     "CoverageReport",
     "DistributionAwareSieve",
-    "HAVE_NUMPY",
     "Record",
     "Sieve",
     "StaticArcSieve",

@@ -1,4 +1,4 @@
-"""Batched sieve admission (numpy-accelerated, pure-python fallback).
+"""Batched sieve admission.
 
 The scalar admission path re-derives everything per item: ``admits``
 calls ``bucket_count()`` (which calls the live size-estimate function),
@@ -14,34 +14,25 @@ dominates the digest path.
   (``key_hash(id) / KEYSPACE_SIZE``) are memoised per key — an
   anti-entropy refresh after a sieve-grid move re-admits the same keys
   it hashed last round;
-* the comparison sweep runs as numpy array arithmetic when numpy is
-  importable, and as the identical Python expressions otherwise.
+* the comparison sweep is one list comprehension over the coordinates.
 
-Exactness is non-negotiable: a vectorised admission that disagrees with
+Exactness is non-negotiable: a batched admission that disagrees with
 ``sieve.admits`` on a single key silently changes replica placement. The
-numpy expressions are chosen for bit-exact float64 parity with the
-scalar code (same multiply, same truncating int conversion, same
-comparisons), and ``tests/test_sieve_vectorized.py`` asserts agreement
-across sieve types on adversarial coordinates. Sieve types the planner
-does not recognise fall back to per-item ``admits`` — always correct,
-never fast.
+sweep uses the scalar code's own expressions (same multiply, same
+truncating int conversion, same comparisons), and
+``tests/test_sieve_vectorized.py`` asserts agreement across sieve types
+on adversarial coordinates. Sieve types the planner does not recognise
+fall back to per-item ``admits`` — always correct, never fast.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.common.hashing import KEYSPACE_SIZE, key_hash
 from repro.sieve.base import AcceptAllSieve, AcceptNothingSieve, Record, Sieve, UnionSieve
 from repro.sieve.keyspace import BucketSieve, CapacityScaledSieve, StaticArcSieve
-
-try:  # numpy is optional; everything works (slower) without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: One batch item: (item id, record) — the ``admits`` argument pair.
 Item = Tuple[str, Record]
@@ -53,9 +44,6 @@ class BatchAdmission:
     Args:
         sieve: the sieve to mirror; the batch result equals
             ``[sieve.admits(k, r) for k, r in items]`` exactly.
-        use_numpy: force the backend — ``True`` raises if numpy is
-            missing, ``False`` always uses the pure-python sweep,
-            ``None`` (default) picks numpy when importable.
 
     The instance is cheap and stateless apart from the coordinate
     memo, so holding one per store is the intended usage. Parameters
@@ -64,11 +52,8 @@ class BatchAdmission:
     ring coordinate — a pure function of the key — is cached.
     """
 
-    def __init__(self, sieve: Sieve, use_numpy: Optional[bool] = None):
-        if use_numpy is True and not HAVE_NUMPY:
-            raise RuntimeError("use_numpy=True but numpy is not importable")
+    def __init__(self, sieve: Sieve):
         self.sieve = sieve
-        self.use_numpy = HAVE_NUMPY if use_numpy is None else use_numpy
         self._coord_cache: Dict[str, float] = {}
 
     # -- coordinates ----------------------------------------------------
@@ -127,12 +112,6 @@ class BatchAdmission:
         buckets = sieve.bucket_count()
         target = int(sieve.position * buckets)
         coords = self._coords(sieve.key_fn, items)
-        if self.use_numpy:
-            arr = _np.fromiter(coords, dtype=_np.float64, count=len(coords))
-            # (coord * B) truncated toward zero == Python int(coord * B)
-            # for the non-negative coords % 1.0 produces.
-            idx = _np.minimum(buckets - 1, (arr * buckets).astype(_np.int64))
-            return (idx == target).tolist()
         top = buckets - 1
         return [min(top, int(coord * buckets)) == target for coord in coords]
 
@@ -142,11 +121,6 @@ class BatchAdmission:
         half_width = (sieve.capacity / buckets) / 2.0
         center = inner.position
         coords = self._coords(inner.key_fn, items)
-        if self.use_numpy:
-            arr = _np.fromiter(coords, dtype=_np.float64, count=len(coords))
-            distance = _np.abs(arr - center)
-            distance = _np.minimum(distance, 1.0 - distance)
-            return (distance <= half_width).tolist()
         out = []
         for coord in coords:
             distance = abs(coord - center)
@@ -157,11 +131,6 @@ class BatchAdmission:
     def _eval_arc(self, sieve: StaticArcSieve, items: Sequence[Item]) -> List[bool]:
         lo, hi = sieve.lo, sieve.hi
         coords = self._coords(sieve.key_fn, items)
-        if self.use_numpy:
-            arr = _np.fromiter(coords, dtype=_np.float64, count=len(coords))
-            if lo <= hi:
-                return ((arr >= lo) & (arr < hi)).tolist()
-            return ((arr >= lo) | (arr < hi)).tolist()
         if lo <= hi:
             return [lo <= coord < hi for coord in coords]
         return [coord >= lo or coord < hi for coord in coords]
@@ -181,13 +150,13 @@ def measure_admission(
     """Time scalar vs batched admission over one synthetic key batch.
 
     Builds a :class:`BucketSieve` for a mid-ring node at population
-    ``n_estimate`` and admits the same ``n_keys`` keys via three paths:
-    per-item ``sieve.admits`` (the scalar baseline), the numpy batch
-    (when available) and the pure-python batch. Timings are steady-state
-    (coordinate memo warm, matching a store re-admitting known keys on
-    refresh); the first, cold pass is reported separately. Returns a
-    mapping with per-path seconds, the speedup ratios and an
-    ``identical`` flag over the three admission vectors.
+    ``n_estimate`` and admits the same ``n_keys`` keys via two paths:
+    per-item ``sieve.admits`` (the scalar baseline) and the batch.
+    Timings are steady-state (coordinate memo warm, matching a store
+    re-admitting known keys on refresh); the first, cold pass is
+    reported separately. Returns a mapping with per-path seconds, the
+    speedup ratio and an ``identical`` flag over the two admission
+    vectors.
     """
     from repro.common.ids import NodeId
 
@@ -209,34 +178,19 @@ def measure_admission(
     scalar_seconds = time_best(
         lambda: [sieve.admits(item_id, record) for item_id, record in items])
 
-    python_batch = BatchAdmission(sieve, use_numpy=False)
+    batch = BatchAdmission(sieve)
     start = time.perf_counter()
-    python_out = python_batch.admits_batch(items)
-    cold_python = time.perf_counter() - start
-    python_seconds = time_best(lambda: python_batch.admits_batch(items))
+    batch_out = batch.admits_batch(items)
+    cold_batch = time.perf_counter() - start
+    batch_seconds = time_best(lambda: batch.admits_batch(items))
 
-    result: Dict[str, Any] = {
+    return {
         "n_keys": n_keys,
-        "have_numpy": HAVE_NUMPY,
         "scalar_seconds": scalar_seconds,
         "scalar_cold_seconds": cold_scalar,
-        "python_batch_seconds": python_seconds,
-        "python_batch_cold_seconds": cold_python,
-        "python_speedup": scalar_seconds / python_seconds if python_seconds else float("inf"),
-        "identical": python_out == scalar,
+        "batch_seconds": batch_seconds,
+        "batch_cold_seconds": cold_batch,
+        # the e17 gate ratio: batched path vs scalar
+        "speedup": scalar_seconds / batch_seconds if batch_seconds else float("inf"),
+        "identical": batch_out == scalar,
     }
-    if HAVE_NUMPY:
-        numpy_batch = BatchAdmission(sieve, use_numpy=True)
-        start = time.perf_counter()
-        numpy_out = numpy_batch.admits_batch(items)
-        cold_numpy = time.perf_counter() - start
-        numpy_seconds = time_best(lambda: numpy_batch.admits_batch(items))
-        result["numpy_batch_seconds"] = numpy_seconds
-        result["numpy_batch_cold_seconds"] = cold_numpy
-        result["numpy_speedup"] = (
-            scalar_seconds / numpy_seconds if numpy_seconds else float("inf"))
-        result["identical"] = result["identical"] and numpy_out == scalar
-    #: the gate ratio: best batched path vs scalar
-    best_batch = min(python_seconds, result.get("numpy_batch_seconds", float("inf")))
-    result["speedup"] = scalar_seconds / best_batch if best_batch else float("inf")
-    return result

@@ -64,6 +64,14 @@ from repro.store.tuples import Version, VersionedTuple, ZERO_VERSION, make_tuple
 #: Supplies current storage-layer entry points (alive storage node ids).
 StorageDirectory = Callable[[], List[NodeId]]
 
+#: Extra entry points tried for an epidemic read.
+FLOOD_RETRIES = 2
+MULTIGET_TIMEOUT = 5.0
+SCAN_HOP_BUDGET = 64
+AGGREGATE_TIMEOUT = 3.0
+#: Forwards of a misrouted op before giving up on a loop.
+REDIRECT_HOP_BUDGET = 3
+
 
 @message_type
 @dataclass(frozen=True)
@@ -90,11 +98,7 @@ class SoftStateConfig:
     write_retries: int = 2
     read_fanout: int = 2  # hint nodes probed in parallel
     read_timeout: float = 3.0
-    flood_retries: int = 2  # extra entry points tried for epidemic reads
-    multiget_timeout: float = 5.0
     scan_timeout: float = 8.0
-    scan_hop_budget: int = 64
-    aggregate_timeout: float = 3.0
     cache_capacity: int = 10_000
     hint_capacity: int = 8  # remembered storage nodes per key
     fallback_flush_period: float = 4.0  # retry dissemination of parked writes
@@ -102,7 +106,6 @@ class SoftStateConfig:
     # owner (RedirectedOp) instead of bouncing an error to the client.
     # Enabled by the facade when DataDropletsConfig.routing_mode="onehop".
     redirect_misrouted: bool = False
-    redirect_hop_budget: int = 3  # forwards before giving up on a loop
 
     def __post_init__(self) -> None:
         if self.ack_quorum <= 0:
@@ -511,7 +514,7 @@ class SoftStateProtocol(Protocol):
         state = self._reads.get(read_id)
         if state is None or state.done:
             return
-        if state.flood_attempts <= self.config.flood_retries:
+        if state.flood_attempts <= FLOOD_RETRIES:
             # Hinted probes (or a previous flood) went unanswered — escalate
             # under the op's trace context (timers drop the ambient one).
             with self.host.tracer.activate(state.ctx):
@@ -604,7 +607,7 @@ class SoftStateProtocol(Protocol):
                 client=None,
                 on_done=lambda k, item, mid=mg_id: self._multiget_item(mid, k, item),
             )
-        self.host.set_timer(self.config.multiget_timeout, lambda: self._multiget_deadline(mg_id))
+        self.host.set_timer(MULTIGET_TIMEOUT, lambda: self._multiget_deadline(mg_id))
 
     def _handle_batch_reply(self, reply: BatchReadReply) -> None:
         state = self._multigets.get(reply.read_id)
@@ -677,7 +680,7 @@ class SoftStateProtocol(Protocol):
                 state.low,
                 state.high,
                 self.host.node_id,
-                hops_left=self.config.scan_hop_budget,
+                hops_left=SCAN_HOP_BUDGET,
                 routing=True,
             ),
         )
@@ -747,7 +750,7 @@ class SoftStateProtocol(Protocol):
             message.request_id, client, message.attribute, message.kind
         )
         self._dispatch_aggregate(query_id)
-        self.host.set_timer(self.config.aggregate_timeout, lambda: self._aggregate_deadline(query_id))
+        self.host.set_timer(AGGREGATE_TIMEOUT, lambda: self._aggregate_deadline(query_id))
 
     def _dispatch_aggregate(self, query_id: str) -> None:
         state = self._aggregates.get(query_id)
@@ -775,7 +778,7 @@ class SoftStateProtocol(Protocol):
         if not state.retried:
             state.retried = True
             self._dispatch_aggregate(query_id)
-            self.host.set_timer(self.config.aggregate_timeout, lambda: self._aggregate_deadline(query_id))
+            self.host.set_timer(AGGREGATE_TIMEOUT, lambda: self._aggregate_deadline(query_id))
         else:
             self._finish_aggregate(query_id, state, ok=False, error="aggregate timeout")
 
@@ -837,7 +840,7 @@ class SoftStateProtocol(Protocol):
             and origin is not None
             and owner is not None
             and owner != self.host.node_id
-            and hops < self.config.redirect_hop_budget
+            and hops < REDIRECT_HOP_BUDGET
         ):
             self.host.metrics.counter("onehop.stale_routes").inc()
             tracer = self.host.tracer

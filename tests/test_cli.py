@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _scale_completed, build_parser, main
 
 
 class TestParser:
@@ -84,3 +84,7 @@ class TestExecution:
         assert doc["passed"] is True
         assert doc["gates"]["determinism_identical"] is True
         assert doc["metrics"]["n_nodes"] == 400
+        # the scale gate reads the run's replica map, so it can fail
+        assert doc["gates"]["scale_completed"] is True
+        assert not _scale_completed({})
+        assert not _scale_completed({**doc["metrics"]["replicas"], "item-x": 0})

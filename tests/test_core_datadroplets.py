@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from repro import (
 )
 from repro.core.config import IndexSpec as CoreIndexSpec
 from repro.common.errors import ConfigurationError
+from repro.epidemic import EagerGossip
+from repro.sieve import BatchAdmission
 from repro.softstate.coordinator import SoftStateConfig
 
 
@@ -172,13 +175,18 @@ class TestDefaultsAreTheMeasuredPath:
     a predecessor, and the live system does not even import one."""
 
     RETIRED = {"lazy_gossip", "gossip_mode", "fixed_fanout", "shared_overlays",
-               "soft_failure_detection", "epidemic_read_fallback", "auto_rebuild"}
+               "soft_failure_detection", "epidemic_read_fallback", "auto_rebuild",
+               "adaptive_r_min", "adaptive_r_max", "adaptive_loss_tolerance",
+               "adaptive_recovery_window", "flood_retries", "multiget_timeout",
+               "scan_hop_budget", "aggregate_timeout", "redirect_hop_budget"}
 
     def test_retired_options_are_not_config_fields(self):
         names = {f.name for cls in (DataDropletsConfig, SoftStateConfig)
                  for f in dataclasses.fields(cls)}
         assert not names & self.RETIRED
         assert DataDropletsConfig().routing_mode == "legacy"  # waits for ROADMAP item 1
+        assert "mode" not in inspect.signature(EagerGossip).parameters
+        assert "use_numpy" not in inspect.signature(BatchAdmission).parameters
 
     def test_default_run_speaks_one_anti_entropy_exchange(self):
         dd = DataDroplets(DataDropletsConfig(
@@ -206,9 +214,11 @@ class TestDefaultsAreTheMeasuredPath:
             "import sys\n"
             "import repro, repro.core.datadroplets, repro.core.storage, repro.runtime.host\n"
             "from repro.common.messages import registered_message_types\n"
+            "assert 'numpy' not in sys.modules\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('repro.baselines'))\n"
             "assert not loaded, loaded\n"
-            "retired = {'DigestMessage', 'SoftHeartbeat', 'HistogramShare'} & set(registered_message_types())\n"
+            "retired = {'DigestMessage', 'SoftHeartbeat', 'HistogramShare', 'Advertisement',\n"
+            "           'PullRequest', 'PullReply', 'VectorExchange'} & set(registered_message_types())\n"
             "assert not retired, retired\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))

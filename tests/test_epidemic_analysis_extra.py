@@ -5,9 +5,9 @@ import math
 import pytest
 
 from repro.common.ids import NodeId
-from repro.epidemic import EagerGossip, LazyGossip
+from repro.baselines.lazy import Advertisement, LazyGossip, PullReply, PullRequest
+from repro.epidemic import EagerGossip
 from repro.epidemic.eager import GossipMessage
-from repro.epidemic.lazy import Advertisement, PullReply, PullRequest
 from repro.membership import CyclonProtocol
 from repro.sim import Cluster, FixedLatency, Simulation
 

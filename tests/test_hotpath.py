@@ -20,14 +20,14 @@ import repro.baselines.chord  # noqa: F401
 import repro.baselines.dht  # noqa: F401
 import repro.baselines.fulldigest  # noqa: F401
 import repro.baselines.heartbeat  # noqa: F401
+import repro.baselines.lazy  # noqa: F401
+import repro.baselines.multiattr  # noqa: F401
 import repro.epidemic.antientropy  # noqa: F401
 import repro.epidemic.eager  # noqa: F401
-import repro.epidemic.lazy  # noqa: F401
 import repro.estimation.extrema  # noqa: F401
 import repro.estimation.histogram  # noqa: F401
 import repro.estimation.pushsum  # noqa: F401
 import repro.membership.cyclon  # noqa: F401
-import repro.overlay.multiattr  # noqa: F401
 import repro.overlay.tman  # noqa: F401
 import repro.randomwalk.walker  # noqa: F401
 import repro.softstate.coordinator  # noqa: F401

@@ -4,13 +4,8 @@ import pytest
 
 from repro.common.ids import NodeId
 from repro.membership import CyclonProtocol
-from repro.overlay import (
-    SharedMultiOverlay,
-    TManProtocol,
-    line_distance,
-    naive_overlays,
-    ring_distance,
-)
+from repro.baselines.multiattr import SharedMultiOverlay, naive_overlays
+from repro.overlay import TManProtocol, line_distance, ring_distance
 from repro.sim import Cluster, PoissonChurn, Simulation, UniformLatency
 
 from tests.conftest import build_connected

@@ -3,7 +3,7 @@
 The batch planner exists purely for speed — any disagreement with
 ``sieve.admits`` on any key silently changes replica placement, so every
 test here is ultimately one assertion: batch == scalar, across sieve
-types, backends and adversarial ring coordinates.
+types and adversarial ring coordinates.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from repro.sieve import (
     UniformSieve,
     UnionSieve,
 )
-from repro.sieve.vectorized import HAVE_NUMPY, BatchAdmission, measure_admission
+from repro.sieve.vectorized import BatchAdmission, measure_admission
 from repro.store.tuples import Version, VersionedTuple
-
-BACKENDS = [False] + ([True] if HAVE_NUMPY else [])
 
 
 def _items(n: int = 400):
@@ -49,31 +47,28 @@ def _sieves():
 
 
 class TestParity:
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_all_sieve_types_match_scalar(self, use_numpy):
+    def test_all_sieve_types_match_scalar(self):
         items = _items()
         for sieve in _sieves():
-            batch = BatchAdmission(sieve, use_numpy=use_numpy)
+            batch = BatchAdmission(sieve)
             expected = [sieve.admits(item_id, record) for item_id, record in items]
             assert batch.admits_batch(items) == expected, sieve.describe()
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_boundary_coordinates(self, use_numpy):
-        # coords landing exactly on bucket edges are where a vectorised
-        # floor/truncate could diverge from Python's int()
+    def test_boundary_coordinates(self):
+        # coords landing exactly on arc edges, and outside [0, 1) before
+        # the modulo, are where a batched sweep could diverge
         sieve = StaticArcSieve(0.25, 0.75, key_fn=lambda item_id, record: record["c"])
         coords = [0.0, 0.25, 0.25 - 1e-16, 0.5, 0.75, 0.75 - 1e-16, 0.999999, 1.0, 1.5, -0.25]
         items = [(f"k{i}", {"c": c}) for i, c in enumerate(coords)]
-        batch = BatchAdmission(sieve, use_numpy=use_numpy)
+        batch = BatchAdmission(sieve)
         assert batch.admits_batch(items) == [
             sieve.admits(item_id, record) for item_id, record in items]
 
-    @pytest.mark.parametrize("use_numpy", BACKENDS)
-    def test_live_size_estimate_reresolved_per_batch(self, use_numpy):
+    def test_live_size_estimate_reresolved_per_batch(self):
         estimate = {"n": 100.0}
         sieve = BucketSieve(NodeId(2), replication=4,
                             size_estimate_fn=lambda: estimate["n"])
-        batch = BatchAdmission(sieve, use_numpy=use_numpy)
+        batch = BatchAdmission(sieve)
         items = _items(200)
         for n in (100.0, 3200.0):  # grid jumps from 32 to 1024 buckets
             estimate["n"] = n
@@ -103,19 +98,6 @@ class TestCoordinateMemo:
         out2 = batch.admits_batch([("k", {"c": 0.9})])  # same key, moved record
         assert out1 == [True] and out2 == [False]
         assert not batch._coord_cache
-
-
-class TestBackendSelection:
-    def test_force_numpy_without_numpy_raises(self, monkeypatch):
-        import repro.sieve.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "HAVE_NUMPY", False)
-        with pytest.raises(RuntimeError, match="numpy"):
-            vectorized.BatchAdmission(AcceptAllSieve(), use_numpy=True)
-
-    def test_default_backend_follows_availability(self):
-        batch = BatchAdmission(AcceptAllSieve())
-        assert batch.use_numpy == HAVE_NUMPY
 
 
 class TestStoreIntegration:
@@ -162,5 +144,3 @@ class TestMeasurement:
         assert out["n_keys"] == 3000
         assert out["scalar_seconds"] > 0
         assert out["speedup"] > 0
-        if HAVE_NUMPY:
-            assert "numpy_speedup" in out
