@@ -2,18 +2,17 @@
 
 Every bench prints a paper-shaped table (run pytest with ``-s`` to see
 it) and stores the same rows in ``benchmark.extra_info`` so the numbers
-survive in the pytest-benchmark JSON output. :func:`write_artifact`
-additionally drops a ``BENCH_<id>.json`` next to the run so CI and the
-CLI ``--check`` gates leave a machine-readable record of what was
-measured and which gates passed.
+survive in the pytest-benchmark JSON output. :func:`write_artifact` is
+the writer ``repro bench --check`` uses: it drops a ``BENCH_<id>.json``
+next to the run, a machine-readable record of what was measured and
+which gates passed.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
+
+from repro.cli import write_artifact  # noqa: F401 - re-exported for the benches
 
 
 def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -61,37 +60,3 @@ def run_once(benchmark, fn: Callable[[], Any]) -> Any:
 
 def stash(benchmark, key: str, rows: List[Dict[str, Any]]) -> None:
     benchmark.extra_info[key] = rows
-
-
-def write_artifact(
-    bench_id: str,
-    metrics: Dict[str, Any],
-    gates: Optional[Dict[str, bool]] = None,
-    directory: Optional[str] = None,
-) -> str:
-    """Write ``BENCH_<id>.json`` and return its path.
-
-    The artifact layout is deliberately flat and stable::
-
-        {"id": ..., "unix_time": ..., "metrics": {...},
-         "gates": {...}, "passed": <all gates true>}
-
-    ``metrics`` must be JSON-serialisable (numbers, strings, lists,
-    dicts); non-serialisable values are stringified rather than failing
-    the bench that produced them. ``gates`` maps gate name to pass/fail;
-    ``passed`` is their conjunction (vacuously true with no gates, e.g.
-    a measurement-only run). ``directory`` defaults to the current
-    working directory — the repo root in CI.
-    """
-    doc = {
-        "id": bench_id,
-        "unix_time": time.time(),
-        "metrics": metrics,
-        "gates": dict(gates or {}),
-        "passed": all((gates or {}).values()),
-    }
-    path = os.path.join(directory or os.getcwd(), f"BENCH_{bench_id}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return path

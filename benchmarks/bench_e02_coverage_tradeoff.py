@@ -13,7 +13,7 @@ lazy (advertise/pull) dissemination in bytes.
 import math
 
 from repro.epidemic import expected_coverage
-from repro.sim import SweepCell, require_ok, run_sweep
+from repro.sim.sweep import SweepCell, require_ok, run_sweep
 
 from _helpers import print_table, run_once, stash
 

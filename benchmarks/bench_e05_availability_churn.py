@@ -14,7 +14,7 @@ while DataDroplets stays near-flat.
 
 from repro import DataDroplets, DataDropletsConfig, TimeoutError_, UnavailableError
 from repro.baselines import DhtConfig, DhtStore, UnavailableInDht
-from repro.sim import SweepCell, require_ok, run_sweep
+from repro.sim.sweep import SweepCell, require_ok, run_sweep
 
 from _helpers import print_table, run_once, stash
 

@@ -27,9 +27,9 @@ serial join storms.
 
 import os
 
-from repro.baselines.routebench import gate_results, min_hop_ratio, three_way
+from repro.baselines.routebench import gate_results, three_way
 
-from _helpers import print_table, run_once, stash, write_artifact
+from _helpers import print_table, run_once, stash
 
 N = int(os.environ.get("E05B_NODES", "200"))
 LOOKUPS = int(os.environ.get("E05B_LOOKUPS", "120"))
@@ -70,32 +70,11 @@ def test_e05b_routing_three_way(benchmark):
                   "bytes", "extrapolated"], r)) for r in table
     ])
     gates = gate_results(rows)
-    write_artifact("e05b", {
-        "n_nodes": N,
-        "lookups": LOOKUPS,
-        "rows": {mode: {
-            "mean_hops": row.mean_hops,
-            "one_hop_fraction": row.one_hop_fraction,
-            "p50_latency_ms": row.p50_latency_ms,
-            "p99_latency_ms": row.p99_latency_ms,
-            "maint_bytes_per_node_s": row.maint_bytes_per_node_s,
-            "maint_msgs_per_node_s": row.maint_msgs_per_node_s,
-            "lookups_resolved": row.lookups_resolved,
-            "lookups_issued": row.lookups_issued,
-            "simulated_nodes": row.simulated_nodes,
-            "extrapolated": row.extrapolated,
-        } for mode, row in rows.items()},
-    }, gates)
-
     chord, mesh, onehop = rows["chord"], rows["mesh"], rows["onehop"]
-    # ≥99% of single-hop lookups resolve in one hop at steady state.
-    assert onehop.one_hop_fraction >= 0.99
-    # Routing win vs chord (4x at N>=1000, log-scaled below).
-    assert chord.mean_hops / onehop.mean_hops >= min_hop_ratio(N)
-    # Maintenance within a small constant of chord's...
-    assert onehop.maint_bytes_per_node_s <= 3.0 * chord.maint_bytes_per_node_s
-    # ...while the mesh pays O(N) per node — the cost single-hop removes.
+    # The mesh pays O(N) per node — the cost single-hop removes.
     assert mesh.maint_bytes_per_node_s > 2.0 * onehop.maint_bytes_per_node_s
     # One-hop's p99 latency beats chord's p50: fewer hops, less tail.
     assert onehop.p99_latency_ms < chord.p99_latency_ms
+    # >= 99% one-hop lookups, the hop win vs chord (4x at N >= 1000,
+    # log-scaled below) and maintenance within 3x of chord's.
     assert all(gates.values()), gates

@@ -19,9 +19,9 @@ import statistics
 
 from repro import DataDroplets, DataDropletsConfig
 from repro.randomwalk import walks_needed
-from repro.redundancy.churnbench import measure_redundancy_modes
+from repro.redundancy import churnbench
 
-from _helpers import print_table, run_once, stash, write_artifact
+from _helpers import print_table, run_once, stash
 
 N = 48
 R = 5
@@ -171,7 +171,7 @@ def test_e06_adaptive_vs_static_redundancy(benchmark):
     maintenance bytes at equal-or-better post-heal durability."""
 
     def experiment():
-        results = measure_redundancy_modes(
+        results = churnbench.measure_redundancy_modes(
             seed=608, n_storage=32, keys=24,
             churn_duration=150.0, heal_duration=50.0,
         )
@@ -200,14 +200,6 @@ def test_e06_adaptive_vs_static_redundancy(benchmark):
             "min_replicas", "mean_replicas")})
         for mode, row in results.items()
     ])
-    static, adaptive = results["static"], results["adaptive"]
-    ratio = adaptive["maintenance_bytes"] / static["maintenance_bytes"]
-    gates = {
-        "adaptive_saves_30pct": ratio <= 0.7,
-        "no_lost_acked_writes": (static["lost_keys"] == 0
-                                 and adaptive["lost_keys"] == 0),
-        "replica_floor_2": (static["min_replicas"] >= 2
-                            and adaptive["min_replicas"] >= 2),
-    }
-    write_artifact("e06", {"byte_ratio": ratio, "modes": results}, gates)
+    # >= 30% fewer maintenance bytes, no lost acked write, replica floor 2.
+    gates = churnbench.gates(results)
     assert all(gates.values()), gates

@@ -19,6 +19,7 @@ datagrams = sends), the binary rows run on sockets.
 
 from repro.baselines import jsonwire
 from repro.common.codec import BinaryCodec
+from repro.runtime import wirebench
 from repro.runtime.wirebench import codec_throughput, json_wire_cost, measure_wire_cost
 
 from _helpers import print_table, run_once, stash
@@ -49,14 +50,11 @@ def test_e16_bytes_and_datagrams(benchmark):
     stash(benchmark, "wire_grid", [
         {k: v for k, v in cell.items() if k != "delivered"} for cell in cells
     ])
-    baseline, uncoalesced, optimised = cells
-    # Identical protocol behaviour: batching must not change what gets
-    # delivered, only what it costs.
-    assert optimised["delivered"] == uncoalesced["delivered"], (
-        "coalescing delivered a different message multiset")
-    # Acceptance gates: >= 2x payload-byte and >= 2x datagram reduction.
-    assert baseline["bytes_per_message"] / optimised["bytes_per_message"] >= 2.0
-    assert baseline["datagrams"] / optimised["datagrams"] >= 2.0
+    # Acceptance gates: >= 2x payload-byte and >= 2x datagram reduction,
+    # and identical protocol behaviour: batching must not change what
+    # gets delivered, only what it costs.
+    gates = wirebench.gates(cells)
+    assert all(gates.values()), gates
 
 
 def test_e16_codec_throughput(benchmark):

@@ -17,10 +17,15 @@ Paper-scale N (50k-100k nodes) is exercised by ``repro bench e17``,
 not here — CI benches stay minutes-not-hours.
 """
 
-import os
 import pickle
 
-from repro.sim.shardbench import measure_scale, verify_determinism
+from repro.sim.shardbench import (
+    measure_scale,
+    scale_completed,
+    sieve_gates,
+    usable_cpus,
+    verify_determinism,
+)
 from repro.sieve.vectorized import measure_admission
 
 from _helpers import print_table, run_once, stash, write_artifact
@@ -28,13 +33,6 @@ from _helpers import print_table, run_once, stash, write_artifact
 N_SCALE = 4000
 N_DETERMINISM = 200
 SHARDS = 2
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
 
 
 def test_e17_sharded_scale(benchmark):
@@ -45,7 +43,7 @@ def test_e17_sharded_scale(benchmark):
         return {
             "n_nodes": N_SCALE,
             "shards": SHARDS,
-            "cpus": _usable_cpus(),
+            "cpus": usable_cpus(),
             "single_wall_s": single.wall_seconds,
             "sharded_wall_s": sharded.wall_seconds,
             "speedup": single.wall_seconds / sharded.wall_seconds,
@@ -64,7 +62,7 @@ def test_e17_sharded_scale(benchmark):
     write_artifact("e17_scale", row, gates={"identical": row["identical"]})
     assert row["identical"], "sharded scale run diverged from single-process"
     # replicas must exist and be non-degenerate (sieve admission ran)
-    assert row["replicas"] and all(v > 0 for v in row["replicas"].values())
+    assert scale_completed(row["replicas"])
 
 
 def test_e17_determinism_under_faults(benchmark):
@@ -96,9 +94,7 @@ def test_e17_vectorised_sieve(benchmark):
          ("batch", row["batch_seconds"], row["speedup"])],
     )
     stash(benchmark, "sieve", [row])
-    write_artifact("e17_sieve", row, gates={
-        "identical": row["identical"],
-        "speedup_3x": row["speedup"] >= 3.0,
-    })
-    assert row["identical"], "batched admission disagreed with sieve.admits"
-    assert row["speedup"] >= 3.0, f"batched admission only {row['speedup']:.1f}x"
+    # bit-identical admissions and a >= 3x batched speedup
+    gates = sieve_gates(row)
+    write_artifact("e17_sieve", row, gates=gates)
+    assert all(gates.values()), gates

@@ -17,7 +17,7 @@ The wider 25-seed acceptance campaign is exercised by
 """
 
 from repro.check.explorer import run_case
-from repro.check.stabbench import measure_selfstabilisation
+from repro.check import stabbench
 
 from _helpers import print_table, run_once, stash, write_artifact
 
@@ -27,7 +27,7 @@ BOUND = 8
 
 def test_e18_corruptions_heal_within_bound(benchmark):
     def experiment():
-        return measure_selfstabilisation(seeds=SEEDS, bound_rounds=BOUND)
+        return stabbench.measure_selfstabilisation(seeds=SEEDS, bound_rounds=BOUND)
 
     cell = run_once(benchmark, experiment)
     rows = [
@@ -43,13 +43,7 @@ def test_e18_corruptions_heal_within_bound(benchmark):
         rows,
     )
     stash(benchmark, "heal", rows)
-    gates = {
-        "corruptions_injected": cell["injected"] > 0,
-        "all_detected": cell["detected"] == cell["injected"],
-        "all_healed": cell["healed"] == cell["injected"],
-        "healed_within_bound": cell["max_rounds"] <= BOUND,
-        "no_violations": cell["violations"] == 0,
-    }
+    gates = stabbench.gates(cell)
     write_artifact("e18_heal", cell, gates=gates)
     assert all(gates.values()), gates
 

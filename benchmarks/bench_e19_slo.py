@@ -15,7 +15,7 @@ smoke scale (24 storage nodes, 8 virtual seconds per cell).
 
 from repro.obs.slobench import SloBenchConfig, measure_graceful_degradation
 
-from _helpers import print_table, run_once, stash, write_artifact
+from _helpers import print_table, run_once, stash
 
 CFG = SloBenchConfig(nodes=24, soft=3, seed=42, duration=8.0, rate=80.0,
                      drain=4.0)
@@ -41,5 +41,4 @@ def test_e19_overload_degrades_gracefully(benchmark):
         rows,
     )
     stash(benchmark, "cells", rows)
-    write_artifact("e19", doc["metrics"], gates=doc["gates"])
     assert doc["passed"], doc["gates"]

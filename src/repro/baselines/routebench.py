@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional
 
 from repro.baselines.chord import ChordProtocol, chord_id
 from repro.baselines.heartbeat import SoftMembership
@@ -341,20 +341,77 @@ def min_hop_ratio(n: int) -> float:
     return max(2.0, 0.4 * math.log2(max(n, 4)))
 
 
+def ratios(rows: Dict[str, ModeResult]) -> Dict[str, float]:
+    """Chord's mean hops over onehop's, and onehop's maintenance bytes
+    over chord's."""
+    chord, onehop = rows["chord"], rows["onehop"]
+    return {
+        "hop_ratio": chord.mean_hops / onehop.mean_hops if onehop.mean_hops else 0.0,
+        "maintenance_byte_ratio": (
+            onehop.maint_bytes_per_node_s / chord.maint_bytes_per_node_s
+            if chord.maint_bytes_per_node_s
+            else float("inf")
+        ),
+    }
+
+
 def gate_results(rows: Dict[str, ModeResult]) -> Dict[str, bool]:
-    """The e05b --check gates (evaluated chord vs onehop)."""
-    chord = rows["chord"]
-    onehop = rows["onehop"]
-    hop_ratio = (chord.mean_hops / onehop.mean_hops) if onehop.mean_hops else 0.0
-    byte_ratio = (
-        onehop.maint_bytes_per_node_s / chord.maint_bytes_per_node_s
-        if chord.maint_bytes_per_node_s
-        else float("inf")
-    )
+    """The e05b gates (evaluated chord vs onehop)."""
+    chord, onehop = rows["chord"], rows["onehop"]
+    measured = ratios(rows)
     needed = min_hop_ratio(onehop.nodes)
     return {
         "onehop_fraction_ge_99pct": onehop.one_hop_fraction >= 0.99,
-        f"hop_ratio_ge_{needed:g}x": hop_ratio >= needed,
-        "maintenance_within_3x_of_chord": byte_ratio <= 3.0,
+        f"hop_ratio_ge_{needed:g}x": measured["hop_ratio"] >= needed,
+        "maintenance_within_3x_of_chord": measured["maintenance_byte_ratio"] <= 3.0,
         "lookups_resolved": onehop.lookups_resolved > 0 and chord.lookups_resolved > 0,
     }
+
+
+def run(*, nodes: int = 1000, seed: int = 7, churn_rate: Optional[float] = None,
+        window: float = 20.0, lookups: int = 400, mesh_cap: int = 300) -> Dict[str, Any]:
+    """Routing three-way: chord vs heartbeat mesh vs single-hop.
+
+    One row per mode at ``nodes`` under PoissonChurn (``churn_rate``
+    crash events/s, default one per 2000 node-seconds): lookup path
+    length over ``lookups`` lookups, latency percentiles, and
+    steady-state maintenance bytes/node/s over a ``window``-second
+    window. The mesh row is simulated up to ``mesh_cap`` nodes and
+    scaled beyond (its per-node cost is exactly O(N)). Gates: >= 99 %
+    one-hop lookups, a hop reduction vs chord of 4x at N >= 1000
+    (log-scaled below), and maintenance within 3x of chord's.
+    """
+    rows = three_way(nodes, seed=seed, churn_rate=churn_rate,
+                     maintenance_window=window, lookups=lookups, mesh_cap=mesh_cap)
+    checks = gate_results(rows)
+    return {
+        "metrics": {
+            "n_nodes": nodes,
+            "lookups": lookups,
+            **ratios(rows),
+            "rows": {mode: {k: v for k, v in asdict(row).items() if k != "latencies_ms"}
+                     for mode, row in rows.items()},
+        },
+        "gates": checks,
+        "passed": all(checks.values()),
+    }
+
+
+def render(doc: Dict[str, Any]) -> str:
+    metrics = doc["metrics"]
+    lines = []
+    for mode in ("chord", "mesh", "onehop"):
+        row = metrics["rows"][mode]
+        note = f"  [{row['notes']}]" if row["notes"] else ""
+        lookup_part = (
+            f"p50 {row['p50_latency_ms']:>6.1f}ms  p99 {row['p99_latency_ms']:>6.1f}ms  "
+            f"resolved {row['lookups_resolved']}/{row['lookups_issued']}"
+            if row["lookups_issued"]
+            else "lookups one-hop by construction"
+        )
+        lines.append(f"  {mode:<7} hops {row['mean_hops']:>5.2f}  "
+                     f"one-hop {row['one_hop_fraction']:>6.1%}  {lookup_part}  "
+                     f"maint {row['maint_bytes_per_node_s']:>9,.0f} B/node/s{note}")
+    lines.append(f"  hop reduction {metrics['hop_ratio']:.1f}x;  onehop maintenance "
+                 f"{metrics['maintenance_byte_ratio']:.2f}x chord's")
+    return "\n".join(lines)

@@ -5,14 +5,18 @@ Usage::
     python -m repro demo                 # boot a system, CRUD + scan + aggregate
     python -m repro churn --rate 1.0     # availability under churn
     python -m repro estimate -n 300      # size-estimation convergence demo
+    python -m repro bench e15 --check    # one gated experiment (see 'info')
     python -m repro info                 # inventory and experiment index
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import sys
-from typing import List, Optional
+import typing
+from typing import Any, Dict, List, Optional
 
 from repro import DataDroplets, DataDropletsConfig, IndexSpec, __version__
 
@@ -23,10 +27,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print()
     print("subsystems: sim, membership, epidemic, estimation, sieve,")
     print("            randomwalk, redundancy, overlay, store, softstate,")
-    print("            core, baselines (one-hop DHT + Chord), workloads,")
-    print("            processing, runtime (asyncio/UDP)")
+    print("            core, processing, workloads, obs, check,")
+    print("            baselines (comparison arms), runtime (asyncio/UDP)")
     print()
-    print("experiments: pytest benchmarks/ --benchmark-only -s   (E1..E13)")
+    print("experiments: pytest benchmarks/ --benchmark-only -s")
+    print(f"gated:       repro bench {{{','.join(EXPERIMENTS)}}} [--check]")
     print("tests:       pytest tests/")
     return 0
 
@@ -108,560 +113,78 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_coverage_cell(config: dict, seed: int) -> dict:
-    """One sweep cell: eager-gossip coverage at a given fanout.
+#: ``repro bench`` ids and the module holding each gated experiment. Its
+#: ``run(**params)`` measures and returns a doc with ``metrics``, ``gates``
+#: and ``passed``; its ``render(doc)`` formats the rows. The keyword
+#: parameters of ``run`` are the experiment's only flags, and its
+#: signature holds their only defaults.
+EXPERIMENTS = {
+    "e05b": "repro.baselines.routebench",
+    "e06": "repro.redundancy.churnbench",
+    "e15": "repro.epidemic.costbench",
+    "e16": "repro.runtime.wirebench",
+    "e17": "repro.sim.shardbench",
+    "e18": "repro.check.stabbench",
+    "e19": "repro.obs.slobench",
+}
 
-    Module-level so :func:`repro.sim.sweep.run_sweep` can ship it to
-    worker processes; all randomness flows from ``seed``.
+#: Short spellings of experiment flags.
+_SHORT_FLAGS = {"items": "-n"}
+
+
+def write_artifact(
+    bench_id: str,
+    metrics: Dict[str, Any],
+    gates: Optional[Dict[str, bool]] = None,
+    directory: Optional[str] = None,
+) -> str:
+    """Write ``BENCH_<id>.json`` and return its path.
+
+    The artifact layout is deliberately flat and stable::
+
+        {"id": ..., "unix_time": ..., "metrics": {...},
+         "gates": {...}, "passed": <all gates true>}
+
+    ``metrics`` must be JSON-serialisable (numbers, strings, lists,
+    dicts); non-serialisable values are stringified rather than failing
+    the bench that produced them. ``gates`` maps gate name to pass/fail;
+    ``passed`` is their conjunction (vacuously true with no gates, e.g.
+    a measurement-only run). ``directory`` defaults to the current
+    working directory — the repo root in CI.
     """
-    from repro.epidemic import EagerGossip
-    from repro.membership import CyclonProtocol
-    from repro.sim import Cluster, Simulation, UniformLatency
-
-    sim = Simulation(seed=seed)
-    cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-    fanout = config["fanout"]
-
-    def factory(node):
-        return [
-            CyclonProtocol(view_size=14, shuffle_size=7, period=1.0),
-            EagerGossip(fanout=fanout),
-        ]
-
-    nodes = cluster.add_nodes(config["nodes"], factory)
-    cluster.seed_views("membership", 5)
-    sim.run_for(10.0)
-    nodes[0].protocol("gossip").broadcast("probe", {"pad": "x" * 64})
-    sim.run_for(config["duration"])
-    reached = sum(1 for node in nodes if node.protocol("gossip").has_seen("probe"))
-    return {
-        "coverage": reached / config["nodes"],
-        "messages": cluster.metrics.counter_value("net.sent.total"),
-        "bytes": cluster.metrics.counter_value("net.bytes.total"),
-    }
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    import statistics
-
-    from repro.sim.sweep import grid, run_sweep
-
-    fanouts = [int(f) for f in args.fanouts.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    configs = [
-        {"fanout": fanout, "nodes": args.nodes, "duration": args.duration}
-        for fanout in fanouts
-    ]
-    cells = grid(configs, seeds)
-    print(f"sweep: {len(fanouts)} fanouts x {len(seeds)} seeds = {len(cells)} cells, "
-          f"workers={args.workers or 'auto'}")
-    results = run_sweep(_sweep_coverage_cell, cells, workers=args.workers)
-    print(f"{'fanout':>6}  {'coverage (mean)':>15}  {'min':>7}  {'max':>7}  {'msgs (mean)':>12}")
-    failed = 0
-    for fanout in fanouts:
-        rows = [r for r in results if r.ok and r.config["fanout"] == fanout]
-        failed += sum(1 for r in results if not r.ok and r.config["fanout"] == fanout)
-        if not rows:
-            continue
-        coverages = [r.result["coverage"] for r in rows]
-        messages = statistics.fmean(r.result["messages"] for r in rows)
-        print(f"{fanout:>6}  {statistics.fmean(coverages):>15.3f}  "
-              f"{min(coverages):>7.3f}  {max(coverages):>7.3f}  {messages:>12,.0f}")
-    if failed:
-        print(f"warning: {failed} cell(s) failed")
-        return 1
-    return 0
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
-
-
-def _write_artifact(bench_id: str, metrics: dict, gates: dict) -> None:
-    """Drop ``BENCH_<id>.json`` in the working directory.
-
-    Uses the shared writer in ``benchmarks/_helpers.py`` when running
-    from a repo checkout so the CLI and the pytest benches produce the
-    same artifact shape; falls back to an inline writer with the
-    identical layout when the benchmarks tree is not present (installed
-    package).
-    """
-    import importlib.util
     import json
     import os
     import time
 
-    path = None
-    root = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-    helper = os.path.join(root, "benchmarks", "_helpers.py")
-    if os.path.exists(helper):
-        try:
-            spec = importlib.util.spec_from_file_location("_repro_bench_helpers", helper)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            path = module.write_artifact(bench_id, metrics, gates)
-        except Exception:  # noqa: BLE001 - artifact writing must never fail a bench
-            path = None
-    if path is None:
-        doc = {
-            "id": bench_id,
-            "unix_time": time.time(),
-            "metrics": metrics,
-            "gates": dict(gates),
-            "passed": all(gates.values()),
-        }
-        path = os.path.join(os.getcwd(), f"BENCH_{bench_id}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
-    print(f"artifact: {path}")
+    doc = {
+        "id": bench_id,
+        "unix_time": time.time(),
+        "metrics": metrics,
+        "gates": dict(gates or {}),
+        "passed": all((gates or {}).values()),
+    }
+    path = os.path.join(directory or os.getcwd(), f"BENCH_{bench_id}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+    return path
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.experiment == "e05b":
-        return _bench_e05b(args)
-    if args.experiment == "e06":
-        return _bench_e06(args)
-    if args.experiment == "e16":
-        return _bench_e16(args)
-    if args.experiment == "e17":
-        return _bench_e17(args)
-    if args.experiment == "e18":
-        return _bench_e18(args)
-    if args.experiment == "e19":
-        return _bench_e19(args)
-    if args.experiment != "e15":
-        print(f"unknown bench {args.experiment!r}; available: "
-              "e05b, e06, e15, e16, e17, e18, e19",
-              file=sys.stderr)
-        return 2
-    from repro.epidemic.costbench import measure_antientropy_cost
-
-    items = args.items if args.items is not None else 2000
-    print(f"e15: anti-entropy cost, {items} items, "
-          f"{args.divergence:.2%} divergence, B={args.buckets}")
-    results = []
-    for bucketed in (False, True):
-        cell = measure_antientropy_cost(
-            items, args.divergence, bucketed=bucketed,
-            buckets=args.buckets, seed=args.seed,
-        )
-        results.append(cell)
-        converged = "n/a" if cell["converged_at"] is None else f"{cell['converged_at']:.0f}s"
-        print(f"  {cell['path']:<8}  digest {cell['digest_bytes_per_round']:>12,.0f} B/round  "
-              f"items {cell['items_bytes']:>10,.0f} B  converged {converged:>4}  "
-              f"identical {cell['identical']}  wall {cell['wall_s']:.3f}s")
-    baseline, bucketed = results
-    ratio = (baseline["digest_bytes_per_round"] / bucketed["digest_bytes_per_round"]
-             if bucketed["digest_bytes_per_round"] else float("inf"))
-    print(f"digest-byte reduction: {ratio:.1f}x")
-    if args.check:
-        gates = {
-            "digest_reduction_2x": ratio >= 2.0,
-            "stores_identical": bool(baseline["identical"] and bucketed["identical"]),
-            "both_converged": (baseline["converged_at"] is not None
-                               and bucketed["converged_at"] is not None),
-        }
-        ok = all(gates.values())
-        _write_artifact("e15", {
-            "items": items,
-            "divergence": args.divergence,
-            "digest_reduction": ratio,
-            "cells": results,
-        }, gates)
-        print("check:", "ok" if ok else "FAILED "
-              "(need >=2x digest reduction and identical converged stores)")
-        return 0 if ok else 1
-    return 0
-
-
-def _bench_e05b(args: argparse.Namespace) -> int:
-    """Routing three-way: Chord vs heartbeat-mesh ring vs single-hop.
-
-    One row per mode at the same population size under PoissonChurn:
-    lookup path length (messages to reach the key's coordinator),
-    latency percentiles, and steady-state maintenance bytes/node/s.
-    The mesh row is simulated up to ``--mesh-cap`` nodes and linearly
-    extrapolated beyond (per-node heartbeat cost is exactly O(N));
-    chord and onehop rows are always fully simulated.
-    """
-    from repro.baselines.routebench import gate_results, three_way
-
-    n = args.nodes if args.nodes is not None else (10_000 if args.stretch else 1_000)
-    churn = args.churn_rate  # None -> one event per 2000 node-seconds
-    print(f"e05b: routing three-way, N={n:,}, "
-          f"{args.lookups} lookups, seed {args.seed}")
-    rows = three_way(
-        n,
-        seed=args.seed,
-        churn_rate=churn,
-        maintenance_window=args.window,
-        lookups=args.lookups,
-        mesh_cap=args.mesh_cap,
-    )
-    for mode in ("chord", "mesh", "onehop"):
-        row = rows[mode]
-        note = f"  [{row.notes}]" if row.notes else ""
-        lookup_part = (
-            f"p50 {row.p50_latency_ms:>6.1f}ms  p99 {row.p99_latency_ms:>6.1f}ms  "
-            f"resolved {row.lookups_resolved}/{row.lookups_issued}"
-            if row.lookups_issued
-            else "lookups one-hop by construction"
-        )
-        print(f"  {mode:<7} hops {row.mean_hops:>5.2f}  "
-              f"one-hop {row.one_hop_fraction:>6.1%}  {lookup_part}  "
-              f"maint {row.maint_bytes_per_node_s:>9,.0f} B/node/s{note}")
-    chord, onehop = rows["chord"], rows["onehop"]
-    hop_ratio = chord.mean_hops / onehop.mean_hops if onehop.mean_hops else 0.0
-    byte_ratio = (onehop.maint_bytes_per_node_s / chord.maint_bytes_per_node_s
-                  if chord.maint_bytes_per_node_s else float("inf"))
-    print(f"  hop reduction {hop_ratio:.1f}x;  onehop maintenance "
-          f"{byte_ratio:.2f}x chord's")
-    if args.check:
-        gates = gate_results(rows)
-        ok = all(gates.values())
-        _write_artifact("e05b", {
-            "n_nodes": n,
-            "lookups": args.lookups,
-            "hop_ratio": hop_ratio,
-            "maintenance_byte_ratio": byte_ratio,
-            "rows": {
-                mode: {
-                    "nodes": row.nodes,
-                    "simulated_nodes": row.simulated_nodes,
-                    "mean_hops": row.mean_hops,
-                    "one_hop_fraction": row.one_hop_fraction,
-                    "p50_latency_ms": row.p50_latency_ms,
-                    "p99_latency_ms": row.p99_latency_ms,
-                    "maint_bytes_per_node_s": row.maint_bytes_per_node_s,
-                    "maint_msgs_per_node_s": row.maint_msgs_per_node_s,
-                    "lookups_resolved": row.lookups_resolved,
-                    "lookups_issued": row.lookups_issued,
-                    "extrapolated": row.extrapolated,
-                }
-                for mode, row in rows.items()
-            },
-        }, gates)
-        print("check:", "ok" if ok else "FAILED "
-              "(need >=99% one-hop lookups, >=4x hop reduction vs chord, "
-              "and maintenance within 3x of chord's)")
-        return 0 if ok else 1
-    return 0
-
-
-def _bench_e06(args: argparse.Namespace) -> int:
-    """Adaptive-vs-static redundancy under the same session-churn trace.
-
-    One row per redundancy mode: maintenance bytes spent after the
-    preload (census walks + targeted range repair + gossip fallback),
-    post-heal replica floor/mean, acked writes lost, and repair
-    activity. The ``--check`` gate requires the lifetime-aware policy to
-    spend >= 30% fewer maintenance bytes than static-r at equal
-    durability (no lost acked write, replica floor >= 2, both modes).
-    """
-    from repro.redundancy.churnbench import measure_redundancy_modes
-
-    n = args.nodes if args.nodes is not None else 48
-    print(f"e06: adaptive vs static redundancy, N={n}, "
-          f"churn {args.churn_duration:g}s + heal {args.heal_duration:g}s, "
-          f"mean lifetime {args.mean_lifetime:g}s, seed {args.seed}")
-    results = measure_redundancy_modes(
-        seed=args.seed,
-        n_storage=n,
-        churn_duration=args.churn_duration,
-        heal_duration=args.heal_duration,
-        mean_lifetime=args.mean_lifetime,
-    )
-    for mode in ("static", "adaptive"):
-        row = results[mode]
-        print(f"  {mode:<8} maint {row['maintenance_bytes']:>12,.0f} B  "
-              f"lost {row['lost_keys']:.0f}  "
-              f"replicas min {row['min_replicas']:.0f} / "
-              f"mean {row['mean_replicas']:.2f}  "
-              f"repairs {row['repairs']:.0f} "
-              f"({row['targeted_repairs']:.0f} targeted, "
-              f"{row['repair_fallbacks']:.0f} fallback)  "
-              f"censuses {row['censuses']:,.0f}")
-    adaptive, static = results["adaptive"], results["static"]
-    if adaptive.get("adaptive_survival") is not None:
-        print(f"  adaptive view: survival/window "
-              f"{adaptive['adaptive_survival']:.3f}, raw target "
-              f"{adaptive['adaptive_raw_target']:.0f}, census period "
-              f"{adaptive['adaptive_check_period']:.1f}s, "
-              f"{adaptive['adaptive_completed_sessions']:.0f} completed sessions")
-    ratio = (adaptive["maintenance_bytes"] / static["maintenance_bytes"]
-             if static["maintenance_bytes"] else float("inf"))
-    print(f"  adaptive maintenance spend: {ratio:.2f}x static "
-          f"({1.0 - ratio:.1%} saved)")
-    if args.check:
-        gates = {
-            "adaptive_saves_30pct": ratio <= 0.7,
-            "no_lost_acked_writes": (static["lost_keys"] == 0
-                                     and adaptive["lost_keys"] == 0),
-            "replica_floor_2": (static["min_replicas"] >= 2
-                                and adaptive["min_replicas"] >= 2),
-        }
-        ok = all(gates.values())
-        _write_artifact("e06", {
-            "n_nodes": n,
-            "seed": args.seed,
-            "churn_duration": args.churn_duration,
-            "heal_duration": args.heal_duration,
-            "mean_lifetime": args.mean_lifetime,
-            "byte_ratio": ratio,
-            "modes": results,
-        }, gates)
-        print("check:", "ok" if ok else "FAILED "
-              "(need >=30% maintenance-byte savings at zero lost acked "
-              "writes and replica floor >= 2 in both modes)")
-        return 0 if ok else 1
-    return 0
-
-
-def _bench_e16(args: argparse.Namespace) -> int:
-    from repro.baselines import jsonwire
-    from repro.common.codec import BinaryCodec
-    from repro.runtime.wirebench import codec_throughput, json_wire_cost, measure_wire_cost
-
-    items = args.items if args.items is not None else 60
-    nodes = args.nodes if args.nodes is not None else 12
-    print(f"e16: wire cost, {items} messages x fanout {args.fanout} "
-          f"over {nodes} UDP nodes")
-    base_port = 32300
-    # The baseline is the wire before the binary codec: JSON, one datagram
-    # per send. No node speaks it any more; it is priced from the send
-    # schedule. The two binary cells run on sockets.
-    cells = [json_wire_cost(n_nodes=nodes, n_items=items, fanout=args.fanout,
-                            base_port=base_port, seed=args.seed)]
-    for coalesce in (False, True):
-        cells.append(measure_wire_cost(
-            coalesce=coalesce, n_nodes=nodes, n_items=items, fanout=args.fanout,
-            base_port=base_port, seed=args.seed,
-        ))
-        base_port += nodes + 10
-    for cell in cells:
-        mode = "coalesced" if cell["coalesce"] else "1 msg/datagram"
-        wall = f"wall {cell['wall_s']:.3f}s" if "wall_s" in cell else "from the send schedule"
-        print(f"  {cell['codec']:<7} {mode:<15} {cell['bytes_per_message']:>7.1f} B/msg  "
-              f"{cell['datagrams']:>6,.0f} datagrams  "
-              f"{cell['coalesced_messages']:>5,.0f} coalesced  {wall}")
-    for name, codec in (("json", jsonwire.Codec()), ("binary", BinaryCodec())):
-        tput = codec_throughput(codec)
-        print(f"  {name:<7} encode {tput['encode_msgs_per_s']:>10,.0f} msg/s  "
-              f"decode {tput['decode_msgs_per_s']:>10,.0f} msg/s  "
-              f"{tput['bytes_per_frame']:>7.1f} B/frame")
-    baseline, uncoalesced, optimised = cells
-    byte_ratio = (baseline["bytes_per_message"] / optimised["bytes_per_message"]
-                  if optimised["bytes_per_message"] else float("inf"))
-    datagram_ratio = (baseline["datagrams"] / optimised["datagrams"]
-                      if optimised["datagrams"] else float("inf"))
-    identical = uncoalesced["delivered"] == optimised["delivered"]
-    print(f"payload reduction: {byte_ratio:.1f}x  datagram reduction: "
-          f"{datagram_ratio:.1f}x  identical delivery: {identical}")
-    if args.check:
-        gates = {
-            "payload_reduction_2x": byte_ratio >= 2.0,
-            "datagram_reduction_2x": datagram_ratio >= 2.0,
-            "delivery_identical": identical,
-        }
-        ok = all(gates.values())
-        _write_artifact("e16", {
-            "messages": items,
-            "fanout": args.fanout,
-            "nodes": nodes,
-            "payload_reduction": byte_ratio,
-            "datagram_reduction": datagram_ratio,
-            "cells": cells,
-        }, gates)
-        print("check:", "ok" if ok else "FAILED "
-              "(need >=2x payload and datagram reduction with identical "
-              "delivered multiset)")
-        return 0 if ok else 1
-    return 0
-
-
-def _scale_completed(replicas: dict) -> bool:
-    """e17's scale gate: every broadcast item was placed on >= 1 replica."""
-    return bool(replicas) and all(count > 0 for count in replicas.values())
-
-
-def _bench_e17(args: argparse.Namespace) -> int:
-    """Paper-scale sharded dissemination + vectorised sieve admission.
-
-    Measures (a) how far the sharded engine moves the N-ceiling of one
-    simulated dissemination run, (b) that the sharded run is
-    byte-identical to the single-process reference under churn + loss
-    at a cross-check N, and (c) the batched sieve-admission speedup.
-
-    The shard-speedup gate is CPU-aware: carving one simulation into K
-    worker processes can only pay off when the machine actually has
-    cores to run them on, so ``--min-speedup`` is enforced only when at
-    least 4 usable CPUs are present — on smaller machines the bench
-    still runs everything and reports parallel efficiency, and the gate
-    is recorded as skipped rather than silently passed.
-    """
-    from repro.sieve.vectorized import measure_admission
-    from repro.sim.shardbench import measure_scale, verify_determinism
-
-    n = args.nodes if args.nodes is not None else (100_000 if args.stretch else 50_000)
-    shards = args.shards
-    duration = args.duration
-    cpus = _usable_cpus()
-    config = {"broadcasts": 3, "fanout": 5}
-    print(f"e17: sharded scale, N={n:,} for {duration:g}s virtual, "
-          f"{shards} shards on {cpus} usable cpu(s)")
-
-    # Sharded first: the workers fork while the parent is still small.
-    # (Forking after the single-process run copies-on-write a dead
-    # N-node object graph into every worker, which badly skews the
-    # comparison on memory-bound machines.)
-    sharded = measure_scale(n, shards, duration=duration, seed=args.seed, config=config)
-    single = measure_scale(n, 1, duration=duration, seed=args.seed, config=config)
-    speedup = single.wall_seconds / sharded.wall_seconds if sharded.wall_seconds else 0.0
-    replicas = single.canonical()["data"].get("replicas", {})
-    coverage = single.canonical()["data"].get("coverage", {})
-    print(f"  1 shard   {single.wall_seconds:>8.2f}s wall")
-    print(f"  {shards} shards  {sharded.wall_seconds:>8.2f}s wall  "
-          f"speedup {speedup:.2f}x")
-    print(f"  coverage: {sum(coverage.values()):,.0f}/{n * len(coverage):,} "
-          f"node-items;  replicas/item: "
-          f"{sorted(int(v) for v in replicas.values())}")
-
-    cross_n = args.cross_check_n
-    cross = verify_determinism(cross_n, shards, duration=4.0, seed=args.seed + 1)
-    print(f"  determinism cross-check (N={cross_n}, churn+loss): "
-          f"{'identical' if cross['identical'] else 'DIVERGED'}")
-
-    sieve = measure_admission()
-    print(f"  sieve admission, {sieve['n_keys']:,} keys: scalar "
-          f"{sieve['scalar_seconds'] * 1e3:.1f}ms; "
-          f"batch {sieve['speedup']:.1f}x; "
-          f"identical {sieve['identical']}")
-
+    experiment = importlib.import_module(EXPERIMENTS[args.experiment])
+    params = {name: getattr(args, name)
+              for name in inspect.signature(experiment.run).parameters}
+    summary = inspect.getdoc(experiment.run).splitlines()[0].rstrip(".")
+    print(f"{args.experiment}: {summary} "
+          f"({', '.join(f'{name}={value}' for name, value in params.items())})")
+    doc = experiment.run(**params)
+    print(experiment.render(doc))
     if not args.check:
         return 0
-
-    enforce_speedup = cpus >= 4 and shards >= 2
-    gates = {
-        "scale_completed": _scale_completed(replicas),
-        "determinism_identical": bool(cross["identical"]),
-        "sieve_speedup_3x": sieve["speedup"] >= 3.0,
-        "sieve_identical": bool(sieve["identical"]),
-    }
-    if enforce_speedup:
-        gates["shard_speedup"] = speedup >= args.min_speedup
-    else:
-        print(f"  note: shard-speedup gate (>= {args.min_speedup:g}x) skipped — "
-              f"needs >= 4 usable cpus, have {cpus}")
-    ok = all(gates.values())
-    _write_artifact("e17", {
-        "n_nodes": n,
-        "shards": shards,
-        "duration": duration,
-        "usable_cpus": cpus,
-        "single_wall_s": single.wall_seconds,
-        "sharded_wall_s": sharded.wall_seconds,
-        "shard_speedup": speedup,
-        "speedup_gate": ("enforced" if enforce_speedup else "skipped: <4 cpus"),
-        "replicas": replicas,
-        "cross_check_n": cross_n,
-        "sieve": sieve,
-    }, gates)
-    print("check:", "ok" if ok else "FAILED (see gates in BENCH_e17.json)")
-    return 0 if ok else 1
-
-
-def _bench_e18(args: argparse.Namespace) -> int:
-    """Self-stabilisation under state corruption.
-
-    Runs corruption-nemesis checking campaigns over a handful of seeds
-    and aggregates the convergence monitor's annotations: every injected
-    corruption (version flips, poisoned summaries, sieve desync,
-    fallback truncation) must be *detected* by the system's own
-    protocols and *healed* within the anti-entropy round bound, with
-    zero checker violations. The per-kind heal-round histogram is the
-    experiment's headline figure.
-    """
-    from repro.check.stabbench import measure_selfstabilisation
-
-    seeds = 5
-    bound = 8
-    print(f"e18: self-stabilisation, {seeds} corruption campaigns, "
-          f"heal bound {bound} rounds")
-    result = measure_selfstabilisation(
-        seeds=seeds, seed_base=args.seed, bound_rounds=bound)
-    for kind, cell in sorted(result["by_kind"].items()):
-        hist = ", ".join(f"{r}r:{n}" for r, n in sorted(
-            cell["heal_rounds"].items(), key=lambda kv: int(kv[0])))
-        print(f"  {kind:<18} injected {cell['injected']:>2}  "
-              f"detected {cell['detected']:>2}  healed {cell['healed']:>2}  "
-              f"rounds [{hist or '-'}]")
-    print(f"  total: {result['injected']} injected, "
-          f"{result['detected']} detected, {result['healed']} healed, "
-          f"max {result['max_rounds']} round(s), "
-          f"{result['violations']} checker violation(s), "
-          f"wall {result['wall_s']:.1f}s")
-
-    if not args.check:
-        return 0
-    gates = {
-        "corruptions_injected": result["injected"] > 0,
-        "all_detected": result["detected"] == result["injected"],
-        "all_healed": result["healed"] == result["injected"],
-        "healed_within_bound": result["max_rounds"] <= bound,
-        "no_violations": result["violations"] == 0,
-    }
-    ok = all(gates.values())
-    _write_artifact("e18", result, gates)
-    print("check:", "ok" if ok else "FAILED (see gates in BENCH_e18.json)")
-    return 0 if ok else 1
-
-
-def _bench_e19(args: argparse.Namespace) -> int:
-    """Graceful degradation under multi-tenant overload.
-
-    Three cells of the production-traffic workload (gold/silver steady
-    tenants with declared SLOs + a bulk aggressor with a moving hotspot
-    and a mid-run flash crowd): gated at 1x, gated at the overload
-    multiple, and an ungated control at the same overload. The gates
-    assert that with per-tenant fair shedding the in-SLO tenants keep
-    their declared p99 and total goodput degrades gracefully, while the
-    unprotected control collapses.
-    """
-    from repro.obs.slobench import (
-        SloBenchConfig, measure_graceful_degradation, render_report,
-    )
-
-    cfg = SloBenchConfig(
-        nodes=args.nodes if args.nodes is not None else 48,
-        soft=args.soft,
-        seed=args.seed,
-        duration=args.slo_duration,
-        rate=args.rate,
-        overload=args.overload,
-        trace_out=args.trace_out,
-    )
-    print(f"e19: SLO overload, {cfg.nodes} storage nodes, "
-          f"{cfg.duration:g}s at {cfg.rate:g} ops/s base "
-          f"({cfg.overload:g}x aggressor overload, "
-          f"capacity {cfg.capacity:g} ops/s)")
-    doc = measure_graceful_degradation(cfg)
-    print(render_report(doc))
-    if cfg.trace_out:
-        print(f"trace: {doc['metrics']['trace_events']} events "
-              f"-> {cfg.trace_out}")
-    if not args.check:
-        return 0
-    ok = bool(doc["passed"])
-    _write_artifact("e19", doc["metrics"], doc["gates"])
-    print("check:", "ok" if ok else "FAILED (see gates in BENCH_e19.json)")
-    return 0 if ok else 1
+    print(f"artifact: {write_artifact(args.experiment, doc['metrics'], doc['gates'])}")
+    failed = [name for name, ok in doc["gates"].items() if not ok]
+    print("check:", "ok" if doc["passed"] else f"FAILED ({', '.join(failed)})")
+    return 0 if doc["passed"] else 1
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
@@ -926,91 +449,27 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--seed", type=int, default=42)
     estimate.set_defaults(fn=_cmd_estimate)
 
-    sweep = sub.add_parser(
-        "sweep", help="parallel coverage sweep over fanouts x seeds")
-    sweep.add_argument("-n", "--nodes", type=int, default=200)
-    sweep.add_argument("--fanouts", default="1,2,3,4,6,9",
-                       help="comma-separated fanout grid")
-    sweep.add_argument("--seeds", default="1,2,3",
-                       help="comma-separated seed grid")
-    sweep.add_argument("--duration", type=float, default=10.0,
-                       help="seconds of dissemination per cell")
-    sweep.add_argument("-w", "--workers", type=int, default=None,
-                       help="worker processes (default: one per cpu)")
-    sweep.set_defaults(fn=_cmd_sweep)
-
     bench = sub.add_parser(
-        "bench", help="quick experiment cells (e05b: routing three-way — chord "
-                      "vs heartbeat mesh vs single-hop; e06: adaptive vs "
-                      "static redundancy under churn; e15: anti-entropy "
-                      "reconciliation cost; e16: runtime wire cost; e17: "
-                      "sharded scale + vectorised sieve; e18: "
-                      "self-stabilisation under state corruption; e19: "
-                      "graceful degradation under multi-tenant overload)")
-    bench.add_argument("experiment",
-                       help="experiment id (e05b, e06, e15, e16, e17, e18, e19)")
-    bench.add_argument("-n", "--items", type=int, default=None,
-                       help="store items (e15, default 2000) or messages "
-                            "per round (e16, default 60)")
-    bench.add_argument("--divergence", type=float, default=0.01)
-    bench.add_argument("--buckets", type=int, default=256)
-    bench.add_argument("--fanout", type=int, default=8, help="gossip fanout (e16)")
-    bench.add_argument("--nodes", type=int, default=None,
-                       help="UDP nodes (e16, default 12), simulated nodes "
-                            "(e17, default 50000), or population size "
-                            "(e05b, default 1000)")
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--shards", type=int, default=4,
-                       help="worker shards for e17 (default 4)")
-    bench.add_argument("--duration", type=float, default=2.5,
-                       help="virtual seconds per e17 scale run")
-    bench.add_argument("--cross-check-n", type=int, default=2000,
-                       help="N for the e17 determinism cross-check under "
-                            "churn + loss")
-    bench.add_argument("--min-speedup", type=float, default=2.5,
-                       help="e17 shard-speedup gate, enforced only with "
-                            ">=4 usable cpus")
-    bench.add_argument("--stretch", action="store_true",
-                       help="e17 at N=100000 instead of 50000; "
-                            "e05b at N=10000 instead of 1000")
-    bench.add_argument("--churn-rate", type=float, default=None,
-                       help="e05b crash events/s across the population "
-                            "(default: N/2000)")
-    bench.add_argument("--lookups", type=int, default=400,
-                       help="e05b lookups per mode (default 400)")
-    bench.add_argument("--window", type=float, default=20.0,
-                       help="e05b maintenance measurement window in virtual "
-                            "seconds (default 20)")
-    bench.add_argument("--churn-duration", type=float, default=240.0,
-                       help="e06 virtual seconds of session churn (default 240)")
-    bench.add_argument("--heal-duration", type=float, default=60.0,
-                       help="e06 virtual seconds of post-churn healing "
-                            "(default 60)")
-    bench.add_argument("--mean-lifetime", type=float, default=150.0,
-                       help="e06 mean session lifetime in virtual seconds "
-                            "(default 150)")
-    bench.add_argument("--mesh-cap", type=int, default=300,
-                       help="e05b max simulated heartbeat-mesh nodes; the "
-                            "O(N) per-node cost is extrapolated beyond "
-                            "(default 300)")
-    bench.add_argument("--soft", type=int, default=3,
-                       help="e19 soft-state coordinators (default 3)")
-    bench.add_argument("--rate", type=float, default=120.0,
-                       help="e19 total offered base rate in ops/s "
-                            "(default 120)")
-    bench.add_argument("--overload", type=float, default=2.0,
-                       help="e19 aggressor rate multiplier for the overload "
-                            "cells (default 2)")
-    bench.add_argument("--slo-duration", type=float, default=30.0,
-                       help="e19 measured virtual seconds per cell "
-                            "(default 30)")
-    bench.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="e19: export the overloaded gated cell's causal "
-                            "trace here (analyze with 'repro trace PATH')")
-    bench.add_argument("--check", action="store_true",
-                       help="exit non-zero unless the optimised path beats the "
-                            "baseline with identical protocol behaviour "
-                            "(writes BENCH_<id>.json)")
+        "bench", help="the gated experiments; 'repro bench ID --help' lists "
+                      "one experiment's flags")
+    experiments = bench.add_subparsers(dest="experiment", required=True, metavar="ID")
+    for bench_id, module in EXPERIMENTS.items():
+        run = importlib.import_module(module).run
+        doc = inspect.getdoc(run)
+        experiment = experiments.add_parser(
+            bench_id, help=doc.splitlines()[0], description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        hints = typing.get_type_hints(run)
+        for name, param in inspect.signature(run).parameters.items():
+            # Optional[X] -> X
+            kind = next((t for t in typing.get_args(hints[name]) if t is not type(None)),
+                        hints[name])
+            flags = [_SHORT_FLAGS[name]] if name in _SHORT_FLAGS else []
+            experiment.add_argument(*flags, "--" + name.replace("_", "-"), type=kind,
+                                    default=param.default, help="default: %(default)s")
+        experiment.add_argument("--check", action="store_true",
+                                help="exit non-zero unless every gate passes "
+                                     "(writes BENCH_<id>.json)")
     bench.set_defaults(fn=_cmd_bench)
 
     sim = sub.add_parser(

@@ -10,15 +10,15 @@ same cell runs the system's bucketed three-phase exchange or, with
 (:mod:`repro.baselines.fulldigest`), so benchmarks and the CLI can
 compare the two on identical workloads.
 
-Shared by ``benchmarks/bench_e15_antientropy_cost.py`` and the
-``repro bench e15`` CLI smoke check.
+Shared by ``benchmarks/bench_e15_antientropy_cost.py`` and ``repro
+bench e15`` (:func:`run` / :func:`render`).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.baselines.fulldigest import FullDigestAntiEntropy
 from repro.epidemic.antientropy import AntiEntropy
@@ -115,3 +115,60 @@ def measure_antientropy_cost(
         "identical": _snapshot(table_a) == _snapshot(table_b),
         "wall_s": wall_s,
     }
+
+
+def digest_reduction(baseline: Dict[str, Any], bucketed: Dict[str, Any]) -> float:
+    """Baseline digest bytes per round over the bucketed exchange's."""
+    if not bucketed["digest_bytes_per_round"]:
+        return float("inf")
+    return baseline["digest_bytes_per_round"] / bucketed["digest_bytes_per_round"]
+
+
+def gates(cells: List[Dict[str, Any]]) -> Dict[str, bool]:
+    """The e15 gates over a ``[baseline, bucketed]`` pair of cells."""
+    baseline, bucketed = cells
+    return {
+        "digest_reduction_2x": digest_reduction(baseline, bucketed) >= 2.0,
+        "stores_identical": bool(baseline["identical"] and bucketed["identical"]),
+        "both_converged": (baseline["converged_at"] is not None
+                           and bucketed["converged_at"] is not None),
+    }
+
+
+def run(*, items: int = 2000, divergence: float = 0.01, buckets: int = DEFAULT_BUCKETS,
+        seed: int = 7) -> Dict[str, Any]:
+    """Anti-entropy reconciliation cost: full-digest baseline vs bucketed.
+
+    Two replicas share ``items`` tuples except a ``divergence`` fraction;
+    both exchanges (``buckets`` summary buckets on the bucketed one) run
+    to convergence. Gates: >= 2x fewer digest bytes per round on the
+    bucketed path, with identical, converged stores on both.
+    """
+    cells = [
+        measure_antientropy_cost(items, divergence, bucketed=bucketed,
+                                 buckets=buckets, seed=seed)
+        for bucketed in (False, True)
+    ]
+    checks = gates(cells)
+    return {
+        "metrics": {
+            "items": items,
+            "divergence": divergence,
+            "digest_reduction": digest_reduction(*cells),
+            "cells": cells,
+        },
+        "gates": checks,
+        "passed": all(checks.values()),
+    }
+
+
+def render(doc: Dict[str, Any]) -> str:
+    lines = []
+    for cell in doc["metrics"]["cells"]:
+        converged = "n/a" if cell["converged_at"] is None else f"{cell['converged_at']:.0f}s"
+        lines.append(
+            f"  {cell['path']:<8}  digest {cell['digest_bytes_per_round']:>12,.0f} B/round  "
+            f"items {cell['items_bytes']:>10,.0f} B  converged {converged:>4}  "
+            f"identical {cell['identical']}  wall {cell['wall_s']:.3f}s")
+    lines.append(f"digest-byte reduction: {doc['metrics']['digest_reduction']:.1f}x")
+    return "\n".join(lines)

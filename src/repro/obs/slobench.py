@@ -22,8 +22,8 @@ explicit overload model — the backlog (negative tokens) is the queue,
 and queueing delay is backlog over capacity. All timing is virtual, so
 results are exactly reproducible.
 
-``repro bench e19 --check`` gates on this; ``BENCH_e19.json`` records
-the measured numbers.
+``repro bench e19 --check`` gates on this (:func:`run` /
+:func:`render`); ``BENCH_e19.json`` records the measured numbers.
 """
 
 from __future__ import annotations
@@ -294,8 +294,7 @@ def measure_graceful_degradation(cfg: SloBenchConfig) -> Dict[str, Any]:
     """Run all three cells and evaluate the E19 gates.
 
     Returns ``{"cells": {...}, "metrics": {...}, "gates": {...},
-    "passed": bool}`` — the metrics/gates halves feed
-    ``benchmarks/_helpers.write_artifact`` directly.
+    "passed": bool}`` — the metrics/gates halves are the artifact.
     """
     baseline = run_cell(cfg, "shed", 1.0, "1x-gated")
     overload = run_cell(cfg, "shed", cfg.overload, f"{cfg.overload:g}x-gated",
@@ -370,8 +369,30 @@ def _cell_doc(cell: CellResult) -> Dict[str, Any]:
     }
 
 
-def render_report(doc: Dict[str, Any]) -> str:
-    """Human-readable E19 report for the CLI."""
+def run(*, nodes: int = 48, soft: int = 3, seed: int = 7, slo_duration: float = 30.0,
+        rate: float = 120.0, overload: float = 2.0,
+        trace_out: Optional[str] = None) -> Dict[str, Any]:
+    """Graceful degradation under multi-tenant overload.
+
+    Gold/silver steady tenants with declared SLOs plus a bulk aggressor
+    (moving hotspot, mid-run flash crowd) at ``rate`` ops/s base for
+    ``slo_duration`` virtual seconds per cell, over ``nodes`` storage and
+    ``soft`` soft-state nodes: gated at 1x, gated at ``overload`` x the
+    aggressor's rate, and an ungated control at the same overload.
+    ``trace_out`` exports the overloaded gated cell's causal trace
+    (analyze with ``repro trace PATH``). Gates: with per-tenant fair
+    shedding the in-SLO tenants keep their declared p99 and goodput
+    degrades gracefully, while the unprotected control collapses.
+    """
+    doc = measure_graceful_degradation(SloBenchConfig(
+        nodes=nodes, soft=soft, seed=seed, duration=slo_duration, rate=rate,
+        overload=overload, trace_out=trace_out))
+    doc["trace_out"] = trace_out
+    return doc
+
+
+def render(doc: Dict[str, Any]) -> str:
+    """Human-readable E19 report."""
     lines: List[str] = []
     m = doc["metrics"]
     lines.append(
@@ -396,4 +417,6 @@ def render_report(doc: Dict[str, Any]) -> str:
     lines.append("gates:")
     for name, ok in doc["gates"].items():
         lines.append(f"  {'PASS' if ok else 'FAIL'}  {name}")
+    if doc.get("trace_out"):
+        lines.append(f"trace: {m['trace_events']} events -> {doc['trace_out']}")
     return "\n".join(lines)

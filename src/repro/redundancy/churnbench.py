@@ -10,8 +10,8 @@ lifetimes are long relative to the recovery window, the lifetime-aware
 policy maintains fewer replicas and spends markedly less maintenance
 traffic at equal post-heal durability.
 
-Used by ``repro bench e06`` (see :func:`repro.cli._bench_e06`) and the
-E6 benchmark suite.
+Used by ``repro bench e06`` (:func:`run` / :func:`render`) and the E6
+benchmark suite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.sim.churn import ChurnAction, TraceChurn
 from repro.sim.cluster import Cluster
@@ -195,3 +195,79 @@ def measure_redundancy_modes(
                 row[f"adaptive_{key}"] = value
         results[mode] = row
     return results
+
+
+def byte_ratio(results: Dict[str, Dict[str, float]]) -> float:
+    """Adaptive maintenance bytes over static's."""
+    static = results["static"]["maintenance_bytes"]
+    return results["adaptive"]["maintenance_bytes"] / static if static else float("inf")
+
+
+def gates(results: Dict[str, Dict[str, float]]) -> Dict[str, bool]:
+    """The e06 gates over :func:`measure_redundancy_modes`' rows."""
+    static, adaptive = results["static"], results["adaptive"]
+    return {
+        "adaptive_saves_30pct": byte_ratio(results) <= 0.7,
+        "no_lost_acked_writes": (static["lost_keys"] == 0
+                                 and adaptive["lost_keys"] == 0),
+        "replica_floor_2": (static["min_replicas"] >= 2
+                            and adaptive["min_replicas"] >= 2),
+    }
+
+
+def run(*, nodes: int = 48, seed: int = 7, churn_duration: float = 240.0,
+        heal_duration: float = 60.0, mean_lifetime: float = 150.0) -> Dict[str, Any]:
+    """Adaptive vs static redundancy under the same session-churn trace.
+
+    ``nodes`` storage nodes, ``churn_duration`` virtual seconds of
+    session churn (mean session ``mean_lifetime`` s) then
+    ``heal_duration`` s of healing. One row per mode: maintenance bytes
+    after the preload (census walks + targeted range repair + gossip
+    fallback), post-heal replica floor/mean, acked writes lost, repair
+    activity. Gates: the lifetime-aware policy spends >= 30 % fewer
+    maintenance bytes than static-r, with no lost acked write and a
+    replica floor >= 2 in both modes.
+    """
+    results = measure_redundancy_modes(
+        seed=seed, n_storage=nodes, churn_duration=churn_duration,
+        heal_duration=heal_duration, mean_lifetime=mean_lifetime)
+    checks = gates(results)
+    return {
+        "metrics": {
+            "n_nodes": nodes,
+            "seed": seed,
+            "churn_duration": churn_duration,
+            "heal_duration": heal_duration,
+            "mean_lifetime": mean_lifetime,
+            "byte_ratio": byte_ratio(results),
+            "modes": results,
+        },
+        "gates": checks,
+        "passed": all(checks.values()),
+    }
+
+
+def render(doc: Dict[str, Any]) -> str:
+    metrics = doc["metrics"]
+    lines = []
+    for mode in ("static", "adaptive"):
+        row = metrics["modes"][mode]
+        lines.append(f"  {mode:<8} maint {row['maintenance_bytes']:>12,.0f} B  "
+                     f"lost {row['lost_keys']:.0f}  "
+                     f"replicas min {row['min_replicas']:.0f} / "
+                     f"mean {row['mean_replicas']:.2f}  "
+                     f"repairs {row['repairs']:.0f} "
+                     f"({row['targeted_repairs']:.0f} targeted, "
+                     f"{row['repair_fallbacks']:.0f} fallback)  "
+                     f"censuses {row['censuses']:,.0f}")
+    adaptive = metrics["modes"]["adaptive"]
+    if adaptive.get("adaptive_survival") is not None:
+        lines.append(f"  adaptive view: survival/window "
+                     f"{adaptive['adaptive_survival']:.3f}, raw target "
+                     f"{adaptive['adaptive_raw_target']:.0f}, census period "
+                     f"{adaptive['adaptive_check_period']:.1f}s, "
+                     f"{adaptive['adaptive_completed_sessions']:.0f} completed sessions")
+    ratio = metrics["byte_ratio"]
+    lines.append(f"  adaptive maintenance spend: {ratio:.2f}x static "
+                 f"({1.0 - ratio:.1%} saved)")
+    return "\n".join(lines)

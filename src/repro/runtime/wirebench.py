@@ -17,8 +17,8 @@ needed a socket to be priced: :func:`json_wire_cost` runs the same send
 schedule through :class:`repro.baselines.jsonwire.Codec` and
 counts bytes (``len`` of each envelope) and datagrams (one per send).
 
-Shared by ``benchmarks/bench_e16_wire_cost.py`` and the
-``repro bench e16`` CLI smoke check.
+Shared by ``benchmarks/bench_e16_wire_cost.py`` and ``repro bench e16``
+(:func:`run` / :func:`render`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import time
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.baselines import jsonwire
+from repro.common.codec import BinaryCodec
 from repro.common.ids import NodeId
 from repro.epidemic.eager import GossipMessage
 from repro.runtime.host import LocalCluster, node_id_for
@@ -198,3 +199,79 @@ def codec_throughput(
         "decode_msgs_per_s": n_messages / decode_s if decode_s else float("inf"),
         "bytes_per_frame": total_bytes / n_messages,
     }
+
+
+def reductions(cells: List[Dict[str, Any]]) -> Dict[str, float]:
+    """JSON-per-send over binary+coalescing: bytes/message and datagrams,
+    over ``[json, binary, binary coalesced]`` cells."""
+    baseline, _, optimised = cells
+    return {
+        "payload_reduction": (baseline["bytes_per_message"] / optimised["bytes_per_message"]
+                              if optimised["bytes_per_message"] else float("inf")),
+        "datagram_reduction": (baseline["datagrams"] / optimised["datagrams"]
+                               if optimised["datagrams"] else float("inf")),
+    }
+
+
+def gates(cells: List[Dict[str, Any]]) -> Dict[str, bool]:
+    """The e16 gates: >= 2x on both reductions, and coalescing delivers
+    the message multiset the uncoalesced binary cell delivers."""
+    measured = reductions(cells)
+    _, uncoalesced, optimised = cells
+    return {
+        "payload_reduction_2x": measured["payload_reduction"] >= 2.0,
+        "datagram_reduction_2x": measured["datagram_reduction"] >= 2.0,
+        "delivery_identical": uncoalesced["delivered"] == optimised["delivered"],
+    }
+
+
+def run(*, items: int = 60, nodes: int = 12, fanout: int = 8, seed: int = 7) -> Dict[str, Any]:
+    """Runtime wire cost: binary codec + coalescing vs JSON per send.
+
+    One gossip round of ``items`` messages x ``fanout`` over ``nodes``
+    UDP nodes. The JSON baseline is priced from the send schedule; the
+    binary cells, uncoalesced and coalesced, run on loopback sockets.
+    Also times each codec's encode/decode. Gates: >= 2x fewer payload
+    bytes per message and >= 2x fewer datagrams than the baseline, with
+    an identical delivered multiset with and without coalescing.
+    """
+    base_port = 32300
+    cells = [json_wire_cost(n_nodes=nodes, n_items=items, fanout=fanout,
+                            base_port=base_port, seed=seed)]
+    for coalesce in (False, True):
+        cells.append(measure_wire_cost(coalesce=coalesce, n_nodes=nodes, n_items=items,
+                                       fanout=fanout, base_port=base_port, seed=seed))
+        base_port += nodes + 10
+    checks = gates(cells)
+    return {
+        "metrics": {
+            "messages": items,
+            "fanout": fanout,
+            "nodes": nodes,
+            **reductions(cells),
+            "cells": cells,
+        },
+        "gates": checks,
+        "passed": all(checks.values()),
+        "throughput": {name: codec_throughput(codec) for name, codec in
+                       (("json", jsonwire.Codec()), ("binary", BinaryCodec()))},
+    }
+
+
+def render(doc: Dict[str, Any]) -> str:
+    metrics = doc["metrics"]
+    lines = []
+    for cell in metrics["cells"]:
+        mode = "coalesced" if cell["coalesce"] else "1 msg/datagram"
+        wall = f"wall {cell['wall_s']:.3f}s" if "wall_s" in cell else "from the send schedule"
+        lines.append(f"  {cell['codec']:<7} {mode:<15} {cell['bytes_per_message']:>7.1f} B/msg  "
+                     f"{cell['datagrams']:>6,.0f} datagrams  "
+                     f"{cell['coalesced_messages']:>5,.0f} coalesced  {wall}")
+    for name, tput in doc["throughput"].items():
+        lines.append(f"  {name:<7} encode {tput['encode_msgs_per_s']:>10,.0f} msg/s  "
+                     f"decode {tput['decode_msgs_per_s']:>10,.0f} msg/s  "
+                     f"{tput['bytes_per_frame']:>7.1f} B/frame")
+    lines.append(f"payload reduction: {metrics['payload_reduction']:.1f}x  datagram reduction: "
+                 f"{metrics['datagram_reduction']:.1f}x  identical delivery: "
+                 f"{doc['gates']['delivery_identical']}")
+    return "\n".join(lines)

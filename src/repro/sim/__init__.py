@@ -9,11 +9,12 @@ Public surface:
 * :class:`Cluster` — population management and bootstrap sampling.
 * Churn models — Poisson crash/recover, catastrophic events, traces.
 * :class:`Metrics` — counters/histograms/time series for experiments.
-* :func:`run_sweep` / :func:`grid` — parallel, deterministic experiment
-  sweeps over ``(config, seed)`` grids.
-* :func:`run_sharded` / :class:`ShardPlan` — multi-process sharded runs
-  of one big simulation with conservative tick barriers and a
-  byte-for-byte deterministic merge.
+
+The multi-process tools are imported from their own modules, so that a
+process hosting a node never loads :mod:`multiprocessing`:
+:mod:`repro.sim.sweep` (parallel, deterministic ``(config, seed)``
+sweeps) and :mod:`repro.sim.shard` (one big simulation sharded across
+processes, merged byte-for-byte deterministically).
 """
 
 from repro.sim.churn import (
@@ -32,30 +33,10 @@ from repro.sim.network import (
     UniformLatency,
 )
 from repro.sim.node import Host, Node, NodeState, PeriodicTimer, Protocol, StackFactory
-from repro.sim.shard import (
-    MirroredPoissonChurn,
-    ShardContext,
-    ShardError,
-    ShardPlan,
-    ShardProgram,
-    ShardRunResult,
-    ShardWorkerError,
-    run_sharded,
-    shard_ranges,
-)
 from repro.sim.simulator import EventHandle, Simulation
-from repro.sim.sweep import (
-    CellResult,
-    SweepCell,
-    SweepCellError,
-    grid,
-    require_ok,
-    run_sweep,
-)
 
 __all__ = [
     "CatastrophicEvent",
-    "CellResult",
     "ChurnAction",
     "Cluster",
     "Counter",
@@ -67,29 +48,15 @@ __all__ = [
     "LatencyModel",
     "LogNormalLatency",
     "Metrics",
-    "MirroredPoissonChurn",
     "Network",
     "Node",
     "NodeState",
     "PeriodicTimer",
     "PoissonChurn",
     "Protocol",
-    "ShardContext",
-    "ShardError",
-    "ShardPlan",
-    "ShardProgram",
-    "ShardRunResult",
-    "ShardWorkerError",
     "Simulation",
     "StackFactory",
-    "SweepCell",
-    "SweepCellError",
     "TimeSeries",
     "TraceChurn",
     "UniformLatency",
-    "grid",
-    "require_ok",
-    "run_sharded",
-    "run_sweep",
-    "shard_ranges",
 ]

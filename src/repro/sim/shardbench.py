@@ -7,7 +7,8 @@ Two program shapes built on :mod:`repro.sim.shard`:
   gossip of a handful of broadcasts. Static membership keeps the event
   count proportional to dissemination work (no shuffle-timer flood), so
   it is the honest workload for measuring how far sharding moves the
-  N-ceiling. Used by ``repro bench e17`` and ``repro sim``.
+  N-ceiling. Used by ``repro bench e17`` (:func:`run` / :func:`render`)
+  and ``repro sim``.
 
 * :class:`ChurnGossipProgram` — the adversarial determinism workload:
   Cyclon membership actively shuffling, Poisson crash/recover churn and
@@ -20,6 +21,7 @@ into worker processes under any multiprocessing start method.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, List, Optional
 
 from repro.common.ids import NodeId
@@ -27,6 +29,7 @@ from repro.epidemic.eager import EagerGossip
 from repro.membership.cyclon import CyclonProtocol
 from repro.membership.views import PeerSampler
 from repro.sieve.keyspace import BucketSieve
+from repro.sieve.vectorized import measure_admission
 from repro.sim.node import Protocol
 from repro.sim.shard import (
     MirroredPoissonChurn,
@@ -323,3 +326,102 @@ def verify_determinism(
         "single": single,
         "sharded": sharded,
     }
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-linux
+        return os.cpu_count() or 1
+
+
+def scale_completed(replicas: Dict[str, float]) -> bool:
+    """e17's scale gate: every broadcast item was placed on >= 1 replica."""
+    return bool(replicas) and all(count > 0 for count in replicas.values())
+
+
+def sieve_gates(sieve: Dict[str, Any]) -> Dict[str, bool]:
+    """e17's gates over a :func:`~repro.sieve.vectorized.measure_admission` row."""
+    return {
+        "sieve_speedup_3x": sieve["speedup"] >= 3.0,
+        "sieve_identical": bool(sieve["identical"]),
+    }
+
+
+def run(*, nodes: int = 50_000, shards: int = 4, duration: float = 2.5,
+        cross_check_n: int = 2000, seed: int = 7, min_speedup: float = 2.5) -> Dict[str, Any]:
+    """Sharded scale + vectorised sieve admission.
+
+    (a) the scale workload at ``nodes`` for ``duration`` virtual seconds,
+    once on ``shards`` worker processes and once single-process; (b) the
+    sharded engine byte-identical to single-process under churn + loss at
+    ``cross_check_n`` nodes; (c) the batched sieve-admission speedup.
+    Gates: every broadcast item placed, the cross-check identical, the
+    batched sieve >= 3x and identical, and a shard speedup of
+    ``min_speedup`` -- the last enforced only with >= 4 usable CPUs,
+    since K worker processes only pay off on cores to run them; below
+    that it is recorded as skipped, not silently passed.
+    """
+    cpus = usable_cpus()
+    config = {"broadcasts": 3, "fanout": 5}
+    # Sharded first: the workers fork while the parent is still small.
+    # (Forking after the single-process run copies-on-write a dead
+    # N-node object graph into every worker, which badly skews the
+    # comparison on memory-bound machines.)
+    sharded = measure_scale(nodes, shards, duration=duration, seed=seed, config=config)
+    single = measure_scale(nodes, 1, duration=duration, seed=seed, config=config)
+    speedup = single.wall_seconds / sharded.wall_seconds if sharded.wall_seconds else 0.0
+    data = single.canonical()["data"]
+    replicas = data.get("replicas", {})
+    cross = verify_determinism(cross_check_n, shards, duration=4.0, seed=seed + 1)
+    sieve = measure_admission()
+
+    enforce_speedup = cpus >= 4 and shards >= 2
+    checks = {
+        "scale_completed": scale_completed(replicas),
+        "determinism_identical": bool(cross["identical"]),
+        **sieve_gates(sieve),
+    }
+    if enforce_speedup:
+        checks["shard_speedup"] = speedup >= min_speedup
+    return {
+        "metrics": {
+            "n_nodes": nodes,
+            "shards": shards,
+            "duration": duration,
+            "usable_cpus": cpus,
+            "single_wall_s": single.wall_seconds,
+            "sharded_wall_s": sharded.wall_seconds,
+            "shard_speedup": speedup,
+            "speedup_gate": ("enforced" if enforce_speedup else "skipped: <4 cpus"),
+            "replicas": replicas,
+            "cross_check_n": cross_check_n,
+            "sieve": sieve,
+        },
+        "gates": checks,
+        "passed": all(checks.values()),
+        "coverage": data.get("coverage", {}),
+    }
+
+
+def render(doc: Dict[str, Any]) -> str:
+    m = doc["metrics"]
+    coverage = doc["coverage"]
+    sieve = m["sieve"]
+    lines = [
+        f"  1 shard   {m['single_wall_s']:>8.2f}s wall",
+        f"  {m['shards']} shards  {m['sharded_wall_s']:>8.2f}s wall  "
+        f"speedup {m['shard_speedup']:.2f}x",
+        f"  coverage: {sum(coverage.values()):,.0f}/{m['n_nodes'] * len(coverage):,} "
+        f"node-items;  replicas/item: {sorted(int(v) for v in m['replicas'].values())}",
+        f"  determinism cross-check (N={m['cross_check_n']}, churn+loss): "
+        f"{'identical' if doc['gates']['determinism_identical'] else 'DIVERGED'}",
+        f"  sieve admission, {sieve['n_keys']:,} keys: scalar "
+        f"{sieve['scalar_seconds'] * 1e3:.1f}ms; batch {sieve['speedup']:.1f}x; "
+        f"identical {sieve['identical']}",
+    ]
+    if m["speedup_gate"] != "enforced":
+        lines.append(f"  note: shard-speedup gate skipped — needs >= 4 usable cpus, "
+                     f"have {m['usable_cpus']}")
+    return "\n".join(lines)

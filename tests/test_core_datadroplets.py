@@ -215,6 +215,7 @@ class TestDefaultsAreTheMeasuredPath:
             "import repro, repro.core.datadroplets, repro.core.storage, repro.runtime.host\n"
             "from repro.common.messages import registered_message_types\n"
             "assert 'numpy' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('repro.baselines'))\n"
             "assert not loaded, loaded\n"
             "retired = {'DigestMessage', 'SoftHeartbeat', 'HistogramShare', 'Advertisement',\n"

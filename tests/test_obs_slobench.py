@@ -18,7 +18,7 @@ from repro.obs.slobench import (
     SloBenchConfig,
     build_workload,
     measure_graceful_degradation,
-    render_report,
+    render as render_report,
 )
 
 

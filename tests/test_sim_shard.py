@@ -16,16 +16,18 @@ import pytest
 from repro.common.codec import BinaryCodec, CodecError
 from repro.common.ids import NodeId
 from repro.epidemic.eager import GossipMessage
-from repro.sim import (
-    LogNormalLatency,
+from repro.sim import LogNormalLatency, UniformLatency
+from repro.sim.shard import (
+    ShardContext,
     ShardError,
     ShardPlan,
     ShardWorkerError,
-    UniformLatency,
+    decode_frame,
+    encode_frame,
     run_sharded,
+    shard_of,
     shard_ranges,
 )
-from repro.sim.shard import ShardContext, decode_frame, encode_frame, shard_of
 from repro.sim.shardbench import (
     ChurnGossipProgram,
     GossipScaleProgram,

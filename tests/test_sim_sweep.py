@@ -6,8 +6,7 @@ import pickle
 
 import pytest
 
-from repro.sim import SweepCell, SweepCellError, grid, require_ok, run_sweep
-from repro.sim.sweep import failures
+from repro.sim.sweep import SweepCell, SweepCellError, failures, grid, require_ok, run_sweep
 
 
 def _sim_cell(config: dict, seed: int) -> dict:
