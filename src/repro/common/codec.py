@@ -80,7 +80,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import DataDropletsError
 from repro.common.ids import NodeId
-from repro.common.messages import Message, lookup_wire_type
+from repro.common.messages import Message, frozen_struct, lookup_wire_type
 from repro.obs.trace import TraceContext
 
 #: First byte of each frame kind.
@@ -192,23 +192,6 @@ def _field_table(cls: type) -> Tuple[str, ...]:
     return table
 
 
-#: type -> may its instances be written sized and keep their bytes?
-_SIZED_CLASSES: Dict[type, bool] = {}
-
-
-def _sized(cls: type) -> bool:
-    """Frozen dataclasses only: fields that can be reassigned would leave
-    pinned bytes stale. ``NodeId`` has its own compact tag; a class with
-    ``__slots__`` has nowhere to keep the bytes."""
-    flag = _SIZED_CLASSES.get(cls)
-    if flag is None:
-        params = getattr(cls, "__dataclass_params__", None)
-        flag = _SIZED_CLASSES[cls] = (
-            params is not None and params.frozen and cls is not NodeId
-            and not any("__slots__" in vars(base) for base in cls.__mro__[:-1]))
-    return flag
-
-
 def _write_str(text: str, out: bytearray) -> None:
     raw = text.encode("utf-8")
     encode_uvarint(len(raw), out)
@@ -298,7 +281,7 @@ def _encode_struct(value: Any, out: bytearray, size_fields: bool) -> None:
     encode_uvarint(len(table), out)
     for name in table:
         item = getattr(value, name)
-        if size_fields and _sized(type(item)):
+        if size_fields and frozen_struct(type(item)):
             try:
                 body = item._wire_struct_cache
             except AttributeError:
@@ -449,7 +432,7 @@ def _decode_sized(data: bytes, pos: int, memo: Optional["DecodeMemo"]) -> Tuple[
     value, used = _decode_struct(raw, 0, None)
     if used != length:
         raise CodecError(f"sized struct declares {length} bytes, its body is {used}")
-    if _sized(type(value)):
+    if frozen_struct(type(value)):
         object.__setattr__(value, "_wire_struct_cache", raw)
         if memo is not None:
             memo.stage(memo.payloads, raw, value)

@@ -26,6 +26,22 @@ class NodeId:
     value: int
     label: Optional[str] = field(default=None, compare=False)
 
+    # Hand-written: the generated methods build a ``(value,)`` tuple per
+    # call on every dict/set access. The hash is still ``hash((value,))``
+    # (kept on first use), so no set or dict changes its iteration order.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            value = hash((self.value,))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     def __str__(self) -> str:
         if self.label is not None:
             return self.label

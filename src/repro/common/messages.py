@@ -52,14 +52,33 @@ class Message:
 
         Messages are immutable, so the size is computed once on first
         call and cached on the instance — the network charges bytes per
-        send, and gossip relays the same message object many times.
+        send, and a fanout sends one message object many times. A relay
+        is a new message around the same payload, so a direct field that
+        is a :func:`frozen_struct` keeps its walked size too, the way the
+        codec keeps its encoded bytes.
         """
         try:
             return self._size_bytes_cache  # type: ignore[attr-defined]
         except AttributeError:
-            size = 16 + _walk(self)
-            object.__setattr__(self, "_size_bytes_cache", size)
-            return size
+            pass
+        size = 16
+        for name, name_len in _fields_of(type(self)):
+            value = getattr(self, name)
+            kind = type(value)
+            if kind is float or kind is int:
+                size += name_len + 8
+            elif kind is str:
+                size += name_len + len(value)
+            elif frozen_struct(kind):
+                walked = getattr(value, "_walked_size", None)
+                if walked is None:
+                    walked = _walk(value)
+                    object.__setattr__(value, "_walked_size", walked)
+                size += name_len + walked
+            else:
+                size += name_len + _walk(value)
+        object.__setattr__(self, "_size_bytes_cache", size)
+        return size
 
 
 def recursive_size_estimate(message: "Message") -> int:
@@ -106,6 +125,22 @@ def _fields_of(cls: type) -> Tuple[Tuple[str, int], ...]:
     return cached
 
 
+_FROZEN_STRUCTS: Dict[type, bool] = {}
+
+
+def frozen_struct(cls: type) -> bool:
+    """May a ``cls`` instance keep its encoded bytes and walked size?
+    Frozen dataclasses only: reassignable fields would leave them stale.
+    ``NodeId`` has its own cheap paths; ``__slots__`` leaves no room."""
+    flag = _FROZEN_STRUCTS.get(cls)
+    if flag is None:
+        params = getattr(cls, "__dataclass_params__", None)
+        flag = _FROZEN_STRUCTS[cls] = (
+            params is not None and params.frozen and cls is not NodeId
+            and not any("__slots__" in vars(base) for base in cls.__mro__[:-1]))
+    return flag
+
+
 def _walk(value: Any) -> int:
     """Size a payload without materializing the ``asdict`` copy.
 
@@ -127,26 +162,35 @@ def _walk(value: Any) -> int:
         return 8
     if kind is float:
         return 8
+    # Containers size their int/float/str members inline: a vector of 64
+    # floats is one call, not 65.
     if kind is tuple or kind is list:
         total = 0
         for item in value:
-            total += _walk(item)
+            kind = type(item)
+            total += 8 if kind is float or kind is int else len(item) if kind is str else _walk(item)
         return total
     if kind is dict:
         total = 0
-        for key, val in value.items():
-            total += _walk(key) + _walk(val)
+        for key, item in value.items():
+            kind = type(item)
+            total += len(key) if type(key) is str else _walk(key)
+            total += 8 if kind is float or kind is int else len(item) if kind is str else _walk(item)
         return total
     if kind is bytes:
         return len(value)
-    # Slow path: subclasses, other dataclasses, sets, unknowns.
+    fields = _FIELD_CACHE.get(kind)
+    if fields is not None or (dataclasses.is_dataclass(value) and not isinstance(value, type)):
+        total = 0
+        for name, name_len in fields or _fields_of(kind):
+            item = getattr(value, name)
+            kind = type(item)
+            total += name_len + (8 if kind is float or kind is int else
+                                 len(item) if kind is str else _walk(item))
+        return total
+    # Slow path: subclasses, sets, unknowns.
     if isinstance(value, bool):
         return 1
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        total = 0
-        for name, name_len in _fields_of(type(value)):
-            total += name_len + _walk(getattr(value, name))
-        return total
     if isinstance(value, int):
         return 8
     if isinstance(value, float):

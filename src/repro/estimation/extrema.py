@@ -76,6 +76,10 @@ class ExtremaSizeEstimator(Protocol):
         # Previous epoch's converged estimate; consumers read this while
         # the current epoch is still mixing.
         self._last_estimate: Optional[float] = None
+        # estimate() as of the last change to _minima or _last_estimate:
+        # the sieves read it on every admission, the minima move only on
+        # exchanges that lower one and on epoch turns.
+        self._estimate = 1.0
         # Diameter estimation (the second half of ref [23]): the minima
         # vector stops changing once information from the farthest node
         # has arrived, so the last round that changed it estimates the
@@ -103,6 +107,7 @@ class ExtremaSizeEstimator(Protocol):
         self._minima = list(self._own)
         self._rounds_done = 0
         self._last_change_round = 0
+        self._estimate = self._compute_estimate()
 
     def _sampler(self) -> PeerSampler:
         return self.host.protocol(self.membership)  # type: ignore[return-value]
@@ -141,7 +146,8 @@ class ExtremaSizeEstimator(Protocol):
         merged = [min(a, b) for a, b in zip(self._minima, message.minima)]
         if merged != self._minima:
             self._last_change_round = self._rounds_done
-        self._minima = merged
+            self._minima = merged
+            self._estimate = self._compute_estimate()
         if not message.is_reply:
             self.send(sender, ExtremaExchange(self._epoch, tuple(self._minima), is_reply=True))
 
@@ -159,6 +165,9 @@ class ExtremaSizeEstimator(Protocol):
         seen); consumers get the previous epoch's converged value until
         the current epoch has mixed further.
         """
+        return self._estimate
+
+    def _compute_estimate(self) -> float:
         raw = self._raw_estimate()
         candidates = [v for v in (raw, self._last_estimate) if v is not None]
         if not candidates:

@@ -46,6 +46,9 @@ class PartialView:
         self.capacity = capacity
         self.self_id = self_id
         self._entries: Dict[NodeId, NodeDescriptor] = {}
+        # The entries in peer-id order, the stable order every draw sees;
+        # rebuilt on the first draw after a mutation.
+        self._sorted: Optional[List[NodeDescriptor]] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -73,6 +76,7 @@ class PartialView:
         if current is not None:
             if descriptor.age < current.age:
                 self._entries[descriptor.node_id] = descriptor
+                self._sorted = None
             return
         if len(self._entries) >= self.capacity:
             oldest = self.oldest()
@@ -80,11 +84,13 @@ class PartialView:
                 return  # incoming is older than everything we hold
             del self._entries[oldest.node_id]
         self._entries[descriptor.node_id] = descriptor
+        self._sorted = None
 
     def merge(self, descriptors: Iterable[NodeDescriptor], replaceable: Iterable[NodeId] = ()) -> None:
         """Cyclon merge: incoming entries first fill empty slots, then
         replace the descriptors we just shipped away (``replaceable``),
         then evict the oldest."""
+        self._sorted = None
         replaceable_pool = [nid for nid in replaceable if nid in self._entries]
         for descriptor in descriptors:
             if descriptor.node_id == self.self_id or descriptor.node_id in self._entries:
@@ -105,10 +111,12 @@ class PartialView:
                     self._entries[descriptor.node_id] = descriptor
 
     def remove(self, node_id: NodeId) -> None:
-        self._entries.pop(node_id, None)
+        if self._entries.pop(node_id, None) is not None:
+            self._sorted = None
 
     def increase_ages(self) -> None:
         self._entries = {nid: d.aged() for nid, d in self._entries.items()}
+        self._sorted = None
 
     # ------------------------------------------------------------------
     def oldest(self) -> Optional[NodeDescriptor]:
@@ -116,16 +124,23 @@ class PartialView:
             return None
         return max(self._entries.values(), key=lambda d: (d.age, d.node_id.value))
 
+    def _in_order(self) -> List[NodeDescriptor]:
+        pool = self._sorted
+        if pool is None:
+            pool = self._sorted = sorted(self._entries.values(), key=lambda d: d.node_id.value)
+        return pool
+
     def random_peer(self, rng: random.Random) -> Optional[NodeId]:
         if not self._entries:
             return None
-        return rng.choice(sorted(self._entries.keys()))
+        return rng.choice(self._in_order()).node_id
 
     def random_descriptors(self, count: int, rng: random.Random, exclude: Optional[NodeId] = None) -> List[NodeDescriptor]:
-        pool = [d for d in self._entries.values() if d.node_id != exclude]
-        pool.sort(key=lambda d: d.node_id.value)  # stable order before sampling
+        pool = self._in_order()  # stable order before sampling
+        if exclude is not None and exclude in self._entries:
+            pool = [d for d in pool if d.node_id != exclude]
         if len(pool) <= count:
-            return pool
+            return list(pool)  # never hand out the cached list
         return rng.sample(pool, count)
 
 

@@ -74,6 +74,11 @@ class BucketSieve(Sieve):
         self.size_estimate_fn = size_estimate_fn
         self.key_fn = key_fn if key_fn is not None else self._hash_position
         self.position = node_position(node_id)
+        # bucket_count_for() of the last estimate read (NaN: none yet):
+        # admission asks on every item, the estimate moves only on
+        # extrema exchanges.
+        self._counted_estimate = math.nan
+        self._count = 1
 
     @staticmethod
     def _hash_position(item_id: str, record: Record) -> float:
@@ -81,7 +86,11 @@ class BucketSieve(Sieve):
 
     # ------------------------------------------------------------------
     def bucket_count(self) -> int:
-        return bucket_count_for(max(1.0, float(self.size_estimate_fn())), self.replication)
+        estimate = self.size_estimate_fn()
+        if estimate != self._counted_estimate:
+            self._count = bucket_count_for(max(1.0, float(estimate)), self.replication)
+            self._counted_estimate = estimate
+        return self._count
 
     def bucket_index(self) -> int:
         return min(self.bucket_count() - 1, int(self.position * self.bucket_count()))

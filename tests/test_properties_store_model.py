@@ -11,8 +11,10 @@ disjoint* partition of the key space.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import functools
+from typing import Dict, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,9 +115,30 @@ class TestMemtableVsModel:
 
 node_ids = st.integers(min_value=0, max_value=5000).map(NodeId)
 free_keys = st.text(min_size=1, max_size=24)
-estimates = st.floats(min_value=1.0, max_value=100_000.0,
+ESTIMATE_MAX = 100_000.0
+estimates = st.floats(min_value=1.0, max_value=ESTIMATE_MAX,
                       allow_nan=False, allow_infinity=False)
 replications = st.integers(min_value=1, max_value=12)
+
+
+@pytest.fixture(scope="module")
+def partitions() -> Dict[int, Tuple[StaticArcSieve, ...]]:
+    """Every bucket count's static arcs, built once for the module.
+
+    Built per example, 65 536 arcs (an estimate >= 65 536 at r = 1) and a
+    SHA-1 per arc took 150-280 ms against hypothesis's 200 ms deadline.
+    The arcs share one key function that hashes each key once; the test
+    still asks every arc.
+    """
+    position = functools.lru_cache(maxsize=None)(
+        lambda item_id: BucketSieve._hash_position(item_id, {}))
+    largest = bucket_count_for(ESTIMATE_MAX, 1)
+    return {
+        buckets: tuple(StaticArcSieve(i / buckets, (i + 1) / buckets,
+                                      key_fn=lambda item_id, record: position(item_id))
+                       for i in range(buckets))
+        for buckets in (1 << level for level in range(largest.bit_length()))
+    }
 
 
 class TestSieveFamilies:
@@ -131,7 +154,7 @@ class TestSieveFamilies:
 
     @given(estimates, replications, free_keys)
     @settings(max_examples=150)
-    def test_bucket_partition_is_exhaustive_and_disjoint(self, estimate, r, key):
+    def test_bucket_partition_is_exhaustive_and_disjoint(self, partitions, estimate, r, key):
         """At an agreed bucket count B, every key maps to exactly one
         bucket — so same-B nodes in different buckets never contend, and
         no key falls outside the partition."""
@@ -139,9 +162,7 @@ class TestSieveFamilies:
         sieve = BucketSieve(NodeId(1), r, lambda: estimate)
         owner = sieve.item_bucket(key, {})
         assert 0 <= owner < buckets
-        arcs = [StaticArcSieve(i / buckets, (i + 1) / buckets)
-                for i in range(buckets)]
-        admitting = [i for i, arc in enumerate(arcs) if arc.admits(key, {})]
+        admitting = [i for i, arc in enumerate(partitions[buckets]) if arc.admits(key, {})]
         assert admitting == [owner]
 
     @given(node_ids, node_ids, estimates, replications, free_keys)
