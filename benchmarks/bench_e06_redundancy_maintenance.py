@@ -178,7 +178,8 @@ def test_e06_adaptive_vs_static_redundancy(benchmark):
         rows = [
             (mode,
              row["maintenance_bytes"],
-             row["censuses"],
+             row["censuses_run"],
+             row["tallies_heard"],
              row["repairs"],
              row["lost_keys"],
              row["min_replicas"],
@@ -187,7 +188,7 @@ def test_e06_adaptive_vs_static_redundancy(benchmark):
         ]
         print_table(
             "E6d — adaptive vs static redundancy under the same churn trace",
-            ["mode", "maint bytes", "censuses", "repairs", "lost",
+            ["mode", "maint bytes", "censuses run", "tallies heard", "repairs", "lost",
              "min replicas", "mean replicas"],
             rows,
         )
@@ -196,7 +197,7 @@ def test_e06_adaptive_vs_static_redundancy(benchmark):
     results = run_once(benchmark, experiment)
     stash(benchmark, "adaptive", [
         dict(mode=mode, **{k: row[k] for k in (
-            "maintenance_bytes", "censuses", "repairs", "lost_keys",
+            "maintenance_bytes", "censuses_run", "tallies_heard", "repairs", "lost_keys",
             "min_replicas", "mean_replicas")})
         for mode, row in results.items()
     ])

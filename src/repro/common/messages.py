@@ -70,11 +70,7 @@ class Message:
             elif kind is str:
                 size += name_len + len(value)
             elif frozen_struct(kind):
-                walked = getattr(value, "_walked_size", None)
-                if walked is None:
-                    walked = _walk(value)
-                    object.__setattr__(value, "_walked_size", walked)
-                size += name_len + walked
+                size += name_len + _struct_size(value)
             else:
                 size += name_len + _walk(value)
         object.__setattr__(self, "_size_bytes_cache", size)
@@ -139,6 +135,21 @@ def frozen_struct(cls: type) -> bool:
             params is not None and params.frozen and cls is not NodeId
             and not any("__slots__" in vars(base) for base in cls.__mro__[:-1]))
     return flag
+
+
+def walked_size(value: Any) -> int:
+    """Estimated size of one payload: what a message charges for it as
+    a direct field, less the field name. A :func:`frozen_struct` is
+    walked once and keeps the result."""
+    return _struct_size(value) if frozen_struct(type(value)) else _walk(value)
+
+
+def _struct_size(struct: Any) -> int:
+    walked = getattr(struct, "_walked_size", None)
+    if walked is None:
+        walked = _walk(struct)
+        object.__setattr__(struct, "_walked_size", walked)
+    return walked
 
 
 def _walk(value: Any) -> int:

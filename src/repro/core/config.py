@@ -80,7 +80,9 @@ class DataDropletsConfig:
 
     # redundancy maintenance
     repair: RepairPolicy = field(default_factory=RepairPolicy)
-    repair_period: float = 10.0  # same-range anti-entropy period
+    # same-range anti-entropy period; adaptive mode scales it by the
+    # policy's cadence factor, as it does the census period
+    repair_period: float = 10.0
     # master switch for *active* redundancy repair (census still runs —
     # aggregates need it — but re-dissemination and same-range
     # reconciliation are disabled). Ablation knob for experiment E6.

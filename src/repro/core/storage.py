@@ -708,6 +708,11 @@ def make_storage_stack(
                 period=config.repair_period,
                 max_failures=config.repair.max_peer_failures,
                 on_peer_failed=manager.note_peer_failed,
+                # Adaptive mode reconciles on the census cadence: once
+                # the census is one per range, repair rounds are the
+                # other half of what a calm population can save.
+                period_scale=(policy_provider.cadence_factor
+                              if policy_provider is not None else None),
             )
         )
 

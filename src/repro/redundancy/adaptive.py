@@ -12,10 +12,11 @@ LifetimeEstimator` fed by the membership event stream):
   q = 1 - S(window | age), solve q^r <= tolerance. Clamped to
   ``[r_min, r_max]``; long-lived sessions (the common deployed case)
   pull r down toward ``r_min``, churn storms push it up.
-* **census cadence** — scaled inversely with the predicted per-window
-  death probability: a calm population is censused less often (the
-  walks *are* most of the steady-state maintenance bytes), a churning
-  one more urgently. Clamped to ``period_bounds`` times the base period.
+* **maintenance cadence** — scaled inversely with the predicted
+  per-window death probability: a calm population is censused and
+  reconciled less often, a churning one more urgently. One factor,
+  clamped to ``period_bounds``, multiplies both the census period and
+  the :class:`~repro.redundancy.repair.RangeRepair` period.
 * **grace window** — stretched when survival is high (departures are
   reboots: wait for them) and shrunk toward eager repair when it is low.
 
@@ -161,15 +162,21 @@ class AdaptiveRepairPolicy:
         return state.published
 
     # -- cadence & grace -------------------------------------------------
-    def check_period(self, now: float) -> float:
-        """Census period: base scaled by calm/urgent churn, clamped."""
+    def cadence_factor(self, now: float) -> float:
+        """Multiplier on every maintenance period: > 1 when the
+        population is calm, < 1 when it churns, clamped to
+        ``period_bounds``; 1 until the estimator has enough sessions."""
         p_survive = self.survival_over_window(now)
         if p_survive is None:
-            return self.base.check_period
+            return 1.0
         q = max(1.0 - p_survive, 1e-6)
         factor = self.reference_death_probability / q
         lo, hi = self.period_bounds
-        return self.base.check_period * min(max(factor, lo), hi)
+        return min(max(factor, lo), hi)
+
+    def check_period(self, now: float) -> float:
+        """Census period: the base period times :meth:`cadence_factor`."""
+        return self.base.check_period * self.cadence_factor(now)
 
     def grace_window(self, now: float) -> float:
         """Repair grace: relax when departures look transient, tighten

@@ -4,7 +4,8 @@ Builds two identical DataDroplets deployments — one with the static
 :class:`~repro.redundancy.manager.RepairPolicy`, one with
 ``redundancy_mode="adaptive"`` — replays the *same* deterministic churn
 trace against both, and measures what each spends on redundancy
-maintenance (gossip re-dissemination + range-repair + census walks) and
+maintenance (gossip re-dissemination + range-repair + census walks and
+tallies) and
 what durability it ends with. The claim under test (C5): when session
 lifetimes are long relative to the recovery window, the lifetime-aware
 policy maintains fewer replicas and spends markedly less maintenance
@@ -25,10 +26,11 @@ from repro.sim.churn import ChurnAction, TraceChurn
 from repro.sim.cluster import Cluster
 
 #: Protocol streams that constitute redundancy *maintenance* traffic:
-#: census random walks, targeted same-range repair, and the gossip
-#: fallback re-dissemination. Client writes also ride "gossip", which is
-#: why byte counts are snapshotted after the preload.
-MAINTENANCE_PROTOCOLS = ("gossip", "range-repair", "random-walk")
+#: census random walks and the tallies that share their result,
+#: targeted same-range repair, and the gossip fallback
+#: re-dissemination. Client writes also ride "gossip", which is why byte
+#: counts are snapshotted after the preload.
+MAINTENANCE_PROTOCOLS = ("gossip", "range-repair", "random-walk", "redundancy")
 
 
 def session_trace(
@@ -119,10 +121,12 @@ def measure_redundancy_modes(
     """Run the same churn trace under static and adaptive redundancy.
 
     Returns ``{mode: metrics}`` where metrics include ``maintenance_bytes``
-    (gossip + range-repair + random-walk bytes spent after the preload),
+    (gossip, range-repair, random-walk and tally bytes spent after the
+    preload),
     ``lost_keys`` (acked writes with no surviving UP replica post-heal),
     ``min_replicas``/``mean_replicas`` post-heal, repair activity
-    counters, and — for the adaptive mode — the policy's view of the
+    counters, censuses run and tallies heard by the nodes up at the end,
+    and — for the adaptive mode — the policy's view of the
     estimated survival and published target.
     """
     from repro.core.config import DataDropletsConfig
@@ -184,12 +188,11 @@ def measure_redundancy_modes(
             "items_redisseminated": dd.metrics.counter_value("redundancy.items_redisseminated"),
             "repair_bytes": dd.metrics.counter_value("redundancy.repair_bytes"),
             "peers_evicted": dd.metrics.counter_value("redundancy.peers_evicted"),
-            "censuses": float(sum(
-                node.protocol("redundancy").censuses
-                for node in dd.storage_nodes
-                if node.is_up and node.has_protocol("redundancy")
-            )),
         }
+        managers = [node.protocol("redundancy") for node in dd.storage_nodes
+                    if node.is_up and node.has_protocol("redundancy")]
+        row["censuses_run"] = float(sum(m.censuses_run for m in managers))
+        row["tallies_heard"] = float(sum(m.tallies_heard for m in managers))
         if dd.repair_provider is not None:
             for key, value in dd.repair_provider.describe(dd.sim.now).items():
                 row[f"adaptive_{key}"] = value
@@ -222,8 +225,8 @@ def run(*, nodes: int = 48, seed: int = 7, churn_duration: float = 240.0,
     ``nodes`` storage nodes, ``churn_duration`` virtual seconds of
     session churn (mean session ``mean_lifetime`` s) then
     ``heal_duration`` s of healing. One row per mode: maintenance bytes
-    after the preload (census walks + targeted range repair + gossip
-    fallback), post-heal replica floor/mean, acked writes lost, repair
+    after the preload (census walks and tallies, targeted range repair,
+    gossip fallback), post-heal replica floor/mean, acked writes lost, repair
     activity. Gates: the lifetime-aware policy spends >= 30 % fewer
     maintenance bytes than static-r, with no lost acked write and a
     replica floor >= 2 in both modes.
@@ -259,7 +262,8 @@ def render(doc: Dict[str, Any]) -> str:
                      f"repairs {row['repairs']:.0f} "
                      f"({row['targeted_repairs']:.0f} targeted, "
                      f"{row['repair_fallbacks']:.0f} fallback)  "
-                     f"censuses {row['censuses']:,.0f}")
+                     f"censuses {row['censuses_run']:,.0f} run / "
+                     f"{row['tallies_heard']:,.0f} heard")
     adaptive = metrics["modes"]["adaptive"]
     if adaptive.get("adaptive_survival") is not None:
         lines.append(f"  adaptive view: survival/window "

@@ -1,14 +1,24 @@
 """Redundancy maintenance (paper §III-A, claims C4/C5).
 
-Periodically each node runs a *census*: a few short sampling walks
-whose every node past the mixing hops reports which sieve range it
-covers. From the hit fraction and the epidemic size estimate the node
-learns how many nodes currently share its range — one cheap estimate
+Periodically each sieve range runs one *census*: a few short sampling
+walks whose every node past the mixing hops reports which sieve range
+it covers. From the hit fraction and the epidemic size estimate the
+range learns how many nodes currently share it — one cheap estimate
 covering *every tuple in the range at once*, instead of a random walk
 per tuple. A walk that dies takes its remaining samples with it, so
 each census asks for as many more samples as the previous one lost (at
 most twice), and a census with no usable report is inconclusive: it
 neither starts nor ends a deficiency.
+
+The members of a range take turns. A node walks only in its own slot
+among the members it knows (itself and its same-range peers, sorted by
+id; slot = census period number plus rank, modulo the member count), or
+when it knows no peer, while its range is deficient, or when the
+freshest census it holds is older than two periods — so a dead member
+whose turn it is delays the range by at most one period. A conclusive
+census is pushed as a :class:`CensusTally` to every known peer, and
+each member whose range matches applies it as if it had run the census
+itself.
 
 Outcomes:
 
@@ -16,7 +26,8 @@ Outcomes:
   reconciliation), and
 * if the range population stays below the replication target for longer
   than the *grace window* (the paper's churn-relaxation: most nodes
-  come back after a reboot, so don't panic-repair), the node repairs —
+  come back after a reboot, so don't panic-repair), the node repairs
+  (a tally starts the clock; the node's own censuses confirm it) —
   first by *targeted* bucketed reconciliation with known same-range
   peers (bytes proportional to what actually diverged), falling back to
   gossip re-dissemination of the whole range only when no live peer is
@@ -25,16 +36,18 @@ Outcomes:
 The replication target, census cadence and grace window are either the
 static :class:`RepairPolicy` values or, when a *policy provider* (see
 :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`) is plugged in,
-recomputed every census from the measured churn of the population.
+recomputed every census from the measured churn of the population;
+the provider's cadence factor then paces :class:`RangeRepair` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.ids import NodeId
+from repro.common.messages import Message, message_type, walked_size
 from repro.randomwalk.sampling import (
     collect_peer_ids,
     estimate_range_population,
@@ -53,7 +66,8 @@ class RepairPolicy:
 
     Attributes:
         target_replication: minimum nodes per range (the paper's r).
-        check_period: seconds between censuses.
+        check_period: seconds between census ticks; a range runs about
+            one census per period, whichever member's turn it is.
         walks_per_check: samples per census (binomial resolution); the
             walker draws them from ceil(samples / walk_ttl) walks.
         walk_ttl: mixing hops per walk; None derives ~log2(N)+4 from
@@ -63,8 +77,9 @@ class RepairPolicy:
         max_known_peers: cap on remembered same-range peers.
         redisseminate_batch: max items re-broadcast per fallback repair.
         repair_fanout: same-range peers targeted per repair action.
-        peer_ttl_censuses: censuses a known peer may go unseen before it
-            is presumed gone and evicted.
+        peer_ttl_censuses: census rounds (run here or heard as tallies)
+            a known peer may go unseen before it is presumed gone and
+            evicted.
         max_peer_failures: consecutive unanswered repair exchanges before
             a peer is reported failed and evicted.
     """
@@ -99,6 +114,18 @@ class RepairPolicy:
             raise ValueError("peer_ttl_censuses must be positive")
         if self.max_peer_failures <= 0:
             raise ValueError("max_peer_failures must be positive")
+
+
+@message_type
+@dataclass(frozen=True)
+class CensusTally(Message):
+    """One conclusive census of ``range_key``, pushed by the member that
+    ran it to the members it knows. ``peers`` are the range members the
+    census found, the sender included."""
+
+    range_key: Any
+    population: float
+    peers: Tuple[int, ...]
 
 
 class RedundancyManager(Protocol):
@@ -157,23 +184,36 @@ class RedundancyManager(Protocol):
         #: returned / requested samples of the previous census, in [½, 1].
         self._census_yield = 1.0
         self._timer = None
-        self._stopped = False
-        #: peer value -> census index at which the peer was last seen.
+        #: a census launched here has not completed yet (walks still out).
+        self._census_pending = False
+        #: (range key, time) of the freshest conclusive census applied.
+        self._last_tally: Optional[Tuple[Hashable, float]] = None
+        #: peer value -> census round at which the peer was last seen.
         self._peer_seen: Dict[int, int] = {}
+        #: census rounds observed (own or heard): the peer-ageing clock.
         self.censuses = 0
+        self.censuses_run = 0
+        self.tallies_heard = 0
         self.repairs_triggered = 0
 
     # ------------------------------------------------------------------
+    def bind(self, host) -> None:
+        super().bind(host)
+        metrics = host.metrics
+        self._c_skipped = metrics.counter("redundancy.census_skipped")
+        self._c_tallies, self._c_foreign = metrics.counter_pair(
+            "redundancy.tallies_received", "redundancy.tallies_foreign")
+
     def on_start(self) -> None:
         walker = self._walker()
         walker.set_reporter(self._report)
-        self._stopped = False
-        self._schedule_census()
+        # The provider may change the period between censuses, so each
+        # delay is read again at scheduling time.
+        self._timer = self.every(self.current_check_period, self._census_tick)
 
     def on_stop(self) -> None:
-        self._stopped = True
         if self._timer is not None:
-            self._timer.cancel()
+            self._timer.stop()
 
     def _walker(self) -> RandomWalkProtocol:
         return self.host.protocol(self.walker_name)  # type: ignore[return-value]
@@ -194,19 +234,34 @@ class RedundancyManager(Protocol):
             return self.policy_provider.grace_window(self.host.now)
         return self.policy.grace_window
 
-    def _schedule_census(self) -> None:
-        # Self-rescheduling rather than Protocol.every(): the provider
-        # may change the period between censuses, so each delay is
-        # recomputed at scheduling time (with the usual desync jitter).
-        period = self.current_check_period()
-        delay = period + self.host.rng.uniform(-0.1 * period, 0.1 * period)
-        self._timer = self.host.set_timer(delay, self._census_tick)
-
     def _census_tick(self) -> None:
-        if self._stopped:
-            return
-        self._schedule_census()
-        self.run_census()
+        if not self._census_pending and self._my_turn():
+            self.run_census()
+        else:
+            self._c_skipped.inc()
+
+    def _my_turn(self) -> bool:
+        """Should this node walk at this tick?
+
+        Always when it knows no peer (bootstrap), while its range is
+        deficient (every member censuses a thin range each period), or
+        when its freshest census is older than two periods
+        (the member whose turn it was is gone). Otherwise in its own
+        slot among the members it knows, unless a census was heard since
+        the slot began; a tick jittered past its slot makes it up in the
+        next one."""
+        if not self.known_peers or self._deficient_since is not None:
+            return True
+        now = self.host.now
+        period = self.current_check_period()
+        last = self._last_tally
+        if last is None or last[0] != self.sieve.range_key() or now - last[1] > 2.0 * period:
+            return True
+        me = self.host.node_id.value
+        members = sorted([me] + [p.value for p in self.known_peers])
+        slot = int(now // period)
+        mine = slot - (slot + members.index(me)) % len(members)
+        return slot - mine <= 1 and last[1] < mine * period
 
     def _report(self, probe: Dict[str, Any]) -> Dict[str, Any]:
         """Endpoint report for incoming walks: who am I, which range do
@@ -245,7 +300,8 @@ class RedundancyManager(Protocol):
         ttl = self.policy.walk_ttl
         if ttl is None:
             ttl = recommended_walk_ttl(n_estimate)
-        self.censuses += 1
+        self.censuses_run += 1
+        self._census_pending = True
         requested = math.ceil(self.policy.walks_per_check / self._census_yield)
         self._walker().start_walks(
             requested,
@@ -282,11 +338,13 @@ class RedundancyManager(Protocol):
 
     def _census_done(self, reports: List[Dict[str, Any]], range_key, n_estimate: float,
                      requested: int) -> None:
+        self._census_pending = False
         self._census_yield = min(1.0, max(0.5, len(reports) / requested))
         if self.sieve.range_key() != range_key:
             return  # our range moved (size estimate shifted) — stale census
         reports = [r for r in reports if self._position_echo_ok(r)]
         self.host.metrics.histogram("redundancy.census_samples").observe(len(reports))
+        self.censuses += 1
         if not reports:
             # No evidence either way: age the peer list, leave the
             # deficiency clock and the last estimate alone.
@@ -294,19 +352,51 @@ class RedundancyManager(Protocol):
             self._absorb_peers([])
             return
         estimate = estimate_range_population(reports, range_key, n_estimate)
-        self.last_population = estimate.population
-        self.host.metrics.histogram("redundancy.population").observe(estimate.population)
-        self._absorb_peers(collect_peer_ids(reports, range_key, exclude=self.host.node_id.value))
+        me = self.host.node_id.value
+        found = collect_peer_ids(reports, range_key, exclude=me)
+        self._apply_census(range_key, estimate.population, found, own=True)
+        tally = CensusTally(range_key, estimate.population, tuple(sorted(found + [me])))
+        for peer in self.known_peers:
+            self.send(peer, tally)
+
+    def on_message(self, sender: NodeId, message: Message) -> None:
+        if not isinstance(message, CensusTally):
+            return
+        range_key = message.range_key
+        if range_key != self.sieve.range_key():
+            self._c_foreign.inc()
+            return
+        if not self._position_echo_ok({"node": sender.value, "range_key": range_key}):
+            return
+        self._c_tallies.inc()
+        self.tallies_heard += 1
+        self.censuses += 1
+        me = self.host.node_id.value
+        self._apply_census(range_key, message.population,
+                           [value for value in message.peers if value != me], own=False)
+
+    def _apply_census(self, range_key, population: float, peer_values: List[int],
+                      own: bool) -> None:
+        """Act on one conclusive census of this node's range, run here
+        or heard as a member's tally."""
+        self._last_tally = (range_key, self.host.now)
+        self.last_population = population
+        self.host.metrics.histogram("redundancy.population").observe(population)
+        self._absorb_peers(peer_values)
         target = self.current_target(range_key)
         self.host.metrics.gauge("redundancy.target").set(target)
-        if estimate.population + 1 < target:  # +1: we cover it ourselves
+        # A tally raises the alarm at every member it reaches; each
+        # member then walks every tick, and its own censuses confirm the
+        # deficiency into a repair or call it off. One noisy census thus
+        # neither calls off every member's repair nor makes them all act.
+        if population + 1 < target:  # +1: we cover it ourselves
             if self._deficient_since is None:
                 self._deficient_since = self.host.now
-            elif self.host.now - self._deficient_since >= self.current_grace_window():
+            elif own and self.host.now - self._deficient_since >= self.current_grace_window():
                 if self.active:
                     self._repair()
                 self._deficient_since = self.host.now  # back off one window
-        else:
+        elif own:
             self._deficient_since = None
 
     def _is_live(self, value: int) -> bool:
@@ -379,7 +469,7 @@ class RedundancyManager(Protocol):
             gossip.broadcast(  # type: ignore[attr-defined]
                 f"repair:{round_tag}:{item.key}:{item.version.packed()}", payload
             )
-            repair_bytes += getattr(payload, "size_bytes", 64)
+            repair_bytes += walked_size(payload)
             batch += 1
             if batch >= self.policy.redisseminate_batch:
                 break

@@ -185,6 +185,10 @@ class RangeRepair(AntiEntropy):
     reported through ``on_peer_failed`` — the census manager uses this to
     evict crashed nodes from ``known_peers`` instead of burning rounds on
     them forever.
+
+    ``period_scale`` (a function of the current time) multiplies
+    ``period`` at every round; the adaptive redundancy policy passes its
+    cadence factor, so a calm population reconciles less often.
     """
 
     name = "range-repair"
@@ -199,6 +203,7 @@ class RangeRepair(AntiEntropy):
         exchange_timeout: float = 4.0,
         max_failures: int = 2,
         on_peer_failed: Optional[Callable[[NodeId], None]] = None,
+        period_scale: Optional[Callable[[float], float]] = None,
     ):
         super().__init__(
             store=RangeScopedStore(memtable, sieve),
@@ -214,6 +219,7 @@ class RangeRepair(AntiEntropy):
         self.exchange_timeout = exchange_timeout
         self.max_failures = max_failures
         self.on_peer_failed = on_peer_failed
+        self.period_scale = period_scale
         #: peer value -> deadline of the oldest unanswered exchange.
         self._outstanding: Dict[int, float] = {}
         self._failures: Dict[int, int] = {}
@@ -221,6 +227,13 @@ class RangeRepair(AntiEntropy):
     def bind(self, host) -> None:
         super().bind(host)
         self._c_timeouts = host.metrics.counter("range_repair.exchange_timeouts")
+
+    def on_start(self) -> None:
+        scale = self.period_scale
+        if scale is None:
+            super().on_start()
+        else:
+            self._timer = self.every(lambda: self.period * scale(self.host.now), self.run_round)
 
     def select_peer(self) -> Optional[NodeId]:
         peers = self.peer_source()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import NodeDownError
 from repro.common.ids import NodeId
@@ -31,6 +31,9 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.simulator import EventHandle, Simulation
+
+#: A timer period: fixed seconds, or a function read at every firing.
+Interval = Union[float, Callable[[], float]]
 
 
 class Host(ABC):
@@ -115,7 +118,7 @@ class Protocol:
 
     def every(
         self,
-        interval: float,
+        interval: Interval,
         callback: Callable[[], None],
         jitter: float = 0.1,
         initial_delay: Optional[float] = None,
@@ -125,7 +128,8 @@ class Protocol:
         Jitter desynchronises gossip rounds across nodes (synchronized
         rounds are an artifact no real deployment has). The first firing
         happens after ``initial_delay`` if given, else after one jittered
-        interval.
+        interval. ``interval`` may be a function, read again at every
+        firing, for a period that follows a measured quantity.
         """
         assert self.host is not None, "protocol used before bind()"
         return PeriodicTimer(self.host, interval, callback, jitter, initial_delay)
@@ -137,12 +141,12 @@ class PeriodicTimer:
     def __init__(
         self,
         host: Host,
-        interval: float,
+        interval: Interval,
         callback: Callable[[], None],
         jitter: float,
         initial_delay: Optional[float],
     ):
-        if interval <= 0:
+        if not callable(interval) and interval <= 0:
             raise ValueError("interval must be positive")
         if not 0 <= jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
@@ -155,10 +159,13 @@ class PeriodicTimer:
         self._handle = host.set_timer(first, self._fire)
 
     def _next_delay(self) -> float:
+        interval = self._interval
+        if callable(interval):
+            interval = interval()
         if self._jitter == 0:
-            return self._interval
-        spread = self._interval * self._jitter
-        return self._interval + self._host.rng.uniform(-spread, spread)
+            return interval
+        spread = interval * self._jitter
+        return interval + self._host.rng.uniform(-spread, spread)
 
     def _fire(self) -> None:
         if self._stopped:

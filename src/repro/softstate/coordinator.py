@@ -768,6 +768,11 @@ class SoftStateProtocol(Protocol):
             return
         if reply.ok:
             self._finish_aggregate(reply.query_id, state, ok=True, value=reply.value)
+        elif not state.retried:
+            # The entry point may have just booted (no converged estimate
+            # yet): ask another one, once, as after a timeout.
+            state.retried = True
+            self._dispatch_aggregate(reply.query_id)
         else:
             self._finish_aggregate(reply.query_id, state, ok=False, error=reply.error)
 

@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.membership import CyclonProtocol
 from repro.sim import Cluster, FixedLatency, Simulation, UniformLatency
+
+# Tier-1 repeats exactly: every property test draws the same examples on
+# every run. The "fuzz" profile (``--hypothesis-profile fuzz``, a CI step
+# of its own) draws fresh random examples, more of them where a test
+# does not pin its own count.
+settings.register_profile("ci", derandomize=True)
+settings.register_profile("fuzz", derandomize=False, max_examples=400)
+settings.load_profile("ci")
 
 
 @pytest.fixture

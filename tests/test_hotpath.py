@@ -455,4 +455,4 @@ class TestGoldenFingerprint:
             dd.get(f"k{i}")
         dd.run_for(10.0)
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
-                dd.metrics.counter_value("net.bytes.total")) == (9691, 7739.0, 1831712.0)
+                dd.metrics.counter_value("net.bytes.total")) == (8328, 6379.0, 1727115.0)

@@ -302,7 +302,7 @@ class TestSamplingWalks:
         assert WalkStep("7:3.0", NodeId(7), 4).samples == 1
 
 
-def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None):
+def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None, walk_timeout=8.0):
     """Minimal storage-ish stack: PSS + size estimator + gossip + walker +
     redundancy manager + range repair over a shared-bucket sieve."""
 
@@ -312,9 +312,10 @@ def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None):
         size_fn = (lambda: n_estimate) if n_estimate else size_est.estimate
         sieve = BucketSieve(node.node_id, replication, size_fn)
         gossip = EagerGossip(fanout=8)
-        walker = RandomWalkProtocol(timeout=8.0)
+        walker = RandomWalkProtocol(timeout=walk_timeout)
         manager = RedundancyManager(memtable, sieve, size_fn, policy)
-        repair = RangeRepair(memtable, sieve, manager.same_range_peers, period=2.0)
+        repair = RangeRepair(memtable, sieve, manager.same_range_peers, period=2.0,
+                             on_peer_failed=manager.note_peer_failed)
 
         def apply_write(item_id, payload, hops):
             item = payload
@@ -472,6 +473,27 @@ class TestRedundancyManager:
         assert manager._deficient_since is None
         assert cluster.metrics.counter_value("redundancy.census_inconclusive") == 4
 
+    def test_foreign_tally_changes_nothing(self):
+        from repro.redundancy.manager import CensusTally
+
+        sim, cluster, manager = self._quiet_manager()
+        manager.known_peers = [NodeId(999)]
+        manager._peer_seen[999] = manager.censuses
+        manager.last_population = 7.0
+
+        def state():
+            return (manager.last_population, manager.same_range_peers(), manager._deficient_since,
+                    manager._last_tally, manager.censuses, dict(manager._peer_seen))
+
+        before = state()
+        buckets, index = manager.sieve.range_key()[-2:]
+        foreign = CensusTally(("bucket", buckets, (index + 1) % buckets), 0.0, (1, 2, 3))
+        manager.on_message(NodeId(5), foreign)
+        assert state() == before
+        assert cluster.metrics.counter_value("redundancy.tallies_foreign") == 1
+        assert cluster.metrics.counter_value("redundancy.tallies_received") == 0
+        assert cluster.metrics.counter_value("redundancy.repairs") == 0
+
     def test_census_requests_follow_previous_yield(self):
         sim, cluster, manager = self._quiet_manager(walks_per_check=32)
         range_key = manager.sieve.range_key()
@@ -497,3 +519,117 @@ class TestRedundancyManager:
         assert manager._census_yield == 1.0
         hist = cluster.metrics.histogram("redundancy.census_samples")
         assert hist.count >= 6
+
+
+class TestCensusPerRange:
+    """One census per sieve range, not one per node: the members of a
+    range take turns walking and push the result to each other."""
+
+    PERIOD = 5.0
+
+    @pytest.fixture(scope="class")
+    def fault_free(self):
+        """64 nodes in 8 ranges, 20 census periods after the warm-up;
+        the age of every node's freshest census sampled every 0.5 s."""
+        sim = Simulation(seed=91)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        n, r = 64, 8
+        policy = RepairPolicy(target_replication=2, check_period=self.PERIOD,
+                              walks_per_check=32, grace_window=1000.0)
+        nodes = build_connected(
+            sim, cluster, n, _storage_stack_for_redundancy(policy, replication=r, n_estimate=n),
+            warmup=30.0,
+        )
+        managers = [node.protocol("redundancy") for node in nodes]
+        walks_before = cluster.metrics.counter_value("walks.started")
+        start, ages = sim.now, []
+        while sim.now - start < 20 * self.PERIOD:
+            sim.run_for(0.5)
+            ages += [sim.now - m._last_tally[1] for m in managers]
+        return {
+            "ranges": len({m.sieve.range_key() for m in managers}),
+            "periods": (sim.now - start) / self.PERIOD,
+            "walks": cluster.metrics.counter_value("walks.started") - walks_before,
+            "walks_per_census": math.ceil(32 / recommended_walk_ttl(n)),
+            "ages": ages,
+            "cluster": cluster,
+        }
+
+    def test_about_one_census_per_range_per_period(self, fault_free):
+        censuses = fault_free["walks"] / fault_free["walks_per_census"]
+        per_range_period = censuses / (fault_free["ranges"] * fault_free["periods"])
+        # Per node it was 8 (64 nodes / 8 ranges) per range per period.
+        assert 0.75 <= per_range_period <= 1.5
+        metrics = fault_free["cluster"].metrics
+        assert metrics.counter_value("redundancy.census_skipped") > 0
+        assert metrics.counter_value("redundancy.tallies_received") > 0
+
+    def test_every_node_refreshed_within_two_periods(self, fault_free):
+        ages = fault_free["ages"]
+        # A census lands in every slot, so a node hears one at least every
+        # two periods; where members' views of the range disagree a slot
+        # can go empty, and the staleness rule walks at the first tick
+        # past two periods (a tick is one period ± 10 %).
+        assert sum(age > 2 * self.PERIOD for age in ages) <= 0.03 * len(ages)
+        assert max(ages) <= 3.1 * self.PERIOD + 1.0
+
+    def test_node_without_peers_walks_every_period(self):
+        sim = Simulation(seed=92)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        n = 16
+        policy = RepairPolicy(target_replication=1, check_period=self.PERIOD,
+                              walks_per_check=16, grace_window=1000.0)
+        nodes = build_connected(
+            sim, cluster, n, _storage_stack_for_redundancy(policy, replication=1, n_estimate=n),
+            warmup=10.0,
+        )
+        managers = [node.protocol("redundancy") for node in nodes]
+        members = {}
+        for manager in managers:
+            members.setdefault(manager.sieve.range_key(), []).append(manager)
+        alone = [group[0] for group in members.values() if len(group) == 1]
+        assert alone, "expected a range with a single member"
+        before = [manager.censuses_run for manager in alone]
+        sim.run_for(10 * self.PERIOD)
+        for manager, ran in zip(alone, before):
+            assert manager.same_range_peers() == []
+            assert manager.censuses_run - ran >= 9  # one per tick
+
+    def test_range_driven_below_target_is_repaired_in_bound(self):
+        """Crash all but two members of the widest range: a survivor
+        repairs within grace_window + 2 check periods of the crash.
+
+        One census is a 32-sample lottery (and most of the survivors'
+        rotation is dead members, so detection waits on the staleness
+        rule), so the bound is asserted on the median over five seeds;
+        per-node censuses, one per node per period, meet it on the same
+        seeds as well."""
+        period, grace = self.PERIOD, 10.0
+        delays = []
+        for seed in range(1, 6):
+            sim = Simulation(seed=seed)
+            cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+            n = 48
+            policy = RepairPolicy(target_replication=8, check_period=period,
+                                  walks_per_check=32, grace_window=grace)
+            nodes = build_connected(
+                sim, cluster, n,
+                _storage_stack_for_redundancy(policy, replication=6, n_estimate=n,
+                                              walk_timeout=1.5),
+                warmup=40.0,
+            )
+            ranges = {}
+            for node in nodes:
+                ranges.setdefault(node.protocol("redundancy").sieve.range_key(), []).append(node)
+            widest = max(ranges.values(), key=len)
+            survivors = [node.protocol("redundancy") for node in widest[:2]]
+            repaired = []
+            for manager in survivors:
+                manager._repair = (lambda repair=manager._repair:
+                                   (repaired.append(sim.now), repair()))
+            crashed_at = sim.now
+            for node in widest[2:]:
+                node.crash()
+            sim.run_for(grace + 2 * period)
+            delays.append(min(repaired) - crashed_at if repaired else float("inf"))
+        assert statistics.median(delays) <= grace + 2 * period, delays

@@ -130,6 +130,40 @@ class TestCadenceAndValidation:
         assert storm.check_period(200.0) == pytest.approx(5.0)  # 0.5x floor
         assert calm.check_period(200.0) == pytest.approx(40.0)  # 4x ceiling
 
+    def test_range_repair_follows_the_cadence_factor(self):
+        """Adaptive mode paces same-range reconciliation by the factor
+        that paces the census: a 4x calmer population reconciles 4x
+        less often."""
+        base = RepairPolicy(check_period=10.0)
+        calm = _policy(_estimator(1e6), base=base, period_bounds=(0.5, 4.0))
+        assert calm.cadence_factor(200.0) == pytest.approx(4.0)
+        assert calm.check_period(200.0) == base.check_period * calm.cadence_factor(200.0)
+
+        def rounds(period_scale):
+            sim = Simulation(seed=29)
+            cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+            ids = []
+
+            def factory(node):
+                memtable = node.durable.setdefault("memtable", Memtable())
+                sieve = BucketSieve(node.node_id, 4, lambda: 2)
+
+                def others():
+                    return [i for i in ids if i != node.node_id]
+
+                return [CyclonProtocol(view_size=4, shuffle_size=2, period=1.0),
+                        RangeRepair(memtable, sieve, peer_source=others, period=1.0,
+                                    period_scale=period_scale)]
+
+            ids += [node.node_id for node in cluster.add_nodes(2, factory)]
+            cluster.seed_views("membership", 1)
+            sim.run_for(80.0)
+            return cluster.metrics.counter_value("antientropy.rounds")
+
+        static, adaptive = rounds(None), rounds(lambda now: calm.cadence_factor(now + 200.0))
+        assert static == pytest.approx(160, rel=0.1)
+        assert adaptive == pytest.approx(static / 4, rel=0.15)
+
     def test_grace_window_stretches_with_survival(self):
         base = RepairPolicy(grace_window=20.0)
         storm = _policy(_estimator(0.5), base=base)
@@ -226,6 +260,34 @@ class TestPeerEviction:
         manager._repair()
         assert manager.host.metrics.counter_value("redundancy.repair_fallbacks") == 1
         assert manager.host.metrics.counter_value("redundancy.targeted_repairs") == 0
+
+    def test_fallback_charges_each_payload_its_walked_size(self):
+        """redundancy.repair_bytes is what a gossip message carrying each
+        re-disseminated payload is charged for it, not 64 B an item."""
+        from repro.common.messages import walked_size
+        from repro.epidemic.eager import GossipMessage
+        from repro.softstate.messages import WritePayload
+        from repro.store import Version, make_tuple
+
+        sent = []
+
+        class _FakeGossip:
+            def broadcast(self, item_id, payload):
+                sent.append(payload)
+
+        manager = _manager()
+        manager.repair_wrap = lambda item: WritePayload(item, None)
+        manager.host.protocol = lambda name: {"gossip": _FakeGossip()}[name]
+        for i in range(40):
+            manager.memtable.put(make_tuple(f"k{i}", {"pad": "x" * i}, Version(1, 0)))
+        manager._redisseminate()
+        assert len(sent) >= 2
+        sizes = [walked_size(payload) for payload in sent]
+        assert all(size != 64 for size in sizes)
+        assert manager.host.metrics.counter_value("redundancy.repair_bytes") == sum(sizes)
+        for payload in sent:  # a None field walks as one byte
+            charged = GossipMessage("g", payload).size_bytes() - GossipMessage("g", None).size_bytes()
+            assert charged == walked_size(payload) - 1
 
     def test_exchange_timeout_reports_failed_peer(self):
         """A crashed repair partner times out ``max_failures`` exchanges

@@ -26,6 +26,7 @@ from repro.softstate import (
     StoreWrite,
 )
 from repro.softstate.coordinator import EpidemicRead
+from repro.softstate.messages import AggregateReply, AggregateRequest, ClientAggregate
 from repro.store.tuples import Version
 
 
@@ -103,11 +104,11 @@ class Rig:
 
 
 def make_rig(config: SoftStateConfig = None, ack_count: int = 1,
-             answer_reads: bool = True) -> Rig:
+             answer_reads: bool = True, storage: ScriptedStorage = None) -> Rig:
     sim = Simulation(seed=77)
     cluster = Cluster(sim, latency=FixedLatency(0.01))
     ring = ConsistentHashRing(8)
-    storage_proto = ScriptedStorage(ack_count=ack_count, answer_reads=answer_reads)
+    storage_proto = storage or ScriptedStorage(ack_count=ack_count, answer_reads=answer_reads)
     storage_node = cluster.add_node(lambda n: [storage_proto])
     soft_proto = SoftStateProtocol(
         ring,
@@ -126,6 +127,42 @@ def send_from_client(rig: Rig, message: Message) -> None:
     client_node = rig.coordinator.host  # not the client; fix below
     # send via the network from the client's node id
     rig.sim.call_soon(lambda: rig.client.host.send(rig.soft_id, "soft", message))
+
+
+class AggregateStorage(ScriptedStorage):
+    """Answers aggregate queries from a script of (ok, value) replies."""
+
+    def __init__(self, answers):
+        super().__init__()
+        self.answers = list(answers)
+        self.queries: List[AggregateRequest] = []
+
+    def on_message(self, sender, message: Message) -> None:
+        if not isinstance(message, AggregateRequest):
+            return super().on_message(sender, message)
+        self.queries.append(message)
+        ok, value = self.answers.pop(0)
+        self.host.send(message.reply_to, "soft", AggregateReply(
+            message.query_id, ok=ok, value=value,
+            error=None if ok else "estimate not converged yet"))
+
+
+class TestAggregates:
+    def test_unconverged_entry_point_is_asked_again_once(self):
+        # A storage node that just booted has no estimate yet; the query
+        # goes to an entry point again instead of failing the client.
+        rig = make_rig(storage=AggregateStorage([(False, None), (True, 158.0)]))
+        send_from_client(rig, ClientAggregate("r1", "score", "max"))
+        rig.sim.run_for(2.0)
+        assert len(rig.storage.queries) == 2
+        assert [(r.ok, r.value) for r in rig.client.replies] == [(True, 158.0)]
+
+    def test_second_error_reaches_the_client(self):
+        rig = make_rig(storage=AggregateStorage([(False, None), (False, None)]))
+        send_from_client(rig, ClientAggregate("r1", "score", "max"))
+        rig.sim.run_for(2.0)
+        assert len(rig.storage.queries) == 2
+        assert [r.ok for r in rig.client.replies] == [False]
 
 
 class TestWrites:
