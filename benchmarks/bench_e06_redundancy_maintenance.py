@@ -45,7 +45,6 @@ def _build(seed: int, maintenance: bool, grace: float):
                                 repair_enabled=maintenance)
     repair = replace(
         config.repair,
-        target_replication=R,
         check_period=5.0,
         walks_per_check=32,
         grace_window=grace,

@@ -97,8 +97,7 @@ def case_config(seed: int, quick: bool = False,
         n_soft=3,
         replication=3,
         indexes=() if quick else (IndexSpec("v", 0.0, 100.0),),
-        repair=RepairPolicy(target_replication=3, check_period=4.0,
-                            walks_per_check=24, grace_window=4.0),
+        repair=RepairPolicy(check_period=4.0, walks_per_check=24, grace_window=4.0),
         repair_period=4.0,
         repair_enabled=not break_repair,
         redundancy_mode=redundancy_mode,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -55,27 +55,20 @@ class DataDropletsConfig:
     collocation: Optional[str] = None  # None | "prefix" | "field:<name>"
     indexes: Tuple[IndexSpec, ...] = ()
 
-    # dissemination
-    fanout_c: float = 2.0  # adaptive fanout = ceil(ln N_est) + c
-
     # network model
     latency_low: float = 0.005
     latency_high: float = 0.05
     loss_rate: float = 0.0
 
     # membership
-    view_size: int = 16
-    shuffle_size: int = 8
     membership_period: float = 1.0
 
     # estimation
-    size_estimator_k: int = 64
     size_estimator_period: float = 1.0
     estimator_epoch: Optional[float] = 30.0
     pushsum_period: float = 1.0
 
     # ordered overlays
-    tman_view: int = 8
     tman_period: float = 1.0
 
     # redundancy maintenance
@@ -119,7 +112,6 @@ class DataDropletsConfig:
 
     # client
     client_timeout: float = 30.0  # virtual seconds per operation
-    client_retries: int = 2  # re-sends after a timed-out request
     # Overload protection at the facade: None disables the gate entirely
     # (the pre-PR-10 behaviour); an AdmissionConfig installs a token-
     # bucket admission gate with per-tenant fair shedding and publishes
@@ -130,12 +122,9 @@ class DataDropletsConfig:
     # export"). Off by default: the disabled tracer costs one attribute
     # load and a branch per network send.
     tracing: bool = False
-    trace_sample_rate: float = 1.0  # fraction of client ops that open a trace
     trace_capacity: int = 200_000  # event ring-buffer size (oldest evicted)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ConfigurationError("trace_sample_rate must be in [0, 1]")
         if self.trace_capacity <= 0:
             raise ConfigurationError("trace_capacity must be positive")
         if self.n_soft <= 0 or self.n_storage <= 0:
@@ -143,7 +132,8 @@ class DataDropletsConfig:
         if self.replication <= 0:
             raise ConfigurationError("replication must be positive")
         if self.collocation is not None:
-            if self.collocation != "prefix" and not self.collocation.startswith("field:"):
+            kind, _, field_name = self.collocation.partition(":")
+            if self.collocation != "prefix" and not (kind == "field" and field_name):
                 raise ConfigurationError(
                     "collocation must be None, 'prefix' or 'field:<name>'"
                 )
@@ -159,27 +149,19 @@ class DataDropletsConfig:
         # factory or the network model runs: at start(), or mid-run.
         for name in ("membership_period", "size_estimator_period", "pushsum_period",
                      "tman_period", "repair_period", "audit_period", "client_timeout",
-                     "view_size", "tman_view", "virtual_nodes"):
+                     "virtual_nodes"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.estimator_epoch is not None and self.estimator_epoch <= 0:
             raise ConfigurationError("estimator_epoch must be positive, or None for no epochs")
-        if not 0 < self.shuffle_size <= self.view_size:
-            raise ConfigurationError("shuffle_size must be in [1, view_size]")
-        if self.size_estimator_k < 3:
-            raise ConfigurationError("size_estimator_k must be >= 3 (finite-variance estimator)")
+        if self.memtable_capacity is not None and self.memtable_capacity <= 0:
+            raise ConfigurationError("memtable_capacity must be positive, or None for no bound")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError("loss_rate must be in [0, 1)")
         if not 0.0 <= self.latency_low <= self.latency_high:
             raise ConfigurationError("need 0 <= latency_low <= latency_high")
-        if self.client_retries < 0:
-            raise ConfigurationError("client_retries must be >= 0")
         seen = set()
         for index in self.indexes:
             if index.attribute in seen:
                 raise ConfigurationError(f"duplicate index on {index.attribute!r}")
             seen.add(index.attribute)
-
-    def with_replication_target(self) -> "DataDropletsConfig":
-        """Copy whose repair policy targets this config's replication."""
-        return replace(self, repair=replace(self.repair, target_replication=self.replication))

@@ -20,14 +20,14 @@ clusters), ``dd.churn()``, ``dd.metrics`` are all public on purpose.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DataDropletsError, SheddedError, TimeoutError_
 from repro.common.ids import NodeId
 from repro.common.messages import Message
 from repro.core.config import DataDropletsConfig
-from repro.core.storage import make_storage_stack
+from repro.core.storage import VIEW_SIZE, make_storage_stack
 from repro.estimation.lifetimes import LifetimeEstimator
 from repro.obs.overload import AdmissionGate
 from repro.obs.slo import DEFAULT_TENANT
@@ -51,6 +51,9 @@ from repro.softstate.messages import (
     ClientScan,
 )
 from repro.softstate.ring import ConsistentHashRing
+
+#: Re-sends after a timed-out client request.
+CLIENT_RETRIES = 2
 
 
 class ClientProtocol(Protocol):
@@ -97,8 +100,8 @@ class OpTrace:
     invoked_at: float
     completed_at: float
     #: Causal trace id of this operation's span tree (None when tracing
-    #: is off or the op was sampled out) — joins history records to the
-    #: JSONL trace log for replay-with-trace debugging.
+    #: is off) — joins history records to the JSONL trace log for
+    #: replay-with-trace debugging.
     trace_id: Optional[str] = None
     #: Tenant tag of the operation (None when the caller did not tag it)
     #: — the SLO tracker attributes latency/goodput/shed per tenant.
@@ -114,16 +117,11 @@ class DataDroplets:
     """The full system: build, start, operate (see module docstring)."""
 
     def __init__(self, config: Optional[DataDropletsConfig] = None):
-        self.config = (config if config is not None else DataDropletsConfig()).with_replication_target()
+        self.config = config if config is not None else DataDropletsConfig()
         self.sim = Simulation(seed=self.config.seed)
         tracer = None
         if self.config.tracing:
-            tracer = Tracer(
-                enabled=True,
-                sample_rate=self.config.trace_sample_rate,
-                capacity=self.config.trace_capacity,
-                seed=self.config.seed,
-            )
+            tracer = Tracer(enabled=True, capacity=self.config.trace_capacity)
         network = Network(
             self.sim,
             latency=UniformLatency(self.config.latency_low, self.config.latency_high),
@@ -154,6 +152,7 @@ class DataDroplets:
             self.repair_provider = AdaptiveRepairPolicy(
                 base=self.config.repair,
                 lifetimes=self.lifetimes,
+                replication=self.config.replication,
             )
             liveness = self.lifetimes.is_alive
 
@@ -208,8 +207,8 @@ class DataDroplets:
         if self.config.routing_mode == "onehop":
             assert self.onehop_space is not None
             # Per-node ring mirrored from the node's own routing table;
-            # misrouted ops are redirected to the believed owner instead
-            # of bounced (the one-hop fallback path).
+            # the router's presence makes the coordinator redirect
+            # misrouted ops to the believed owner instead of bouncing them.
             ring = ConsistentHashRing(self.config.virtual_nodes)
             router = OneHopRouting(
                 space=self.onehop_space,
@@ -219,7 +218,7 @@ class DataDroplets:
             soft = SoftStateProtocol(
                 ring=ring,
                 storage_directory=self._storage_directory,
-                config=replace(self.config.soft, redirect_misrouted=True),
+                config=self.config.soft,
             )
             return [soft, router]
         return [
@@ -258,7 +257,7 @@ class DataDroplets:
             return self
         for node in self.storage_nodes:
             node.boot()
-        view = min(self.config.view_size, max(1, self.config.n_storage - 1))
+        view = min(VIEW_SIZE, max(1, self.config.n_storage - 1))
         for node in self.storage_nodes:
             peers = [
                 n.node_id
@@ -388,15 +387,15 @@ class DataDroplets:
         # Requests or replies can be lost on a lossy network; clients
         # retry with a fresh request id (operations are idempotent at
         # the coordinator: re-puts take the next version, reads are pure).
-        attempts = 1 + self.config.client_retries
+        attempts = 1 + CLIENT_RETRIES
         invoked_at = self.sim.now
         trace_attempts: List[Tuple[str, int]] = []
         last_error: Exception = UnavailableError("no live soft-state coordinator")
         tracer = self.tracer
         # Root span of this operation's causal tree (None when tracing is
-        # off or the op is sampled out); every retry sends under it. The
-        # tenant tag rides in the root detail so trace analysis can
-        # attribute the whole span tree without touching the wire format.
+        # off); every retry sends under it. The tenant tag rides in the
+        # root detail so trace analysis can attribute the whole span tree
+        # without touching the wire format.
         ctx = tracer.start_trace(
             self.client_node.node_id.value, kind, invoked_at, key=routing_key,
             tenant=tenant or DEFAULT_TENANT)

@@ -58,6 +58,18 @@ from repro.softstate.messages import (
 from repro.store.memtable import Memtable
 from repro.store.tuples import VersionedTuple
 
+#: Cyclon partial view and shuffle length (Cyclon's c and l).
+VIEW_SIZE = 16
+SHUFFLE_SIZE = 8
+#: Minima per size-estimator vector.
+SIZE_ESTIMATOR_K = 64
+#: Gossip fanout is ceil(ln N̂ + FANOUT_C).
+FANOUT_C = 2.0
+#: Ranked view of each index's T-Man overlay.
+TMAN_VIEW = 8
+#: Unanswered repair exchanges before a same-range peer is evicted.
+MAX_PEER_FAILURES = 2
+
 
 class StorageNodeProtocol(Protocol):
     """Request-facing logic of one persistent-layer node."""
@@ -637,14 +649,14 @@ def make_storage_stack(
 
         protocols: List[Protocol] = []
         membership = CyclonProtocol(
-            view_size=config.view_size,
-            shuffle_size=config.shuffle_size,
+            view_size=VIEW_SIZE,
+            shuffle_size=SHUFFLE_SIZE,
             period=config.membership_period,
         )
         protocols.append(membership)
 
         size_estimator = ExtremaSizeEstimator(
-            k=config.size_estimator_k,
+            k=SIZE_ESTIMATOR_K,
             period=config.size_estimator_period,
             epoch_length=config.estimator_epoch,
         )
@@ -679,7 +691,7 @@ def make_storage_stack(
         )
 
         # --- dissemination ---------------------------------------------------
-        protocols.append(EagerGossip(fanout=size_estimator.fanout_fn(config.fanout_c)))
+        protocols.append(EagerGossip(fanout=size_estimator.fanout_fn(FANOUT_C)))
 
         # --- redundancy ------------------------------------------------------
         walker = RandomWalkProtocol()
@@ -689,6 +701,7 @@ def make_storage_stack(
             sieve=primary,
             size_estimate_fn=size_fn,
             policy=config.repair,
+            replication=config.replication,
             active=config.repair_enabled,
             policy_provider=policy_provider,
             liveness=liveness,
@@ -706,7 +719,7 @@ def make_storage_stack(
                 # the census still runs for aggregate corrections.
                 peer_source=manager.same_range_peers if config.repair_enabled else (lambda: []),
                 period=config.repair_period,
-                max_failures=config.repair.max_peer_failures,
+                max_failures=MAX_PEER_FAILURES,
                 on_peer_failed=manager.note_peer_failed,
                 # Adaptive mode reconciles on the census cadence: once
                 # the census is one per range, repair rounds are the
@@ -727,7 +740,7 @@ def make_storage_stack(
                 TManProtocol(
                     spec.attribute,
                     lambda s=sieve: coordinate_of(s),
-                    view_size=config.tman_view,
+                    view_size=TMAN_VIEW,
                     period=config.tman_period,
                 )
             )

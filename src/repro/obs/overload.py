@@ -34,6 +34,9 @@ from repro.common.errors import ConfigurationError
 from repro.obs.slo import escape_tenant
 from repro.sim.metrics import Metrics
 
+#: Fair-share weight of tenants an AdmissionConfig does not list.
+DEFAULT_WEIGHT = 1.0
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -48,9 +51,8 @@ class AdmissionConfig:
         mode: ``"shed"`` (per-tenant fair shedding) or ``"queue"``
             (unbounded FIFO — the unprotected baseline).
         weights: declared ``(tenant, weight)`` fair shares; tenants not
-            listed get ``default_weight``. Shares are normalised over
+            listed get ``DEFAULT_WEIGHT``. Shares are normalised over
             all tenants the gate has seen.
-        default_weight: fair-share weight of undeclared tenants.
     """
 
     rate: float = 200.0
@@ -58,7 +60,6 @@ class AdmissionConfig:
     max_delay: float = 0.25
     mode: str = "shed"
     weights: Tuple[Tuple[str, float], ...] = ()
-    default_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -69,8 +70,6 @@ class AdmissionConfig:
             raise ConfigurationError("admission max_delay must be >= 0")
         if self.mode not in ("shed", "queue"):
             raise ConfigurationError(f"unknown admission mode {self.mode!r}")
-        if self.default_weight <= 0:
-            raise ConfigurationError("default_weight must be positive")
         seen = set()
         for tenant, weight in self.weights:
             if weight <= 0:
@@ -134,7 +133,7 @@ class AdmissionGate:
 
     # -- fair shares ---------------------------------------------------
     def _add_bucket(self, tenant: str) -> _Bucket:
-        self._weights.setdefault(tenant, self.config.default_weight)
+        self._weights.setdefault(tenant, DEFAULT_WEIGHT)
         bucket = self._tenant_buckets.get(tenant)
         if bucket is None:
             bucket = self._tenant_buckets[tenant] = _Bucket(1.0, 1.0)

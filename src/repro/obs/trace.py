@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from contextlib import contextmanager
 from collections import deque
 from dataclasses import dataclass
@@ -121,7 +120,7 @@ class Tracer:
     unambiguous); the asyncio runtime gives each node its own. Both use
     the same API:
 
-    * :meth:`start_trace` — open a (possibly sampled-out) root span.
+    * :meth:`start_trace` — open a root span.
     * :meth:`send_context` — allocate a child span for an outgoing
       message and record its ``send`` event.
     * :meth:`activate` — install a delivered context around a handler.
@@ -132,27 +131,16 @@ class Tracer:
     attribute load and a branch.
     """
 
-    __slots__ = ("enabled", "sample_rate", "events", "current", "_span_seq",
-                 "_trace_seq", "_rng", "dropped")
+    __slots__ = ("enabled", "events", "current", "_span_seq", "_trace_seq", "dropped")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        sample_rate: float = 1.0,
-        capacity: int = 200_000,
-        seed: int = 0,
-    ):
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
+    def __init__(self, enabled: bool = True, capacity: int = 200_000):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.enabled = enabled
-        self.sample_rate = sample_rate
         self.events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.current: Optional[TraceContext] = None
         self._span_seq = itertools.count(1)
         self._trace_seq = itertools.count()
-        self._rng = random.Random(f"tracer/{seed}")
         #: Events recorded beyond capacity (evicted from the ring).
         self.dropped = 0
 
@@ -164,10 +152,8 @@ class Tracer:
 
     def start_trace(self, node: int, kind: str, t: float,
                     **detail: Any) -> Optional[TraceContext]:
-        """Open a root span; None when disabled or sampled out."""
+        """Open a root span; None when disabled."""
         if not self.enabled:
-            return None
-        if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
             return None
         trace_id = f"t{next(self._trace_seq)}-{node}"
         span = next(self._span_seq)
@@ -267,21 +253,6 @@ class _NullTracer(Tracer):
 #: Shared disabled tracer; ``Host.tracer`` returns this when no tracer
 #: is configured, so instrumentation never needs a None check.
 NULL_TRACER = _NullTracer()
-
-
-@dataclass
-class TraceConfig:
-    """Facade-level tracing knobs (see DataDropletsConfig.tracing)."""
-
-    enabled: bool = False
-    sample_rate: float = 1.0
-    capacity: int = 200_000
-
-    def build(self, seed: int = 0) -> Optional[Tracer]:
-        if not self.enabled:
-            return None
-        return Tracer(enabled=True, sample_rate=self.sample_rate,
-                      capacity=self.capacity, seed=seed)
 
 
 def load_events(path: str) -> List[TraceEvent]:

@@ -57,11 +57,14 @@ class AdaptiveRepairPolicy:
     :class:`~repro.redundancy.manager.RedundancyManager`:
     ``target_for(now, range_key)``, ``check_period(now)`` and
     ``grace_window(now)``. Until the estimator has seen ``min_deaths``
-    completed sessions every answer equals the static ``base`` policy.
+    completed sessions every answer equals the static ``base`` policy
+    and ``replication``.
 
     Args:
         base: the static policy supplying fallbacks and base cadence.
         lifetimes: shared lifetime estimator (membership-event fed).
+        replication: the deployment's r, the target before the fit
+            engages.
         r_min / r_max: hard clamps on the published replica target.
         loss_tolerance: acceptable probability that a whole range's
             replicas die within one recovery window.
@@ -77,6 +80,7 @@ class AdaptiveRepairPolicy:
         self,
         base: RepairPolicy,
         lifetimes: LifetimeEstimator,
+        replication: int,
         r_min: int = 2,
         r_max: Optional[int] = None,
         loss_tolerance: float = 1e-2,
@@ -88,7 +92,7 @@ class AdaptiveRepairPolicy:
         if r_min <= 0:
             raise ValueError("r_min must be positive")
         if r_max is None:
-            r_max = max(base.target_replication, 2 * r_min)
+            r_max = max(replication, 2 * r_min)
         if r_max < r_min:
             raise ValueError("r_max must be >= r_min")
         if not 0.0 < loss_tolerance < 1.0:
@@ -106,6 +110,7 @@ class AdaptiveRepairPolicy:
             raise ValueError("reference_death_probability must be in (0, 1)")
         self.base = base
         self.lifetimes = lifetimes
+        self.replication = replication
         self.r_min = r_min
         self.r_max = r_max
         self.loss_tolerance = loss_tolerance
@@ -133,7 +138,7 @@ class AdaptiveRepairPolicy:
         (per-replica window-death probability)^r <= loss_tolerance."""
         p_survive = self.survival_over_window(now)
         if p_survive is None:
-            return max(self.r_min, min(self.r_max, self.base.target_replication))
+            return max(self.r_min, min(self.r_max, self.replication))
         q = min(max(1.0 - p_survive, 1e-9), 1.0 - 1e-9)
         required = math.ceil(math.log(self.loss_tolerance) / math.log(q))
         return max(self.r_min, min(self.r_max, int(required)))

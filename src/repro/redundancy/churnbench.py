@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.sim.churn import ChurnAction, TraceChurn
@@ -131,6 +130,7 @@ def measure_redundancy_modes(
     """
     from repro.core.config import DataDropletsConfig
     from repro.core.datadroplets import DataDroplets
+    from repro.redundancy.manager import RepairPolicy
 
     results: Dict[str, Dict[str, float]] = {}
     for mode in modes or ["static", "adaptive"]:
@@ -141,15 +141,8 @@ def measure_redundancy_modes(
             replication=replication,
             redundancy_mode=mode,
             adaptive_min_deaths=6,
+            repair=RepairPolicy(check_period=5.0, walks_per_check=32, grace_window=15.0),
         )
-        repair = replace(
-            config.repair,
-            target_replication=replication,
-            check_period=5.0,
-            walks_per_check=32,
-            grace_window=15.0,
-        )
-        config = replace(config, repair=repair)
         dd = DataDroplets(config).start(warmup=15.0)
         for i in range(keys):
             dd.put(f"k{i}", {"v": i})

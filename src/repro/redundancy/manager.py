@@ -34,10 +34,10 @@ Outcomes:
   known.
 
 The replication target, census cadence and grace window are either the
-static :class:`RepairPolicy` values or, when a *policy provider* (see
-:class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`) is plugged in,
-recomputed every census from the measured churn of the population;
-the provider's cadence factor then paces :class:`RangeRepair` too.
+deployment's r and the static :class:`RepairPolicy` values or, when a
+*policy provider* (see :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`)
+is plugged in, recomputed every census from the measured churn of the
+population; the provider's cadence factor then paces :class:`RangeRepair` too.
 """
 
 from __future__ import annotations
@@ -60,60 +60,42 @@ from repro.sim.node import Protocol
 from repro.store.memtable import Memtable
 
 
+#: Cap on remembered same-range peers.
+MAX_KNOWN_PEERS = 8
+#: Max items re-broadcast per fallback repair.
+REDISSEMINATE_BATCH = 200
+#: Same-range peers targeted per repair action.
+REPAIR_FANOUT = 3
+#: Census rounds (run here or heard as tallies) a known peer may go
+#: unseen before it is presumed gone and evicted.
+PEER_TTL_CENSUSES = 8
+
+
 @dataclass(frozen=True)
 class RepairPolicy:
-    """Tunables of redundancy maintenance.
+    """Tunables of redundancy maintenance. The replication target is
+    not one of them: it is the deployment's r, the same that sizes the
+    sieve (``RedundancyManager(replication=)``).
 
     Attributes:
-        target_replication: minimum nodes per range (the paper's r).
         check_period: seconds between census ticks; a range runs about
             one census per period, whichever member's turn it is.
         walks_per_check: samples per census (binomial resolution); the
-            walker draws them from ceil(samples / walk_ttl) walks.
-        walk_ttl: mixing hops per walk; None derives ~log2(N)+4 from
-            the size estimate.
+            walker draws them from ceil(samples / ttl) walks of
+            ~log2(N)+4 mixing hops each.
         grace_window: seconds a deficiency must persist before active
             repair (0 = eager repair; the E6 ablation knob).
-        max_known_peers: cap on remembered same-range peers.
-        redisseminate_batch: max items re-broadcast per fallback repair.
-        repair_fanout: same-range peers targeted per repair action.
-        peer_ttl_censuses: census rounds (run here or heard as tallies)
-            a known peer may go unseen before it is presumed gone and
-            evicted.
-        max_peer_failures: consecutive unanswered repair exchanges before
-            a peer is reported failed and evicted.
     """
 
-    target_replication: int = 3
     check_period: float = 10.0
     walks_per_check: int = 32
-    walk_ttl: Optional[int] = None
     grace_window: float = 30.0
-    max_known_peers: int = 8
-    redisseminate_batch: int = 200
-    repair_fanout: int = 3
-    peer_ttl_censuses: int = 8
-    max_peer_failures: int = 2
 
     def __post_init__(self) -> None:
-        if self.target_replication <= 0:
-            raise ValueError("target_replication must be positive")
         if self.check_period <= 0 or self.walks_per_check <= 0:
             raise ValueError("check_period and walks_per_check must be positive")
-        if self.walk_ttl is not None and self.walk_ttl <= 0:
-            raise ValueError("walk_ttl must be positive when set")
         if self.grace_window < 0:
             raise ValueError("grace_window must be non-negative")
-        if self.max_known_peers <= 0:
-            raise ValueError("max_known_peers must be positive")
-        if self.redisseminate_batch <= 0:
-            raise ValueError("redisseminate_batch must be positive")
-        if self.repair_fanout <= 0:
-            raise ValueError("repair_fanout must be positive")
-        if self.peer_ttl_censuses <= 0:
-            raise ValueError("peer_ttl_censuses must be positive")
-        if self.max_peer_failures <= 0:
-            raise ValueError("max_peer_failures must be positive")
 
 
 @message_type
@@ -137,6 +119,8 @@ class RedundancyManager(Protocol):
     estimator (through ``size_estimate_fn``).
 
     Args:
+        replication: the replica target (the paper's r, as given to the
+            sieve).
         policy_provider: optional churn-adaptive override supplying
             ``target_for(now, range_key)``, ``check_period(now)`` and
             ``grace_window(now)``; None keeps the static ``policy``.
@@ -158,6 +142,8 @@ class RedundancyManager(Protocol):
         sieve: Sieve,
         size_estimate_fn,
         policy: RepairPolicy = RepairPolicy(),
+        *,
+        replication: int,
         gossip: str = "gossip",
         walker: str = "random-walk",
         active: bool = True,
@@ -168,6 +154,7 @@ class RedundancyManager(Protocol):
     ):
         super().__init__()
         self.active = active
+        self.replication = replication
         self.memtable = memtable
         self.sieve = sieve
         self.size_estimate_fn = size_estimate_fn
@@ -227,7 +214,7 @@ class RedundancyManager(Protocol):
     def current_target(self, range_key) -> int:
         if self.policy_provider is not None:
             return self.policy_provider.target_for(self.host.now, range_key)
-        return self.policy.target_replication
+        return self.replication
 
     def current_grace_window(self) -> float:
         if self.policy_provider is not None:
@@ -297,9 +284,7 @@ class RedundancyManager(Protocol):
             self.host.metrics.counter("redundancy.no_range").inc()
             return
         n_estimate = max(1.0, float(self.size_estimate_fn()))
-        ttl = self.policy.walk_ttl
-        if ttl is None:
-            ttl = recommended_walk_ttl(n_estimate)
+        ttl = recommended_walk_ttl(n_estimate)
         self.censuses_run += 1
         self._census_pending = True
         requested = math.ceil(self.policy.walks_per_check / self._census_yield)
@@ -416,7 +401,7 @@ class RedundancyManager(Protocol):
             if not self._is_live(peer.value):
                 self._peer_seen.pop(peer.value, None)
                 evicted += 1
-            elif census - last_seen >= self.policy.peer_ttl_censuses:
+            elif census - last_seen >= PEER_TTL_CENSUSES:
                 # Unseen by this many whole censuses: presumed gone.
                 self._peer_seen.pop(peer.value, None)
                 evicted += 1
@@ -425,8 +410,8 @@ class RedundancyManager(Protocol):
         if evicted:
             self.host.metrics.counter("redundancy.peers_evicted").inc(evicted)
         peers.sort(key=lambda p: p.value)
-        if len(peers) > self.policy.max_known_peers:
-            peers = self.host.rng.sample(peers, self.policy.max_known_peers)
+        if len(peers) > MAX_KNOWN_PEERS:
+            peers = self.host.rng.sample(peers, MAX_KNOWN_PEERS)
         self.known_peers = peers
 
     # ------------------------------------------------------------------
@@ -444,7 +429,7 @@ class RedundancyManager(Protocol):
             key=lambda p: p.value,
         )
         if repair is not None and live_peers:
-            count = min(self.policy.repair_fanout, len(live_peers))
+            count = min(REPAIR_FANOUT, len(live_peers))
             for peer in self.host.rng.sample(live_peers, count):
                 repair.repair_with(peer)  # type: ignore[attr-defined]
             self.repairs_triggered += 1
@@ -471,7 +456,7 @@ class RedundancyManager(Protocol):
             )
             repair_bytes += walked_size(payload)
             batch += 1
-            if batch >= self.policy.redisseminate_batch:
+            if batch >= REDISSEMINATE_BATCH:
                 break
         self.repairs_triggered += 1
         self.host.metrics.counter("redundancy.repair_fallbacks").inc()

@@ -71,6 +71,12 @@ SCAN_HOP_BUDGET = 64
 AGGREGATE_TIMEOUT = 3.0
 #: Forwards of a misrouted op before giving up on a loop.
 REDIRECT_HOP_BUDGET = 3
+#: Re-dispatches of an unacked write before it is parked.
+WRITE_RETRIES = 2
+#: Remembered storage nodes per key.
+HINT_CAPACITY = 8
+#: Seconds between retries to disseminate parked writes.
+FALLBACK_FLUSH_PERIOD = 4.0
 
 
 @message_type
@@ -95,23 +101,16 @@ class SoftStateConfig:
 
     ack_quorum: int = 1  # StoreAcks before a write is confirmed
     ack_timeout: float = 3.0
-    write_retries: int = 2
     read_fanout: int = 2  # hint nodes probed in parallel
     read_timeout: float = 3.0
     scan_timeout: float = 8.0
     cache_capacity: int = 10_000
-    hint_capacity: int = 8  # remembered storage nodes per key
-    fallback_flush_period: float = 4.0  # retry dissemination of parked writes
-    # Single-hop routing fallback: forward misrouted ops to the believed
-    # owner (RedirectedOp) instead of bouncing an error to the client.
-    # Enabled by the facade when DataDropletsConfig.routing_mode="onehop".
-    redirect_misrouted: bool = False
 
     def __post_init__(self) -> None:
-        if self.ack_quorum <= 0:
-            raise ValueError("ack_quorum must be positive")
-        if self.read_fanout <= 0:
-            raise ValueError("read_fanout must be positive")
+        for name in ("ack_quorum", "ack_timeout", "read_fanout", "read_timeout",
+                     "scan_timeout", "cache_capacity"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -221,11 +220,18 @@ class SoftStateProtocol(Protocol):
         self._scans = {}
         self._aggregates = {}
         self.rebuild_complete = False
+        # A node that runs the one-hop router forwards misrouted ops to
+        # the believed owner (RedirectedOp) instead of bouncing an error.
+        try:
+            self.host.protocol("onehop")
+            self._redirect_misrouted = True
+        except KeyError:
+            self._redirect_misrouted = False
         # Parked fallback writes (acked to the client but never stored in
         # the persistent layer) are retried until a storage node acks —
         # without this loop an acknowledged write could sit in the
         # coordinator's durable store forever and never gain redundancy.
-        self.every(self.config.fallback_flush_period, self._flush_fallback)
+        self.every(FALLBACK_FLUSH_PERIOD, self._flush_fallback)
 
     # -- helpers ---------------------------------------------------------
     def _next_id(self, prefix: str) -> str:
@@ -259,7 +265,7 @@ class SoftStateProtocol(Protocol):
 
     def _add_hint(self, key: str, storage_node: NodeId) -> None:
         meta = self._meta(key)
-        if len(meta.hints) < self.config.hint_capacity:
+        if len(meta.hints) < HINT_CAPACITY:
             meta.hints.add(storage_node)
 
     def _fallback_store(self) -> Dict[str, VersionedTuple]:
@@ -349,7 +355,7 @@ class SoftStateProtocol(Protocol):
             request_id=request_id,
             client=client,
             item=item,
-            retries_left=self.config.write_retries,
+            retries_left=WRITE_RETRIES,
             ctx=self.host.tracer.current,
         )
         self._writes[(key, version.packed())] = state
@@ -841,7 +847,7 @@ class SoftStateProtocol(Protocol):
         owner = self.ring.coordinator_for(key)
         self.host.metrics.counter("soft.misrouted").inc()
         if (
-            self.config.redirect_misrouted
+            self._redirect_misrouted
             and origin is not None
             and owner is not None
             and owner != self.host.node_id

@@ -17,9 +17,12 @@ from repro import (
     UnavailableError,
 )
 from repro.core.config import IndexSpec as CoreIndexSpec
+from repro.core.storage import make_storage_stack
 from repro.common.errors import ConfigurationError
 from repro.epidemic import EagerGossip
 from repro.sieve import BatchAdmission
+from repro.sim.cluster import Cluster
+from repro.sim.simulator import Simulation
 from repro.softstate.coordinator import SoftStateConfig
 
 
@@ -148,13 +151,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [
         {"estimator_epoch": 0.0},  # used to construct, then ZeroDivisionError in start()
-        {"tman_view": 0},  # used to be accepted silently
         {"membership_period": 0.0}, {"pushsum_period": -1.0}, {"repair_period": 0.0},
         {"size_estimator_period": 0.0}, {"tman_period": 0.0},
-        {"view_size": 0}, {"shuffle_size": 17}, {"shuffle_size": 0}, {"size_estimator_k": 2},
         {"loss_rate": 1.0}, {"loss_rate": -0.1},
         {"latency_low": 0.2, "latency_high": 0.1}, {"latency_low": -0.01},
-        {"virtual_nodes": 0}, {"client_timeout": 0.0}, {"client_retries": -1},
+        {"virtual_nodes": 0}, {"client_timeout": 0.0},
+        # these used to fail only at start(), or to run
+        {"memtable_capacity": 0}, {"memtable_capacity": -3}, {"collocation": "field:"},
     ], ids=lambda bad: ",".join(bad))
     def test_bad_values_fail_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
@@ -162,12 +165,20 @@ class TestConfigValidation:
 
     def test_edge_values_still_construct(self):
         DataDropletsConfig(estimator_epoch=None, loss_rate=0.0, latency_low=0.0,
-                           latency_high=0.0, client_retries=0, shuffle_size=16,
-                           size_estimator_k=3, tman_view=1)
+                           latency_high=0.0, memtable_capacity=1, collocation="field:x")
 
     def test_repair_target_follows_replication(self):
-        config = DataDropletsConfig(replication=7).with_replication_target()
-        assert config.repair.target_replication == 7
+        """One r: a stack built outside the facade, as the UDP hosts
+        build theirs, repairs toward the r that sizes its sieve, and so
+        does the facade's."""
+        for r in (4, 7):
+            config = DataDropletsConfig(n_storage=8, n_soft=1, replication=r)
+            standalone = Cluster(Simulation(seed=1)).add_node(make_storage_stack(config))
+            facade = DataDroplets(config).start(warmup=0.0).storage_nodes[0]
+            for node in (standalone, facade):
+                manager = node.protocol("redundancy")
+                assert manager.sieve.replication == r
+                assert manager.current_target(manager.sieve.range_key()) == r
 
 
 class TestDefaultsAreTheMeasuredPath:

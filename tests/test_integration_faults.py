@@ -129,8 +129,7 @@ class TestCatastrophicStorageEvents:
 
         config = DataDropletsConfig(seed=48, n_storage=40, n_soft=2, replication=5)
         config = replace(config, repair=replace(
-            config.repair, target_replication=5, check_period=4.0,
-            walks_per_check=32, grace_window=5.0,
+            config.repair, check_period=4.0, walks_per_check=32, grace_window=5.0,
         ))
         dd = DataDroplets(config).start(warmup=15.0)
         for i in range(15):

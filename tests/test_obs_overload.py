@@ -25,8 +25,6 @@ class TestAdmissionConfig:
             AdmissionConfig(weights=(("a", 0.0),))
         with pytest.raises(ConfigurationError):
             AdmissionConfig(weights=(("a", 1.0), ("a", 2.0)))
-        with pytest.raises(ConfigurationError):
-            AdmissionConfig(default_weight=0.0)
 
 
 def overload_gate(mode: str = "shed", rate: float = 10.0,

@@ -22,6 +22,7 @@ from repro.randomwalk import (
     walks_needed,
 )
 from repro.redundancy import RangeRepair, RedundancyManager, RepairPolicy
+from repro.redundancy.manager import PEER_TTL_CENSUSES
 from repro.sieve import BucketSieve
 from repro.sieve.coverage import range_population
 from repro.sieve.keyspace import node_position
@@ -302,9 +303,11 @@ class TestSamplingWalks:
         assert WalkStep("7:3.0", NodeId(7), 4).samples == 1
 
 
-def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None, walk_timeout=8.0):
+def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None, walk_timeout=8.0,
+                                  target=None):
     """Minimal storage-ish stack: PSS + size estimator + gossip + walker +
-    redundancy manager + range repair over a shared-bucket sieve."""
+    redundancy manager + range repair over a shared-bucket sieve. The
+    census repairs toward ``target``, by default the sieve's r."""
 
     def factory(node):
         memtable = node.durable.setdefault("memtable", Memtable())
@@ -313,7 +316,8 @@ def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None, walk_t
         sieve = BucketSieve(node.node_id, replication, size_fn)
         gossip = EagerGossip(fanout=8)
         walker = RandomWalkProtocol(timeout=walk_timeout)
-        manager = RedundancyManager(memtable, sieve, size_fn, policy)
+        manager = RedundancyManager(memtable, sieve, size_fn, policy,
+                                    replication=target or replication)
         repair = RangeRepair(memtable, sieve, manager.same_range_peers, period=2.0,
                              on_peer_failed=manager.note_peer_failed)
 
@@ -334,8 +338,7 @@ class TestRedundancyManager:
         sim = Simulation(seed=81)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n, r = 64, 8
-        policy = RepairPolicy(target_replication=r, check_period=5.0, walks_per_check=48,
-                              grace_window=1000.0)
+        policy = RepairPolicy(check_period=5.0, walks_per_check=48, grace_window=1000.0)
         nodes = build_connected(
             sim, cluster, n, _storage_stack_for_redundancy(policy, replication=r, n_estimate=n),
             warmup=40.0,
@@ -351,8 +354,7 @@ class TestRedundancyManager:
         sim = Simulation(seed=82)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n, r = 48, 12
-        policy = RepairPolicy(target_replication=r, check_period=5.0, walks_per_check=48,
-                              grace_window=1000.0)
+        policy = RepairPolicy(check_period=5.0, walks_per_check=48, grace_window=1000.0)
         nodes = build_connected(
             sim, cluster, n, _storage_stack_for_redundancy(policy, replication=r, n_estimate=n),
             warmup=40.0,
@@ -371,10 +373,10 @@ class TestRedundancyManager:
         sim = Simulation(seed=83)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n, r = 32, 16  # two buckets -> many same-range peers
-        policy = RepairPolicy(target_replication=4, check_period=3.0, walks_per_check=32,
-                              grace_window=1000.0)
+        policy = RepairPolicy(check_period=3.0, walks_per_check=32, grace_window=1000.0)
         nodes = build_connected(
-            sim, cluster, n, _storage_stack_for_redundancy(policy, replication=r, n_estimate=n),
+            sim, cluster, n,
+            _storage_stack_for_redundancy(policy, replication=r, n_estimate=n, target=4),
             warmup=20.0,
         )
         # Plant an item directly at ONE node of its bucket; repair must
@@ -399,33 +401,21 @@ class TestRedundancyManager:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            RepairPolicy(target_replication=0)
-        with pytest.raises(ValueError):
             RepairPolicy(check_period=0)
         with pytest.raises(ValueError):
+            RepairPolicy(walks_per_check=0)
+        with pytest.raises(ValueError):
             RepairPolicy(grace_window=-1)
-        with pytest.raises(ValueError):
-            RepairPolicy(walk_ttl=0)
-        with pytest.raises(ValueError):
-            RepairPolicy(max_known_peers=0)
-        with pytest.raises(ValueError):
-            RepairPolicy(redisseminate_batch=-5)
-        with pytest.raises(ValueError):
-            RepairPolicy(repair_fanout=0)
-        with pytest.raises(ValueError):
-            RepairPolicy(peer_ttl_censuses=0)
-        with pytest.raises(ValueError):
-            RepairPolicy(max_peer_failures=0)
 
     def test_repair_triggered_when_population_low(self):
         sim = Simulation(seed=84)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n = 24
         # Demand far more replicas than exist -> census always deficient.
-        policy = RepairPolicy(target_replication=50, check_period=3.0,
-                              walks_per_check=24, grace_window=0.0)
+        policy = RepairPolicy(check_period=3.0, walks_per_check=24, grace_window=0.0)
         nodes = build_connected(
-            sim, cluster, n, _storage_stack_for_redundancy(policy, replication=4, n_estimate=n),
+            sim, cluster, n,
+            _storage_stack_for_redundancy(policy, replication=4, n_estimate=n, target=50),
             warmup=10.0,
         )
         nodes[0].durable["memtable"].put(make_tuple("any", {}, Version(1, 0)))
@@ -437,8 +427,8 @@ class TestRedundancyManager:
         sim = Simulation(seed=85)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n = 32
-        policy = RepairPolicy(target_replication=4, check_period=1e6,
-                              walks_per_check=walks_per_check, grace_window=30.0)
+        policy = RepairPolicy(check_period=1e6, walks_per_check=walks_per_check,
+                              grace_window=30.0)
         nodes = build_connected(
             sim, cluster, n, _storage_stack_for_redundancy(policy, replication=4, n_estimate=n),
             warmup=10.0,
@@ -462,7 +452,7 @@ class TestRedundancyManager:
         assert cluster.metrics.counter_value("redundancy.repairs") == 0
         assert manager.same_range_peers() == [peer]
         # ... but unseen peers still age out.
-        manager.censuses += manager.policy.peer_ttl_censuses
+        manager.censuses += PEER_TTL_CENSUSES
         manager._census_done([], range_key, 32.0, 32)
         assert manager.same_range_peers() == []
         # A report that fails the position echo is no evidence either.
@@ -534,10 +524,10 @@ class TestCensusPerRange:
         sim = Simulation(seed=91)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n, r = 64, 8
-        policy = RepairPolicy(target_replication=2, check_period=self.PERIOD,
-                              walks_per_check=32, grace_window=1000.0)
+        policy = RepairPolicy(check_period=self.PERIOD, walks_per_check=32, grace_window=1000.0)
         nodes = build_connected(
-            sim, cluster, n, _storage_stack_for_redundancy(policy, replication=r, n_estimate=n),
+            sim, cluster, n,
+            _storage_stack_for_redundancy(policy, replication=r, n_estimate=n, target=2),
             warmup=30.0,
         )
         managers = [node.protocol("redundancy") for node in nodes]
@@ -577,8 +567,7 @@ class TestCensusPerRange:
         sim = Simulation(seed=92)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
         n = 16
-        policy = RepairPolicy(target_replication=1, check_period=self.PERIOD,
-                              walks_per_check=16, grace_window=1000.0)
+        policy = RepairPolicy(check_period=self.PERIOD, walks_per_check=16, grace_window=1000.0)
         nodes = build_connected(
             sim, cluster, n, _storage_stack_for_redundancy(policy, replication=1, n_estimate=n),
             warmup=10.0,
@@ -610,12 +599,11 @@ class TestCensusPerRange:
             sim = Simulation(seed=seed)
             cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
             n = 48
-            policy = RepairPolicy(target_replication=8, check_period=period,
-                                  walks_per_check=32, grace_window=grace)
+            policy = RepairPolicy(check_period=period, walks_per_check=32, grace_window=grace)
             nodes = build_connected(
                 sim, cluster, n,
                 _storage_stack_for_redundancy(policy, replication=6, n_estimate=n,
-                                              walk_timeout=1.5),
+                                              walk_timeout=1.5, target=8),
                 warmup=40.0,
             )
             ranges = {}

@@ -18,7 +18,7 @@ from repro.common.ids import NodeId
 from repro.estimation.lifetimes import LifetimeEstimator
 from repro.membership import CyclonProtocol
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
-from repro.redundancy.manager import RedundancyManager, RepairPolicy
+from repro.redundancy.manager import PEER_TTL_CENSUSES, RedundancyManager, RepairPolicy
 from repro.redundancy.repair import RangeRepair
 from repro.sieve import BucketSieve
 from repro.sim import Cluster, Simulation, UniformLatency
@@ -40,9 +40,8 @@ def _estimator(mean_lifetime: float, n: int = 200, min_deaths: int = 8) -> Lifet
 
 
 def _policy(est: LifetimeEstimator, **kwargs) -> AdaptiveRepairPolicy:
-    base = kwargs.pop("base", RepairPolicy(target_replication=5, check_period=5.0,
-                                           grace_window=15.0))
-    defaults = dict(r_min=1, r_max=50, loss_tolerance=1e-2)
+    base = kwargs.pop("base", RepairPolicy(check_period=5.0, grace_window=15.0))
+    defaults = dict(replication=5, r_min=1, r_max=50, loss_tolerance=1e-2)
     defaults.update(kwargs)
     return AdaptiveRepairPolicy(base=base, lifetimes=est, **defaults)
 
@@ -51,7 +50,7 @@ class TestAdaptiveTargets:
     def test_base_policy_before_min_deaths(self):
         est = LifetimeEstimator(min_deaths=8)  # no data at all
         policy = _policy(est, r_min=2, r_max=10)
-        assert policy.raw_target(0.0) == 5  # base target_replication
+        assert policy.raw_target(0.0) == 5  # the deployment's replication
         assert policy.check_period(0.0) == 5.0
         assert policy.grace_window(0.0) == 15.0
 
@@ -175,21 +174,21 @@ class TestCadenceAndValidation:
         est = LifetimeEstimator()
         base = RepairPolicy()
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, r_min=0)
+            AdaptiveRepairPolicy(base, est, replication=4, r_min=0)
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, r_min=5, r_max=3)
+            AdaptiveRepairPolicy(base, est, replication=4, r_min=5, r_max=3)
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, loss_tolerance=1.5)
+            AdaptiveRepairPolicy(base, est, replication=4, loss_tolerance=1.5)
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, recovery_window=0.0)
+            AdaptiveRepairPolicy(base, est, replication=4, recovery_window=0.0)
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, lower_rounds=0)
+            AdaptiveRepairPolicy(base, est, replication=4, lower_rounds=0)
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, period_bounds=(0.0, 2.0))
+            AdaptiveRepairPolicy(base, est, replication=4, period_bounds=(0.0, 2.0))
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, period_bounds=(3.0, 2.0))
+            AdaptiveRepairPolicy(base, est, replication=4, period_bounds=(3.0, 2.0))
         with pytest.raises(ValueError):
-            AdaptiveRepairPolicy(base, est, reference_death_probability=1.0)
+            AdaptiveRepairPolicy(base, est, replication=4, reference_death_probability=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +207,8 @@ class _StubHost:
 def _manager(policy=None, liveness=None) -> RedundancyManager:
     memtable = Memtable()
     sieve = BucketSieve(NodeId(0), 3, lambda: 16)
-    manager = RedundancyManager(memtable, sieve, lambda: 16,
-                                policy or RepairPolicy(), liveness=liveness)
+    manager = RedundancyManager(memtable, sieve, lambda: 16, policy or RepairPolicy(),
+                                replication=3, liveness=liveness)
     manager.host = _StubHost()
     return manager
 
@@ -225,11 +224,10 @@ class TestPeerEviction:
         assert manager.host.metrics.counter_value("redundancy.peers_evicted") == 1
 
     def test_absorb_evicts_peers_unseen_for_ttl_censuses(self):
-        policy = RepairPolicy(peer_ttl_censuses=2)
-        manager = _manager(policy=policy)
+        manager = _manager()
         manager.known_peers = [NodeId(5), NodeId(9)]
         manager._peer_seen = {5: 0, 9: 0}
-        manager.censuses = 2  # peer 9 unseen for 2 whole censuses
+        manager.censuses = PEER_TTL_CENSUSES  # peer 9 unseen for that many censuses
         manager._absorb_peers([5])  # 5 is re-sighted, 9 is not
         assert [p.value for p in manager.known_peers] == [5]
 
@@ -367,8 +365,7 @@ class TestPeerEviction:
                                     replication=4, redundancy_mode="adaptive")
         config = replace(
             config,
-            repair=replace(config.repair, check_period=3.0, walks_per_check=24,
-                           peer_ttl_censuses=3),
+            repair=replace(config.repair, check_period=3.0, walks_per_check=24),
         )
         dd = DataDroplets(config).start(warmup=15.0)
         for i in range(12):

@@ -25,7 +25,12 @@ from repro.softstate import (
     StoreAck,
     StoreWrite,
 )
-from repro.softstate.coordinator import EpidemicRead
+from repro.softstate.coordinator import (
+    FALLBACK_FLUSH_PERIOD,
+    HINT_CAPACITY,
+    WRITE_RETRIES,
+    EpidemicRead,
+)
 from repro.softstate.messages import AggregateReply, AggregateRequest, ClientAggregate
 from repro.store.tuples import Version
 
@@ -176,44 +181,43 @@ class TestWrites:
         assert len(rig.storage.writes) == 1
 
     def test_quorum_two_waits_for_two_acks(self):
-        config = SoftStateConfig(ack_quorum=2, ack_timeout=2.0, write_retries=0)
+        config = SoftStateConfig(ack_quorum=2, ack_timeout=2.0)
         rig = make_rig(config, ack_count=2)
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
         rig.sim.run_for(2.0)
         assert rig.client.replies and rig.client.replies[0].ok
 
     def test_retry_then_fallback_without_acks(self):
-        config = SoftStateConfig(ack_timeout=1.0, write_retries=1,
-                                 fallback_flush_period=100.0)
+        config = SoftStateConfig(ack_timeout=1.0)
         rig = make_rig(config, ack_count=0)  # storage never acks
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
-        rig.sim.run_for(6.0)
-        # retried once, then parked durably and confirmed anyway
-        assert len(rig.storage.writes) == 2
+        # parked after 1 + WRITE_RETRIES deadlines, before the first flush
+        rig.sim.run_for(WRITE_RETRIES + 1.5)
+        assert WRITE_RETRIES + 1.5 < 0.9 * FALLBACK_FLUSH_PERIOD
+        # retried, then parked durably and confirmed anyway
+        assert len(rig.storage.writes) == 1 + WRITE_RETRIES
         assert rig.client.replies and rig.client.replies[0].ok
         fallback = rig.coordinator.host.durable["soft-fallback"]
         assert "k" in fallback
 
     def test_fallback_flush_redisseminates_parked_writes(self):
-        config = SoftStateConfig(ack_timeout=1.0, write_retries=0,
-                                 fallback_flush_period=3.0)
+        config = SoftStateConfig(ack_timeout=1.0)
         rig = make_rig(config, ack_count=0)  # storage never acks...
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
-        rig.sim.run_for(2.0)
+        rig.sim.run_for(WRITE_RETRIES + 1.5)
         assert "k" in rig.coordinator.host.durable["soft-fallback"]
         # ...until it comes back: the periodic flush must re-send the
         # parked item and drop it from the fallback once storage acks.
         rig.storage.ack_count = 1
-        rig.sim.run_for(6.0)
+        rig.sim.run_for(1.5 * FALLBACK_FLUSH_PERIOD)
         assert "k" not in rig.coordinator.host.durable["soft-fallback"]
         assert rig.storage.stored["k"].record == {"v": 1}
 
     def test_fallback_flush_keeps_newer_parked_version(self):
-        config = SoftStateConfig(ack_timeout=1.0, write_retries=0,
-                                 fallback_flush_period=100.0)
+        config = SoftStateConfig(ack_timeout=1.0)
         rig = make_rig(config, ack_count=0)
         send_from_client(rig, ClientPut("r1", "k", {"v": 2}))
-        rig.sim.run_for(3.0)
+        rig.sim.run_for(WRITE_RETRIES + 1.5)
         parked = rig.coordinator.host.durable["soft-fallback"]["k"]
         # a stale ack (older version) must not evict the parked copy
         stale = StoreAck("k", Version(sequence=0, coordinator=1), NodeId(900))
@@ -239,11 +243,10 @@ class TestWrites:
         assert len(hints) == 3
 
     def test_hint_capacity_respected(self):
-        config = SoftStateConfig(hint_capacity=2)
-        rig = make_rig(config, ack_count=5)
+        rig = make_rig(ack_count=HINT_CAPACITY + 3)
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
         rig.sim.run_for(2.0)
-        assert len(rig.coordinator.metadata["k"].hints) <= 2
+        assert len(rig.coordinator.metadata["k"].hints) == HINT_CAPACITY
 
 
 class TestReads:
@@ -318,3 +321,12 @@ class TestConfigValidation:
     def test_bad_read_fanout(self):
         with pytest.raises(ValueError):
             SoftStateConfig(read_fanout=0)
+
+    @pytest.mark.parametrize("bad", [
+        # these used to run, or to fail only at start()
+        {"ack_timeout": 0.0}, {"read_timeout": -1.0}, {"scan_timeout": 0.0},
+        {"cache_capacity": 0},
+    ], ids=lambda bad: ",".join(bad))
+    def test_bad_values_fail_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            SoftStateConfig(**bad)
