@@ -13,7 +13,6 @@ lazy (advertise/pull) dissemination in bytes.
 import math
 
 from repro.epidemic import expected_coverage
-from repro.sim.sweep import SweepCell, require_ok, run_sweep
 
 from _helpers import print_table, run_once, stash
 
@@ -22,10 +21,7 @@ BROADCASTS = 10
 
 
 def coverage_cell(config: dict, seed: int) -> dict:
-    """Sweep cell: dissemination coverage/cost at one (fanout, variant).
-
-    Module-level so the parallel sweep runner can ship it to workers.
-    """
+    """One cell: dissemination coverage/cost at one (fanout, variant)."""
     from repro.baselines.lazy import LazyGossip
     from repro.epidemic import EagerGossip
     from repro.membership import CyclonProtocol
@@ -59,13 +55,10 @@ def coverage_cell(config: dict, seed: int) -> dict:
 def test_e02_coverage_vs_fanout(benchmark):
     def experiment():
         fanouts = (1, 2, 3, 4, 6, 9, 12)
-        cells = [SweepCell({"fanout": f, "lazy": False}, seed=200 + f) for f in fanouts]
-        results = require_ok(run_sweep(coverage_cell, cells))
-        rows = [
-            (cell.config["fanout"], r.result["coverage"],
-             expected_coverage(cell.config["fanout"]), r.result["msgs"])
-            for cell, r in zip(cells, results)
-        ]
+        rows = []
+        for fanout in fanouts:
+            result = coverage_cell({"fanout": fanout, "lazy": False}, seed=200 + fanout)
+            rows.append((fanout, result["coverage"], expected_coverage(fanout), result["msgs"]))
         print_table(
             f"E2a — coverage vs fanout (N={N}; fixed point pi=1-exp(-f*pi))",
             ["fanout", "coverage", "predicted", "relayed msgs/bcast"],
@@ -94,13 +87,11 @@ def test_e02_coverage_vs_fanout(benchmark):
 def test_e02_eager_vs_lazy_bytes(benchmark):
     def experiment():
         fanout = math.ceil(math.log(N)) + 2
-        cells = [SweepCell({"fanout": fanout, "lazy": lazy}, seed=250) for lazy in (False, True)]
-        results = require_ok(run_sweep(coverage_cell, cells))
-        rows = [
-            ("lazy" if cell.config["lazy"] else "eager", fanout,
-             r.result["coverage"], r.result["msgs"], r.result["bytes"])
-            for cell, r in zip(cells, results)
-        ]
+        rows = []
+        for lazy in (False, True):
+            result = coverage_cell({"fanout": fanout, "lazy": lazy}, seed=250)
+            rows.append(("lazy" if lazy else "eager", fanout,
+                         result["coverage"], result["msgs"], result["bytes"]))
         print_table(
             "E2b — eager push vs lazy (advertise/pull), 256-byte payloads",
             ["variant", "fanout", "coverage", "msgs/bcast", "bytes/bcast"],

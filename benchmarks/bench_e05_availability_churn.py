@@ -14,7 +14,6 @@ while DataDroplets stays near-flat.
 
 from repro import DataDroplets, DataDropletsConfig, TimeoutError_, UnavailableError
 from repro.baselines import DhtConfig, DhtStore, UnavailableInDht
-from repro.sim.sweep import SweepCell, require_ok, run_sweep
 
 from _helpers import print_table, run_once, stash
 
@@ -23,18 +22,6 @@ KEYS = 25
 READ_ROUNDS = 2
 REPLICATION = 4
 MEASURE_SECONDS = 90.0
-
-
-def availability_cell(config: dict, seed: int) -> dict:
-    """Sweep cell: one (system, churn rate) availability measurement.
-
-    Module-level so the parallel sweep runner can ship it to workers;
-    both systems share the same grid so the whole experiment is one
-    2 x len(churn rates) sweep.
-    """
-    runner = _run_datadroplets if config["system"] == "dd" else _run_dht
-    availability, messages = runner(config["churn_rate"], seed)
-    return {"availability": availability, "messages": messages}
 
 
 def _run_datadroplets(churn_rate: float, seed: int):
@@ -99,20 +86,12 @@ def _run_dht(churn_rate: float, seed: int):
 def test_e05_availability_under_churn(benchmark):
     def experiment():
         churn_rates = (0.0, 0.3, 1.0)
-        cells = [
-            SweepCell({"system": system, "churn_rate": rate}, seed=500 + int(rate * 10))
-            for rate in churn_rates
-            for system in ("dd", "dht")
-        ]
-        results = require_ok(run_sweep(availability_cell, cells))
-        by_cell = {(cell.config["system"], cell.config["churn_rate"]): r.result
-                   for cell, r in zip(cells, results)}
-        rows = [
-            (rate,
-             by_cell[("dd", rate)]["availability"], by_cell[("dht", rate)]["availability"],
-             by_cell[("dd", rate)]["messages"], by_cell[("dht", rate)]["messages"])
-            for rate in churn_rates
-        ]
+        rows = []
+        for rate in churn_rates:
+            seed = 500 + int(rate * 10)
+            dd_avail, dd_msgs = _run_datadroplets(rate, seed)
+            dht_avail, dht_msgs = _run_dht(rate, seed)
+            rows.append((rate, dd_avail, dht_avail, dd_msgs, dht_msgs))
         print_table(
             f"E5 — read availability vs churn rate (N={N_STORAGE}, r={REPLICATION}, "
             f"mean downtime 15s)",

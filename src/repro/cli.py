@@ -123,7 +123,7 @@ EXPERIMENTS = {
     "e06": "repro.redundancy.churnbench",
     "e15": "repro.epidemic.costbench",
     "e16": "repro.runtime.wirebench",
-    "e17": "repro.sim.shardbench",
+    "e17": "repro.sim.scalebench",
     "e18": "repro.check.stabbench",
     "e19": "repro.obs.slobench",
 }
@@ -185,44 +185,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     failed = [name for name, ok in doc["gates"].items() if not ok]
     print("check:", "ok" if doc["passed"] else f"FAILED ({', '.join(failed)})")
     return 0 if doc["passed"] else 1
-
-
-def _cmd_sim(args: argparse.Namespace) -> int:
-    """Run the stock sharded dissemination workload once."""
-    from repro.sim.shardbench import measure_scale
-
-    config = {
-        "degree": args.degree,
-        "fanout": args.fanout,
-        "broadcasts": args.broadcasts,
-    }
-    print(f"sim: N={args.nodes:,}, {args.shards} shard(s), "
-          f"{args.duration:g}s virtual, seed {args.seed}")
-    result = measure_scale(
-        args.nodes, args.shards, duration=args.duration, seed=args.seed,
-        config=config)
-    canonical = result.canonical()
-    coverage = canonical["data"].get("coverage", {})
-    replicas = canonical["data"].get("replicas", {})
-    print(f"wall: {result.wall_seconds:.2f}s; events: {result.events:,}")
-    for item in sorted(coverage):
-        print(f"  {item}: coverage {coverage[item]:,.0f}/{args.nodes:,}  "
-              f"replicas {replicas.get(item, 0):,.0f}")
-    sent = result.counters.get("net.sent.total", 0.0)
-    remote = result.counters.get("net.shard.remote_sent", 0.0)
-    print(f"messages: {sent:,.0f} sent"
-          + (f", {remote:,.0f} cross-shard ({remote / sent:.1%})" if sent and remote
-             else ""))
-    if args.cross_check:
-        other = 1 if args.shards > 1 else 2
-        check = measure_scale(
-            args.nodes, other, duration=args.duration, seed=args.seed,
-            config=config)
-        identical = check.canonical() == canonical
-        print(f"cross-check vs {other} shard(s): "
-              f"{'identical' if identical else 'DIVERGED'}")
-        return 0 if identical else 1
-    return 0
 
 
 def _record_trace(args: argparse.Namespace, path: str) -> None:
@@ -471,24 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="exit non-zero unless every gate passes "
                                      "(writes BENCH_<id>.json)")
     bench.set_defaults(fn=_cmd_bench)
-
-    sim = sub.add_parser(
-        "sim", help="one sharded dissemination run (the e17 workload) "
-                    "with optional determinism cross-check")
-    sim.add_argument("-n", "--nodes", type=int, default=2000)
-    sim.add_argument("--shards", type=int, default=1,
-                     help="worker processes (1 = inline, no subprocesses)")
-    sim.add_argument("--duration", type=float, default=2.5,
-                     help="virtual seconds")
-    sim.add_argument("--degree", type=int, default=12,
-                     help="static overlay out-degree")
-    sim.add_argument("--fanout", type=int, default=6)
-    sim.add_argument("--broadcasts", type=int, default=4)
-    sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--cross-check", action="store_true",
-                     help="re-run with a different shard count and require "
-                          "byte-identical canonical results")
-    sim.set_defaults(fn=_cmd_sim)
 
     trace = sub.add_parser(
         "trace", help="causal trace analysis (record a traced run and/or "

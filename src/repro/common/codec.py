@@ -501,7 +501,7 @@ class DecodeMemo:
 
 #: Bound on a codec's memoised ``<sender><protocol>`` prefixes. A node
 #: encodes as one sender over a dozen protocols; only a codec shared by
-#: many senders (the sharded simulator's) ever gets near it.
+#: many senders ever gets near it.
 _MAX_PREFIXES = 4096
 
 

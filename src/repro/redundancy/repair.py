@@ -29,14 +29,8 @@ from repro.epidemic.antientropy import (
     VersionedItem,
 )
 from repro.sieve.base import Sieve
-from repro.sieve.vectorized import BatchAdmission
 from repro.store.memtable import Memtable
 from repro.store.tuples import Version, VersionedTuple
-
-#: Below this many items a bucket is re-sieved per item: the batch
-#: planner's per-call setup (grid resolution, array build) only pays for
-#: itself on wider buckets.
-_BATCH_MIN = 16
 
 #: Supplies the current same-range peer candidates (census discoveries).
 PeerSource = Callable[[], List[NodeId]]
@@ -53,7 +47,6 @@ class RangeScopedStore(AntiEntropyStore):
     def __init__(self, memtable: Memtable, sieve: Sieve):
         self.memtable = memtable
         self.sieve = sieve
-        self._batch = BatchAdmission(sieve)
         #: bucket -> {key: packed version} of *admitted* items.
         self._scoped: Dict[int, Dict[str, int]] = {}
         #: bucket -> (xor, count) over the scoped entries.
@@ -96,20 +89,10 @@ class RangeScopedStore(AntiEntropyStore):
                 continue  # clean bucket: cached admissions still valid
             entries: Dict[str, int] = {}
             xor = 0
-            present = [
-                item for item in (
-                    memtable.get_any(key) for key in memtable.bucket_keys(bucket))
-                if item is not None
-            ]
-            if len(present) >= _BATCH_MIN:
-                flags = self._batch.admits_batch(
-                    [(item.key, item.record) for item in present])
-            else:
-                flags = [admits(item.key, item.record) for item in present]
-            for item, admitted in zip(present, flags):
-                if not admitted:
+            for key in memtable.bucket_keys(bucket):
+                item = memtable.get_any(key)
+                if item is None or not admits(key, item.record):
                     continue
-                key = item.key
                 entries[key] = item.version.packed()
                 fp = memtable.fingerprint_of(key)
                 if fp is not None:
@@ -149,16 +132,10 @@ class RangeScopedStore(AntiEntropyStore):
 
     def apply(self, items: Iterable[VersionedItem]) -> int:
         changed = 0
-        items = list(items)
-        if len(items) >= _BATCH_MIN:
-            flags = self._batch.admits_batch(
-                [(key, payload[0]) for key, _, payload in items])
-        else:
-            flags = [
-                self.sieve.admits(key, payload[0]) for key, _, payload in items]
-        for (key, packed, payload), admitted in zip(items, flags):
+        admits = self.sieve.admits
+        for key, packed, payload in items:
             record, tombstone = payload
-            if not admitted:
+            if not admits(key, record):
                 continue
             incoming = VersionedTuple(
                 key=key,

@@ -13,9 +13,7 @@ keep each item. Variants:
 * :class:`UnionSieve` and friends — composition and test baselines.
 
 :mod:`repro.sieve.coverage` checks the paper's coverage/replication
-correctness requirement over sieve populations, and
-:class:`BatchAdmission` (:mod:`repro.sieve.vectorized`) evaluates any
-sieve over key batches, bit-exact with the per-item path.
+correctness requirement over sieve populations.
 """
 
 from repro.sieve.adaptive import DistributionAwareSieve
@@ -30,12 +28,10 @@ from repro.sieve.keyspace import (
     node_position,
 )
 from repro.sieve.uniform import UniformSieve
-from repro.sieve.vectorized import BatchAdmission, measure_admission
 
 __all__ = [
     "AcceptAllSieve",
     "AcceptNothingSieve",
-    "BatchAdmission",
     "BucketSieve",
     "CapacityScaledSieve",
     "CoverageReport",
@@ -50,7 +46,6 @@ __all__ = [
     "bucket_count_for",
     "coverage_report",
     "field_tag",
-    "measure_admission",
     "node_position",
     "prefix_tag",
     "range_population",

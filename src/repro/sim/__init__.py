@@ -10,11 +10,9 @@ Public surface:
 * Churn models — Poisson crash/recover, catastrophic events, traces.
 * :class:`Metrics` — counters/histograms/time series for experiments.
 
-The multi-process tools are imported from their own modules, so that a
-process hosting a node never loads :mod:`multiprocessing`:
-:mod:`repro.sim.sweep` (parallel, deterministic ``(config, seed)``
-sweeps) and :mod:`repro.sim.shard` (one big simulation sharded across
-processes, merged byte-for-byte deterministically).
+Everything runs in one process on one event loop. Paper-scale runs
+(N = 50 000, ``repro bench e17``, :mod:`repro.sim.scalebench`) use the
+same :class:`Simulation` as every other experiment.
 """
 
 from repro.sim.churn import (

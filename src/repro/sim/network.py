@@ -36,18 +36,6 @@ class LatencyModel:
     def sample(self, rng: random.Random, src: NodeId, dst: NodeId) -> float:
         raise NotImplementedError
 
-    def lookahead(self) -> float:
-        """Guaranteed minimum one-way delay (conservative lookahead).
-
-        The sharded engine (:mod:`repro.sim.shard`) runs shards in
-        bounded-time ticks of at most this width: a message sent during
-        tick T then provably cannot be delivered before tick T+1 starts,
-        so exchanging cross-shard messages only at tick barriers loses no
-        causality. Models without a positive lower bound return 0.0 and
-        are not eligible for sharded runs.
-        """
-        return 0.0
-
 
 class FixedLatency(LatencyModel):
     """Constant delay — useful for fully deterministic unit tests."""
@@ -58,9 +46,6 @@ class FixedLatency(LatencyModel):
         self.delay = delay
 
     def sample(self, rng: random.Random, src: NodeId, dst: NodeId) -> float:
-        return self.delay
-
-    def lookahead(self) -> float:
         return self.delay
 
 
@@ -75,9 +60,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random, src: NodeId, dst: NodeId) -> float:
         return rng.uniform(self.low, self.high)
-
-    def lookahead(self) -> float:
-        return self.low
 
 
 class LogNormalLatency(LatencyModel):
@@ -229,11 +211,13 @@ class Network:
             self._category_handles[(protocol, category)] = handles
         return handles
 
-    def _charge_send(self, protocol: str, message: Message) -> int:
-        """Charge one outgoing message to the per-protocol/category and
-        total counters; returns the charged wire size. Shared by the
-        in-process send path and the sharded network's cross-shard path
-        so both account identically."""
+    def send(self, src: NodeId, dst: NodeId, protocol: str, message: Message) -> None:
+        """Send one message; may be dropped, delayed and reordered.
+
+        Sends to unknown or self destinations are counted but dropped —
+        epidemic protocols routinely gossip to stale descriptors, and
+        that must behave like talking to a dead host, not crash the sim.
+        """
         handles = self._proto_handles.get(protocol)
         if handles is None:
             handles = self.protocol_counters(protocol)
@@ -251,16 +235,6 @@ class Network:
                 cat = self.category_counters(protocol, category)
             cat[0].value += 1.0
             cat[1].value += size
-        return size
-
-    def send(self, src: NodeId, dst: NodeId, protocol: str, message: Message) -> None:
-        """Send one message; may be dropped, delayed and reordered.
-
-        Sends to unknown or self destinations are counted but dropped —
-        epidemic protocols routinely gossip to stale descriptors, and
-        that must behave like talking to a dead host, not crash the sim.
-        """
-        self._charge_send(protocol, message)
         if dst not in self._nodes:
             self._dropped_unknown.inc()
             return

@@ -123,21 +123,6 @@ class Simulation:
         heapq.heappush(self._queue, (time, next(self._seq), event))
         return EventHandle(event)
 
-    def schedule_call_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Fast-path absolute-time schedule: run ``callback(*args)`` at ``time``.
-
-        The absolute-time twin of :meth:`schedule_call`, used by the
-        sharded engine to replay cross-shard deliveries at the exact
-        virtual time the sending shard stamped on them.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        event = _Event(time, callback, args)
-        heapq.heappush(self._queue, (time, next(self._seq), event))
-        return EventHandle(event)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -159,7 +144,10 @@ class Simulation:
 
         Afterwards the clock rests at exactly ``time`` (even if the last
         event fired earlier), so back-to-back ``run_until`` calls tile
-        cleanly. Returns the number of events processed.
+        cleanly. When ``max_events`` stops the run while an event at or
+        before ``time`` is still queued, the clock stays at the last
+        event run, so it never has to move backwards to that event.
+        Returns the number of events processed.
         """
         if time < self.now:
             raise ValueError(f"cannot run backwards: {time} < {self.now}")
@@ -175,7 +163,7 @@ class Simulation:
             if head[0] > time:
                 break
             if max_events is not None and processed >= max_events:
-                break
+                return processed
             pop(queue)
             self.now = head[0]
             self._events_processed += 1

@@ -7,7 +7,7 @@ import shlex
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.sim.shardbench import scale_completed as _scale_completed
+from repro.sim.scalebench import scale_completed as _scale_completed
 
 
 class TestParser:
@@ -29,27 +29,25 @@ class TestParser:
         args = build_parser().parse_args(["estimate", "-k", "128"])
         assert args.k == 128
 
-    def test_sim_options(self):
-        args = build_parser().parse_args(
-            ["sim", "-n", "800", "--shards", "2", "--cross-check"])
-        assert args.nodes == 800
-        assert args.shards == 2
-        assert args.cross_check
-
     def test_bench_e17_options(self):
         args = build_parser().parse_args(
-            ["bench", "e17", "--shards", "2", "--nodes", "5000",
-             "--min-speedup", "1.5", "--check"])
+            ["bench", "e17", "--nodes", "5000", "--cross-check-n", "300", "--check"])
         assert args.experiment == "e17"
-        assert args.shards == 2
         assert args.nodes == 5000
-        assert args.min_speedup == 1.5
+        assert args.cross_check_n == 300
+        for gone in ("--shards", "--min-speedup"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", "e17", gone, "2"])
+
+    def test_sim_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sim", "-n", "800"])
 
     # One flag per experiment that the experiment does not read.
     @pytest.mark.parametrize("argv", [
-        ["e05b", "--shards", "2"],
+        ["e05b", "--cross-check-n", "2"],
         ["e06", "--items", "10"],
-        ["e15", "--shards", "2"],
+        ["e15", "--cross-check-n", "2"],
         ["e16", "--lookups", "5"],
         ["e17", "--stretch"],
         ["e18", "--nodes", "5"],
@@ -69,8 +67,7 @@ class TestParser:
                     mean_lifetime=150.0),
         "e15": dict(items=2000, divergence=0.01, buckets=256, seed=7),
         "e16": dict(items=60, nodes=12, fanout=8, seed=7),
-        "e17": dict(nodes=3000, shards=2, duration=2.0, cross_check_n=300, seed=7,
-                    min_speedup=2.5),
+        "e17": dict(nodes=3000, duration=2.0, cross_check_n=300, seed=7),
         "e18": dict(seed=7),
         "e19": dict(nodes=24, soft=3, seed=42, slo_duration=8.0, rate=80.0,
                     overload=2.0, trace_out="e19_trace.jsonl"),
@@ -118,12 +115,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "read availability" in out
 
-    def test_sim_runs_small_with_cross_check(self, capsys):
-        assert main(["sim", "-n", "80", "--shards", "2", "--duration", "1.5",
-                     "--cross-check"]) == 0
-        out = capsys.readouterr().out
-        assert "cross-check vs 1 shard(s): identical" in out
-
     def test_bench_e15_small_check_writes_artifact(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         status = main(["bench", "e15", "-n", "200", "--check"])
@@ -137,18 +128,16 @@ class TestExecution:
 
     def test_bench_e17_small_check_writes_artifact(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        status = main(["bench", "e17", "--nodes", "400", "--shards", "2",
+        status = main(["bench", "e17", "--nodes", "400",
                        "--duration", "1.5", "--cross-check-n", "80", "--check"])
         out = capsys.readouterr().out
         assert "determinism cross-check" in out and "identical" in out
+        assert "check: ok" in out
         doc = json.loads((tmp_path / "BENCH_e17.json").read_text())
-        # sieve_speedup_3x is a host-clock ratio: the exit code follows it,
-        # but only the virtual gates are asserted here
-        assert status == (0 if doc["passed"] else 1)
-        assert sorted(doc["gates"]) == ["determinism_identical", "scale_completed",
-                                        "sieve_identical", "sieve_speedup_3x"]
+        # both gates are virtual-time facts, so the run must pass
+        assert status == 0 and doc["passed"]
+        assert sorted(doc["gates"]) == ["determinism_identical", "scale_completed"]
         assert doc["gates"]["determinism_identical"] is True
-        assert doc["gates"]["sieve_identical"] is True
         assert doc["metrics"]["n_nodes"] == 400
         # the scale gate reads the run's replica map, so it can fail
         assert doc["gates"]["scale_completed"] is True

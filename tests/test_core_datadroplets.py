@@ -20,7 +20,6 @@ from repro.core.config import IndexSpec as CoreIndexSpec
 from repro.core.storage import make_storage_stack
 from repro.common.errors import ConfigurationError
 from repro.epidemic import EagerGossip
-from repro.sieve import BatchAdmission
 from repro.sim.cluster import Cluster
 from repro.sim.simulator import Simulation
 from repro.softstate.coordinator import SoftStateConfig
@@ -197,7 +196,6 @@ class TestDefaultsAreTheMeasuredPath:
         assert not names & self.RETIRED
         assert DataDropletsConfig().routing_mode == "legacy"  # waits for ROADMAP item 1
         assert "mode" not in inspect.signature(EagerGossip).parameters
-        assert "use_numpy" not in inspect.signature(BatchAdmission).parameters
 
     def test_default_run_speaks_one_anti_entropy_exchange(self):
         dd = DataDroplets(DataDropletsConfig(
@@ -232,6 +230,24 @@ class TestDefaultsAreTheMeasuredPath:
             "retired = {'DigestMessage', 'SoftHeartbeat', 'HistogramShare', 'Advertisement',\n"
             "           'PullRequest', 'PullReply', 'VectorExchange'} & set(registered_message_types())\n"
             "assert not retired, retired\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_package_is_single_process(self):
+        # Every module outside the baselines, not just the live closure:
+        # no experiment, bench module or tool forks worker processes.
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import repro\n"
+            "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')\n"
+            "         if not m.name.startswith(('repro.baselines', 'repro.__main__'))]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "assert 'repro.sim.scalebench' in sys.modules, names\n"
+            "assert 'multiprocessing' not in sys.modules\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         done = subprocess.run([sys.executable, "-c", script], env=env,

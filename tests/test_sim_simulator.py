@@ -124,6 +124,19 @@ class TestRunModes:
         assert processed == 3
         assert sim.pending_events == 7
 
+        # A capped run leaves the clock at the last event run, so the
+        # next event never moves it backwards.
+        sim = Simulation()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda t=t: fired.append((t, sim.now)))
+        assert sim.run_until(10.0, max_events=1) == 1
+        assert sim.now == 1.0 and sim.pending_events == 2
+        assert sim.step() and sim.now == 2.0
+        assert sim.run_until(10.0) == 1
+        assert sim.now == 10.0
+        assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
     def test_step_returns_false_when_empty(self):
         assert Simulation().step() is False
 
