@@ -9,12 +9,14 @@ second opinion the codec round-trip tests hold the binary codec against.
 
 A frame is one JSON object per envelope, so its first byte is ``0x7b``
 (``{``); several envelopes are newline-joined. Nested dataclasses,
-:class:`NodeId`, tuples and sets round-trip exactly, and non-finite
-floats (NaN/inf) are rejected, as in the binary codec.
+:class:`NodeId`, tuples, sets and ``bytes`` (base64 under a tag)
+round-trip exactly, and non-finite floats (NaN/inf) are rejected, as in
+the binary codec.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -97,6 +99,8 @@ def _encode_value(value: Any) -> Any:
     if isinstance(value, Message) or dataclasses.is_dataclass(value):
         fields = {f.name: _encode_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
         return {_TAG: "dc", "c": type(value).__name__, "f": fields}
+    if isinstance(value, bytes):
+        return {_TAG: "bin", "v": base64.b64encode(value).decode("ascii")}
     if isinstance(value, tuple):
         return {_TAG: "tup", "v": [_encode_value(v) for v in value]}
     if isinstance(value, (set, frozenset)):
@@ -120,6 +124,8 @@ def _decode_value(value: Any) -> Any:
     tag = value.get(_TAG)
     if tag == "nid":
         return NodeId(value["v"], value["l"])
+    if tag == "bin":
+        return base64.b64decode(value["v"], validate=True)
     if tag == "tup":
         return tuple(_decode_value(v) for v in value["v"])
     if tag == "set":

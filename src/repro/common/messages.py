@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple, Type, TypeVar
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.common.errors import UnknownMessageError
 from repro.common.ids import NodeId
@@ -217,6 +217,29 @@ def _walk(value: Any) -> int:
     if isinstance(value, (set, frozenset)):
         return sum(_estimate(item) for item in value)
     return 8
+
+
+def pack_mask(flags: Sequence[bool]) -> bytes:
+    """Presence bitmap of a sparse vector: bit ``i % 8`` of byte ``i // 8``
+    is set when ``flags[i]`` is, in ``ceil(len(flags) / 8)`` bytes. A
+    sparse message carries this mask plus the values it flags, in order."""
+    bits = 0
+    for index, flag in enumerate(flags):
+        if flag:
+            bits |= 1 << index
+    return bits.to_bytes((len(flags) + 7) // 8, "little")
+
+
+def mask_indices(mask: bytes, n: int) -> Optional[List[int]]:
+    """The indices a :func:`pack_mask` mask over ``n`` entries flags, in
+    ascending order; None for anything that mask cannot be: not
+    ``bytes``, another length, or a bit set past ``n``."""
+    if not isinstance(mask, bytes) or len(mask) != (n + 7) // 8:
+        return None
+    bits = int.from_bytes(mask, "little")
+    if bits >> n:
+        return None
+    return [index for index, digit in enumerate(reversed(format(bits, "b"))) if digit == "1"]
 
 
 def message_type(cls: Type[M]) -> Type[M]:

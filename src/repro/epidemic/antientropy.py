@@ -12,12 +12,15 @@ anything versioned by (item id, monotone version).
 
 There is one wire exchange, in three phases. Item ids hash into ``B``
 buckets with incrementally maintained rolling summaries. A round sends
-only the ``B`` summaries (:class:`BucketSummaryMessage`); the peer
-answers with per-key digests *for the differing buckets only*
+the summaries (:class:`BucketSummaryMessage`) of the non-empty buckets
+behind a ``B``-bit presence mask — an empty bucket's summary is always
+``(0, 0)``, so the receiver fills those in; the peer answers with
+per-key digests *for the differing buckets only*
 (:class:`BucketDigestMessage`); items flow last. Cost is proportional to
 *divergence*, not store size — the cheap-incremental-sync property
 Merkle-style reconcilers rely on. Both sides must use the same ``B``: a
-summary with another bucket count cannot be compared and is counted
+summary with another bucket count cannot be compared, and one whose
+mask does not fit ``B`` or its summaries is malformed; both are counted
 (``antientropy.bucket_count_mismatch``) and dropped.
 
 The full-digest exchange this replaced (46x the digest bytes at 1 %
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.ids import NodeId
-from repro.common.messages import Message, message_type
+from repro.common.messages import Message, mask_indices, message_type, pack_mask
 from repro.membership.views import PeerSampler
 from repro.sim.node import Protocol
 
@@ -43,6 +46,9 @@ BucketSummary = Tuple[int, int]
 
 #: Digest value meaning "I do not hold this item at any version".
 ABSENT = -1
+
+#: The summary of a bucket that holds nothing.
+_EMPTY: BucketSummary = (0, 0)
 
 
 class AntiEntropyStore(ABC):
@@ -98,9 +104,13 @@ class AntiEntropyStore(ABC):
 @message_type
 @dataclass(frozen=True)
 class BucketSummaryMessage(Message):
-    """Phase 1 of the exchange: B rolling bucket summaries."""
+    """Phase 1 of the exchange: the rolling summaries of the buckets
+    ``present`` flags (:func:`~repro.common.messages.pack_mask` over
+    ``bucket_count`` buckets), in bucket order; every other bucket's
+    summary is ``(0, 0)``."""
 
     bucket_count: int = 0
+    present: bytes = b""
     summaries: Tuple[BucketSummary, ...] = field(default_factory=tuple)
 
     wire_category: ClassVar[str] = "digest"
@@ -218,7 +228,11 @@ class AntiEntropy(Protocol):
         periodic random one.
         """
         store = self.store
-        self.send(peer, BucketSummaryMessage(store.bucket_count(), store.bucket_summaries()))
+        summaries = store.bucket_summaries()
+        present = [summary != _EMPTY for summary in summaries]
+        self.send(peer, BucketSummaryMessage(
+            store.bucket_count(), pack_mask(present),
+            tuple(summary for summary, flag in zip(summaries, present) if flag)))
         self._c_rounds.inc()
         self._on_initiate(peer)
 
@@ -273,15 +287,20 @@ class AntiEntropy(Protocol):
 
     def _on_bucket_summary(self, sender: NodeId, message: BucketSummaryMessage) -> None:
         store = self.store
-        if message.bucket_count != store.bucket_count():
-            # Summaries over another bucket grid say nothing about which
-            # of *our* buckets differ.
+        count = store.bucket_count()
+        # Summaries over another bucket grid say nothing about which of
+        # *our* buckets differ; a mask that does not fit the grid or the
+        # summaries would misplace them.
+        indices = mask_indices(message.present, count) if message.bucket_count == count else None
+        if indices is None or len(indices) != len(message.summaries):
             self._c_bucket_mismatch.inc()
             return
-        local = store.bucket_summaries()
+        theirs = [_EMPTY] * count
+        for index, summary in zip(indices, message.summaries):
+            theirs[index] = summary
         differing = tuple(
-            index for index, (mine, theirs) in enumerate(zip(local, message.summaries))
-            if mine != theirs
+            index for index, (mine, other) in enumerate(zip(store.bucket_summaries(), theirs))
+            if mine != other
         )
         if not differing:
             self._c_buckets_clean.inc()

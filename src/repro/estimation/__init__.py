@@ -7,7 +7,7 @@ the session-lifetime survival estimator driving churn-adaptive
 redundancy (§III-A claim C5).
 """
 
-from repro.estimation.extrema import ExtremaExchange, ExtremaSizeEstimator
+from repro.estimation.extrema import ExtremaExchange, ExtremaReply, ExtremaSizeEstimator
 from repro.estimation.histogram import (
     DistributionEstimate,
     WeightFn,
@@ -25,6 +25,7 @@ from repro.estimation.pushsum import (
 __all__ = [
     "DistributionEstimate",
     "ExtremaExchange",
+    "ExtremaReply",
     "ExtremaSizeEstimator",
     "ExtremeAggregator",
     "ExtremeShare",

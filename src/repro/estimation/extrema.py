@@ -16,6 +16,12 @@ restart the computation on a common virtual-time grid, so departed
 nodes' variates age out after one epoch (the standard restart approach
 for gossip estimation in dynamic networks).
 
+One exchange is push-pull: the push carries the whole K-vector, the
+reply (:class:`ExtremaReply`) only the minima lower than the ones the
+push carried. That loses nothing: minima only fall, so the requester's
+vector is already at or below what it sent, and ``min(current, sent)``
+is ``current`` for every entry the reply leaves out.
+
 The sieve layer uses this estimate for the r/N retention probability
 (claim C3), and dissemination can size its fanout as ln(N_hat)+c (C1).
 """
@@ -24,10 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.common.ids import NodeId
-from repro.common.messages import Message, message_type
+from repro.common.messages import Message, mask_indices, message_type, pack_mask
 from repro.membership.views import PeerSampler
 from repro.sim.node import Protocol
 
@@ -35,9 +41,22 @@ from repro.sim.node import Protocol
 @message_type
 @dataclass(frozen=True)
 class ExtremaExchange(Message):
+    """The push: the sender's whole minima vector."""
+
     epoch: int
     minima: Tuple[float, ...]
-    is_reply: bool = False
+
+
+@message_type
+@dataclass(frozen=True)
+class ExtremaReply(Message):
+    """The pull: the entries (:func:`~repro.common.messages.pack_mask`
+    over the K positions) where the replier's merged minima are lower
+    than the push carried, and those minima in order."""
+
+    epoch: int
+    lower: bytes
+    values: Tuple[float, ...]
 
 
 class ExtremaSizeEstimator(Protocol):
@@ -117,7 +136,7 @@ class ExtremaSizeEstimator(Protocol):
         self._maybe_advance_epoch()
         self._rounds_done += 1
         for peer in self._sampler().sample_peers(self.fanout):
-            self.send(peer, ExtremaExchange(self._epoch, tuple(self._minima), is_reply=False))
+            self.send(peer, ExtremaExchange(self._epoch, tuple(self._minima)))
         self.host.metrics.counter("extrema.rounds").inc()
 
     def _maybe_advance_epoch(self) -> None:
@@ -128,28 +147,53 @@ class ExtremaSizeEstimator(Protocol):
             self._regenerate()
 
     def on_message(self, sender: NodeId, message: Message) -> None:
-        if not isinstance(message, ExtremaExchange):
+        if isinstance(message, ExtremaExchange):
+            if len(message.minima) != self.k:
+                # Merged, it would shorten the vector for good and inflate N.
+                self.host.metrics.counter("extrema.shape_mismatch").inc()
+                return
+            if not self._enter(message.epoch):
+                return
+            pushed = message.minima
+            self._merge(enumerate(pushed))
+            lower = [mine < theirs for mine, theirs in zip(self._minima, pushed)]
+            self.send(sender, ExtremaReply(
+                self._epoch, pack_mask(lower),
+                tuple(mine for mine, flag in zip(self._minima, lower) if flag)))
+        elif isinstance(message, ExtremaReply):
+            indices = mask_indices(message.lower, self.k)
+            if indices is None or len(indices) != len(message.values):
+                self.host.metrics.counter("extrema.shape_mismatch").inc()
+                return
+            if self._enter(message.epoch):
+                self._merge(zip(indices, message.values))
+        else:
             self.host.metrics.counter("extrema.unexpected_message").inc()
-            return
-        if len(message.minima) != self.k:
-            # zip() below would truncate the vector for good and inflate N.
-            self.host.metrics.counter("extrema.shape_mismatch").inc()
-            return
+
+    def _enter(self, epoch: int) -> bool:
+        """Settle the epoch for a message of ``epoch``; False if it is stale."""
         self._maybe_advance_epoch()
-        if message.epoch < self._epoch:
-            return  # stale epoch
-        if message.epoch > self._epoch:
+        if epoch < self._epoch:
+            return False
+        if epoch > self._epoch:
             # A peer's clock view is slightly ahead; jump forward with it.
             self._last_estimate = self._raw_estimate()
-            self._epoch = message.epoch
+            self._epoch = epoch
             self._regenerate()
-        merged = [min(a, b) for a, b in zip(self._minima, message.minima)]
-        if merged != self._minima:
+        return True
+
+    def _merge(self, entries: Iterable[Tuple[int, float]]) -> None:
+        """Lower the minima to the given (position, value) entries."""
+        merged = None
+        for index, value in entries:
+            if value < self._minima[index]:
+                if merged is None:
+                    merged = list(self._minima)
+                merged[index] = value
+        if merged is not None:
             self._last_change_round = self._rounds_done
             self._minima = merged
             self._estimate = self._compute_estimate()
-        if not message.is_reply:
-            self.send(sender, ExtremaExchange(self._epoch, tuple(self._minima), is_reply=True))
 
     # ------------------------------------------------------------------
     def _raw_estimate(self) -> Optional[float]:

@@ -16,6 +16,10 @@ one more slot of the vector (see :mod:`repro.estimation.histogram`).
 For maximum/minimum the library uses :class:`ExtremeAggregator`, a
 monotone-merge gossip that is trivially churn- and duplicate-proof.
 
+A share lists only its non-zero cells behind a presence mask
+(:func:`~repro.common.messages.pack_mask`): the receiver adds what is
+listed, and ``a + 0.0 == a`` for the rest, so nothing is lost.
+
 There are two merge algebras here — mass-conserving and idempotent —
 and a node needs one protocol instance of each, however many
 quantities it aggregates.
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NodeId
-from repro.common.messages import Message, message_type
+from repro.common.messages import Message, mask_indices, message_type, pack_mask
 from repro.membership.views import PeerSampler
 from repro.sim.node import Protocol
 
@@ -35,8 +39,12 @@ from repro.sim.node import Protocol
 @message_type
 @dataclass(frozen=True)
 class PushSumShare(Message):
+    """Half of the sender's mass: ``nonzero`` masks the vector's cells,
+    ``parts`` holds the flagged ones in order."""
+
     instance: str
     epoch: int
+    nonzero: bytes
     parts: Tuple[float, ...]
     weight_part: float
 
@@ -121,12 +129,12 @@ class PushSumProtocol(Protocol):
         peers = self._sampler().sample_peers(1)
         if not peers:
             return
-        self._vector = [cell / 2.0 for cell in self._vector]
+        self._vector = vector = [cell / 2.0 for cell in self._vector]
         self._weight /= 2.0
-        self.send(
-            peers[0],
-            PushSumShare(self.instance, self._epoch, tuple(self._vector), self._weight),
-        )
+        nonzero = [cell != 0.0 for cell in vector]
+        self.send(peers[0], PushSumShare(
+            self.instance, self._epoch, pack_mask(nonzero),
+            tuple(cell for cell, flag in zip(vector, nonzero) if flag), self._weight))
         self.host.metrics.counter("pushsum.rounds").inc()
 
     def _maybe_advance_epoch(self) -> None:
@@ -138,9 +146,10 @@ class PushSumProtocol(Protocol):
         if not isinstance(message, PushSumShare):
             self.host.metrics.counter("pushsum.unexpected_message").inc()
             return
-        if len(message.parts) != len(self._vector):
-            # Another slot layout, or a forged datagram: zip() below
-            # would truncate the local vector for good.
+        indices = mask_indices(message.nonzero, len(self._vector))
+        if indices is None or len(indices) != len(message.parts):
+            # Another slot layout, or a forged datagram: cells would land
+            # in the wrong slots, or past the vector's end.
             self.host.metrics.counter("pushsum.shape_mismatch").inc()
             return
         self._maybe_advance_epoch()
@@ -148,7 +157,8 @@ class PushSumProtocol(Protocol):
             return
         if message.epoch > self._epoch:
             self._enter_epoch(message.epoch)
-        self._vector = [a + b for a, b in zip(self._vector, message.parts)]
+        for index, part in zip(indices, message.parts):
+            self._vector[index] += part
         self._weight += message.weight_part
 
     # ------------------------------------------------------------------

@@ -221,6 +221,7 @@ _PHASE_BY_MSG = (
     ("PushSumShare", "estimation"),
     ("ExtremeShare", "estimation"),
     ("ExtremaExchange", "estimation"),
+    ("ExtremaReply", "estimation"),
 )
 
 #: protocol → phase for spans whose message name matches no prefix

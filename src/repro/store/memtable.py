@@ -24,9 +24,9 @@ from repro.epidemic.antientropy import AntiEntropyStore, BucketSummary, Versione
 from repro.store.tuples import Version, VersionedTuple
 
 #: Default summary-bucket count. Scoped digests cover ~(diverged keys /
-#: store size) × B buckets, so B trades summary bytes (16·B per round)
-#: against digest scope; 256 keeps a low-divergence round under a kB of
-#: summaries while still isolating small divergences to few buckets.
+#: store size) × B buckets, so B trades summary bytes (B/8 of presence
+#: mask plus ~16 per non-empty bucket, per round) against digest scope;
+#: 256 still isolates small divergences to few buckets.
 DEFAULT_BUCKETS = 256
 
 

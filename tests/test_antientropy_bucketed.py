@@ -283,13 +283,30 @@ class TestBucketedExchange:
         store = Memtable(buckets=16)
         store.put(make_tuple("k", {"v": 1}, Version(1, 0)))
         proto, host = _bound(store)
-        proto.on_message(_peer(), BucketSummaryMessage(32, tuple([(0, 0)] * 32)))
+        proto.on_message(_peer(), BucketSummaryMessage(32, bytes(4), ()))
         assert host.sent == []
         assert host.metrics.counter_value("antientropy.bucket_count_mismatch") == 1
         assert host.metrics.counter_value("antientropy.buckets_diverged") == 0
         # the same summary over our own grid is answered
-        proto.on_message(_peer(), BucketSummaryMessage(16, tuple([(0, 0)] * 16)))
+        proto.on_message(_peer(), BucketSummaryMessage(16, bytes(2), ()))
         assert len(host.sent_of(BucketDigestMessage)) == 1
+
+    @pytest.mark.parametrize("present, summaries", [
+        (b"\x00", ()),                                   # too short for 12 buckets
+        (b"\x00\x00\x00", ()),                           # too long
+        (b"\x00\x10", ((5, 1),)),                         # flags bucket 12 of 12
+        (b"\x01\x00", ()),                               # flags 1, carries 0
+        (b"\x00\x00", ((5, 1),)),                         # flags 0, carries 1
+        ("\x00\x00", ()),                                # not bytes
+    ])
+    def test_malformed_presence_mask_is_counted_and_dropped(self, present, summaries):
+        store = Memtable(buckets=12)
+        store.put(make_tuple("k", {"v": 1}, Version(1, 0)))
+        proto, host = _bound(store)
+        proto.on_message(_peer(), BucketSummaryMessage(12, present, summaries))
+        assert host.sent == []
+        assert host.metrics.counter_value("antientropy.bucket_count_mismatch") == 1
+        assert host.metrics.counter_value("antientropy.buckets_diverged") == 0
 
 
 class TestEndToEndCost:

@@ -11,6 +11,7 @@ from repro.common.ids import NodeId
 from repro.estimation import (
     DistributionEstimate,
     ExtremaExchange,
+    ExtremaReply,
     ExtremaSizeEstimator,
     ExtremeAggregator,
     ExtremeShare,
@@ -190,9 +191,16 @@ class TestExtremeAggregator:
 
 
 class TestShortShareIsDropped:
-    """A share whose length differs from the local one (a peer with
+    """A share whose shape differs from the local one (a peer with
     another layout, a forged datagram) used to be zip()-merged and
-    truncated the local state for good; it is now counted and dropped."""
+    truncated the local state for good; it is now counted and dropped.
+    For a sparse share the shape is its presence mask: one that is too
+    short or too long, flags a cell past the end, or flags another
+    number of cells than the share carries is malformed."""
+
+    #: (mask, values) pairs a 4-cell vector cannot take, in that order.
+    _BAD_FOR_FOUR = ((b"", (9.0,)), (b"\x0f\x00", (1.0,) * 4), (b"\x10", (9.0,)),
+                     (b"\x0f", (1.0,) * 5), (b"\x03", (1.0,)), ("\x0f", (1.0,) * 4))
 
     def _node(self, protocol):
         sim = Simulation(seed=1)
@@ -203,18 +211,21 @@ class TestShortShareIsDropped:
     def test_push_sum(self):
         proto = PushSumProtocol("p", lambda: {"a": [4.0], "bins": [1.0, 2.0, 3.0]})
         cluster, node, peer = self._node(proto)
-        for parts in ((9.0,), (1.0,) * 5):
-            proto.on_message(peer, PushSumShare("p", 0, parts, 0.5))
-        assert cluster.metrics.counter_value("pushsum.shape_mismatch") == 2
+        for mask, parts in self._BAD_FOR_FOUR:
+            proto.on_message(peer, PushSumShare("p", 0, mask, parts, 0.5))
+        assert cluster.metrics.counter_value("pushsum.shape_mismatch") == len(self._BAD_FOR_FOUR)
         assert (proto.mass("a"), proto.mass("bins"), proto.average("a")) == ([4.0], [1.0, 2.0, 3.0], 4.0)
-        proto.on_message(peer, PushSumShare("p", 0, (2.0, 1.0, 1.0, 1.0), 1.0))
+        proto.on_message(peer, PushSumShare("p", 0, b"\x0f", (2.0, 1.0, 1.0, 1.0), 1.0))
         assert (proto.mass("a"), proto.mass("bins"), proto.average("a")) == ([6.0], [2.0, 3.0, 4.0], 3.0)
+        proto.on_message(peer, PushSumShare("p", 0, b"\x05", (3.0, 1.0), 1.0))  # cells 0 and 2
+        assert (proto.mass("a"), proto.mass("bins")) == ([9.0], [2.0, 4.0, 4.0])
 
     def test_short_share_from_a_future_epoch_does_not_restart_the_epoch(self):
         proto = PushSumProtocol("p", lambda: {"a": [4.0, 4.0]}, epoch_length=10.0)
         cluster, node, peer = self._node(proto)
-        proto.on_message(peer, PushSumShare("p", 7, (1.0,), 0.5))
+        proto.on_message(peer, PushSumShare("p", 7, b"\x04", (1.0,), 0.5))  # cell 2 of 2
         assert proto._epoch == 0 and proto.mass("a") == [4.0, 4.0]
+        assert cluster.metrics.counter_value("pushsum.shape_mismatch") == 1
 
     def test_extreme_table(self):
         table = ExtremeAggregator("t", lambda: {"x": (5.0, 5.0), "y": (None, None)})
@@ -239,6 +250,31 @@ class TestShortShareIsDropped:
         size.on_message(peer, ExtremaExchange(0, (1e-9,) * 16))
         assert len(size._minima) == 16 and size.estimate() > before[1]
         assert cluster.metrics.counter_value("net.sent.size-estimator") == 1  # the push-pull reply
+
+    #: (mask, values) pairs a 12-entry reply cannot be, in that order.
+    _BAD_FOR_TWELVE = ((b"\xff", (1e-9,) * 8), (b"\xff\x0f\x00", (1e-9,) * 12),
+                       (b"\x00\x10", (1e-9,)), (b"\xff\x0f", (1e-9,) * 11),
+                       (b"\x01\x00", ()), ("\x01\x00", (1e-9,)))
+
+    def test_size_estimator_reply(self):
+        size = ExtremaSizeEstimator(k=12)
+        cluster, node, peer = self._node(size)
+        before = (list(size._minima), size.estimate())
+        for mask, values in self._BAD_FOR_TWELVE:
+            size.on_message(peer, ExtremaReply(0, mask, values))
+        assert cluster.metrics.counter_value("extrema.shape_mismatch") == len(self._BAD_FOR_TWELVE)
+        assert (size._minima, size.estimate()) == before
+        size.on_message(peer, ExtremaReply(0, b"\x01\x00", (1e-9,)))  # lowers entry 0 only
+        assert size._minima == [1e-9] + before[0][1:] and size.estimate() > before[1]
+        assert cluster.metrics.counter_value("net.sent.size-estimator") == 0  # a reply is not answered
+
+    def test_malformed_reply_from_a_future_epoch_does_not_restart_the_epoch(self):
+        size = ExtremaSizeEstimator(k=12, epoch_length=10.0)
+        cluster, node, peer = self._node(size)
+        before = list(size._minima)
+        size.on_message(peer, ExtremaReply(7, b"\x00\x10", (1e-9,)))  # entry 12 of 12
+        assert size._epoch == 0 and size._minima == before
+        assert cluster.metrics.counter_value("extrema.shape_mismatch") == 1
 
 
 class TestDistributionEstimate:

@@ -399,12 +399,15 @@ _minima = st.lists(st.floats(min_value=1e-6, max_value=5.0), min_size=4, max_siz
 
 class TestSizeEstimateCache:
     @given(st.lists(st.one_of(
-        st.tuples(st.just("exchange"), st.integers(-1, 1), _minima, st.booleans()),
+        # lower=None is a push; a flag list is a reply listing those entries.
+        st.tuples(st.just("exchange"), st.integers(-1, 1), _minima,
+                  st.none() | st.lists(st.booleans(), min_size=4, max_size=4)),
         st.tuples(st.just("tick"), st.floats(min_value=0.0, max_value=12.0)),
     ), max_size=25))
     @settings(max_examples=60, deadline=None)
     def test_estimate_matches_the_formula(self, ops):
-        from repro.estimation.extrema import ExtremaExchange, ExtremaSizeEstimator
+        from repro.common.messages import pack_mask
+        from repro.estimation.extrema import ExtremaExchange, ExtremaReply, ExtremaSizeEstimator
         from repro.membership import CyclonProtocol
         from repro.sim import Cluster, UniformLatency
 
@@ -415,9 +418,12 @@ class TestSizeEstimateCache:
         assert estimator.estimate() == _reference_estimate(estimator)
         for op in ops:
             if op[0] == "exchange":  # stale, current or ahead-of-epoch
-                _, offset, minima, is_reply = op
+                _, offset, minima, lower = op
                 epoch = max(0, estimator._epoch + offset)
-                estimator.on_message(NodeId(99), ExtremaExchange(epoch, tuple(minima), is_reply))
+                estimator.on_message(NodeId(99), ExtremaExchange(epoch, tuple(minima))
+                                     if lower is None else ExtremaReply(
+                                         epoch, pack_mask(lower),
+                                         tuple(v for v, flag in zip(minima, lower) if flag)))
             else:  # rounds and epoch turns (_regenerate)
                 sim.run_for(op[1])
             assert estimator.estimate() == _reference_estimate(estimator)
@@ -455,4 +461,4 @@ class TestGoldenFingerprint:
             dd.get(f"k{i}")
         dd.run_for(10.0)
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
-                dd.metrics.counter_value("net.bytes.total")) == (8328, 6379.0, 1727115.0)
+                dd.metrics.counter_value("net.bytes.total")) == (8328, 6379.0, 1376898.0)

@@ -57,6 +57,8 @@ class TestPhaseOf:
         ("membership", "ShuffleRequest", "membership", "disseminate"),
         ("soft-membership", "SoftHeartbeat", "membership", "disseminate"),
         ("size-estimator", "PushSumShare", "estimation", "disseminate"),
+        ("size-estimator", "ExtremaExchange", "estimation", "disseminate"),
+        ("size-estimator", "ExtremaReply", "estimation", "disseminate"),
         ("tman:rank", "TManExchange", "overlay", "disseminate"),
         ("push-sum:size", "PushSumShare", "estimation", "disseminate"),
         ("push-sum:agg", "PushSumShare", "estimation", "disseminate"),

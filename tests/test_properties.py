@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.ids import NodeId
+from repro.common.messages import mask_indices
 from repro.epidemic import expected_coverage, fanout_for_atomic
 from repro.estimation import PushSumProtocol
 from repro.membership import CyclonProtocol
@@ -153,7 +154,14 @@ class _PushSumWorld:
             return (sum(n._weight for n in self.nodes)
                     + sum(m.weight_part for _, _, m in self.in_flight))
         return (sum(n._vector[cell] for n in self.nodes)
-                + sum(m.parts[cell] for _, _, m in self.in_flight))
+                + sum(self.dense(m)[cell] for _, _, m in self.in_flight))
+
+    def dense(self, share):
+        """A share's cells with the zeros it leaves out put back."""
+        cells = [0.0] * len(self.nodes[0]._vector)
+        for index, part in zip(mask_indices(share.nonzero, len(cells)), share.parts):
+            cells[index] = part
+        return cells
 
 
 _layouts = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(

@@ -301,42 +301,77 @@ class TestFragmentation:
 
 
 class TestForgedShareOverUdp:
-    def test_short_push_sum_share_is_counted_and_dropped(self):
-        """A well-formed datagram carrying a share of the wrong length
-        reaches the protocol (the codec cannot know the layout): the
-        node counts it, keeps its vector, and merges the next good one."""
-        from repro.estimation import PushSumProtocol, PushSumShare
+    """A well-formed datagram carrying a malformed sparse message (a
+    presence mask that does not fit the receiver's vector) reaches the
+    protocol — the codec cannot know the layout: the node counts it,
+    keeps its state, and merges the next good one."""
 
-        sender = node_id_for("127.0.0.1", 31121)
+    @staticmethod
+    def _deliver(port, proto, protocol, messages, probe):
+        """Send ``messages`` one datagram each from a raw socket to a node
+        running ``proto``; returns ``probe(node)`` before the first and
+        after each, and the node."""
+        sender = node_id_for("127.0.0.1", port + 1)
         binary = BinaryCodec()
 
-        def frame(parts):
-            share = PushSumShare("agg", 0, parts, 0.5)
-            return binary.frame([binary.encode_envelope(sender, "push-sum:agg", share)])
-
         async def scenario():
-            proto = PushSumProtocol("agg", lambda: {"count": [4.0], "bins": [1.0, 2.0, 3.0]},
-                                    period=3600.0)  # no round of its own during the test
-            node = AsyncioNode(31120, lambda n: [proto])
+            node = AsyncioNode(port, lambda n: [proto])
             await node.start()
             out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            seen = [probe(node)]
             try:
-                out.sendto(frame((9.0,)), ("127.0.0.1", 31120))
-                await asyncio.sleep(0.1)
-                after_forged = (node.metrics.counter_value("pushsum.shape_mismatch"),
-                                proto.mass("count"), proto.mass("bins"), proto.average("count"))
-                out.sendto(frame((2.0, 1.0, 1.0, 1.0)), ("127.0.0.1", 31120))
-                await asyncio.sleep(0.1)
+                for message in messages:
+                    frame = binary.frame([binary.encode_envelope(sender, protocol, message)])
+                    out.sendto(frame, ("127.0.0.1", port))
+                    await asyncio.sleep(0.1)
+                    seen.append(probe(node))
             finally:
                 out.close()
                 node.stop()
-            return after_forged, proto, node
+            return seen, node
 
-        after_forged, proto, node = run(scenario())
-        assert after_forged == (1, [4.0], [1.0, 2.0, 3.0], 4.0)
-        assert (proto.mass("count"), proto.mass("bins")) == ([6.0], [2.0, 3.0, 4.0])
+        return run(scenario())
+
+    def test_short_push_sum_share_is_counted_and_dropped(self):
+        from repro.estimation import PushSumProtocol, PushSumShare
+
+        proto = PushSumProtocol("agg", lambda: {"count": [4.0], "bins": [1.0, 2.0, 3.0]},
+                                period=3600.0)  # no round of its own during the test
+        seen, node = self._deliver(31120, proto, "push-sum:agg", [
+            PushSumShare("agg", 0, b"", (9.0,), 0.5),  # a mask too short for 4 cells
+            PushSumShare("agg", 0, b"\x0f", (2.0, 1.0, 1.0, 1.0), 0.5),
+        ], lambda node: (node.metrics.counter_value("pushsum.shape_mismatch"),
+                         proto.mass("count"), proto.mass("bins"), proto.average("count")))
+        assert seen[1] == (1, [4.0], [1.0, 2.0, 3.0], 4.0)
+        assert seen[2][1:3] == ([6.0], [2.0, 3.0, 4.0])
         assert proto.average("count") == 4.0  # (4 + 2) / (1 + 0.5)
         assert node.metrics.counter_value("pushsum.shape_mismatch") == 1
+        assert node.metrics.counter_value("runtime.decode_errors") == 0
+
+    def test_malformed_extrema_reply_is_counted_and_dropped(self):
+        from repro.estimation import ExtremaReply, ExtremaSizeEstimator
+
+        size = ExtremaSizeEstimator(k=12, period=3600.0)
+        seen, node = self._deliver(31122, size, "size-estimator", [
+            ExtremaReply(0, b"\x00\x10", (1e-9,)),  # entry 12 of 12
+            ExtremaReply(0, b"\x01\x00", (1e-9,)),
+        ], lambda node: (node.metrics.counter_value("extrema.shape_mismatch"), list(size._minima)))
+        assert seen[1] == (1, seen[0][1])
+        assert seen[2] == (1, [1e-9] + seen[0][1][1:])
+        assert node.metrics.counter_value("runtime.decode_errors") == 0
+
+    def test_malformed_bucket_summary_is_counted_and_dropped(self):
+        from repro.epidemic import AntiEntropy, BucketSummaryMessage
+        from repro.store import Memtable, Version, make_tuple
+
+        store = Memtable(buckets=16)
+        store.put(make_tuple("k", {"v": 1}, Version(1, 0)))
+        seen, node = self._deliver(31124, AntiEntropy(store, period=3600.0), "anti-entropy", [
+            BucketSummaryMessage(16, b"\x01\x00", ()),  # flags one bucket, carries none
+            BucketSummaryMessage(16, bytes(2), ()),       # all empty: ours differs
+        ], lambda node: (node.metrics.counter_value("antientropy.bucket_count_mismatch"),
+                         node.metrics.counter_value("antientropy.buckets_diverged")))
+        assert seen == [(0, 0), (1, 0), (1, 1)]
         assert node.metrics.counter_value("runtime.decode_errors") == 0
 
 

@@ -430,6 +430,8 @@ def _value_for(annotation: Any, rng: random.Random, depth: int = 0) -> Any:
         return round(rng.uniform(-1000.0, 1000.0), 4)
     if annotation is bool:
         return rng.random() < 0.5
+    if annotation is bytes:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(0, 5)))
     if annotation is NodeId:
         return NodeId(rng.randrange(0, 500), rng.choice([None, f"n{rng.randrange(99)}"]))
     if annotation is Any:
