@@ -12,19 +12,25 @@ under :class:`~repro.sim.churn.PoissonChurn`:
   the per-node cost at larger N is the measured cost scaled by
   (N-1)/(cap-1), which is exact because each node sends one fixed-size
   heartbeat per peer per period.
-* **onehop** — `repro.softstate.onehop`: full-membership tables fed by
-  epidemically disseminated membership events + bucketed anti-entropy.
+* **onehop** — `repro.softstate.onehop` on the deployment path: a
+  :class:`~repro.core.datadroplets.DataDroplets` facade whose soft nodes
+  route by full-membership tables fed by epidemically disseminated
+  membership events + bucketed anti-entropy; only the soft nodes churn.
 
 Hop accounting is messages-to-reach-the-coordinator: a Chord lookup that
 resolved in ``h`` forwarded FindSuccessor messages still needs one more
-message to contact the owner, so its path length is ``h + 1``; a
-single-hop probe *is* that contact, so its path length is its hop field
-(1 when the local table was right, +1 per stale-route redirect).
+message to contact the owner, so its path length is ``h + 1``. A onehop
+lookup is a client put sent to the owner the client's view names: its
+path length is 1 when that soft node owns the key, +1 per
+:class:`~repro.softstate.onehop.RedirectedOp` and +1 per client retry.
+Its latency is the whole put (coordinator, storage write and ack), a
+chord lookup's only the resolution.
 
 Chord rings are built warm (successor lists / predecessors / fingers
 preloaded from the known population, then handed to the live
-stabilization loops) so N = 10 000 is routine — the bench measures
-steady-state maintenance and routing, not join storms.
+stabilization loops) and the onehop tables are seeded from the founding
+soft nodes, so the bench measures steady-state maintenance and routing,
+not join storms.
 """
 
 from __future__ import annotations
@@ -36,12 +42,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.baselines.chord import ChordProtocol, chord_id
 from repro.baselines.heartbeat import SoftMembership
+from repro.common.errors import DataDropletsError
 from repro.common.hashing import KEYSPACE_SIZE
+from repro.core.config import DataDropletsConfig
+from repro.core.datadroplets import DataDroplets
 from repro.sim.churn import PoissonChurn
 from repro.sim.cluster import Cluster
 from repro.sim.network import UniformLatency
 from repro.sim.simulator import Simulation
-from repro.softstate.onehop import OneHopRouting, RingSpace
 from repro.softstate.ring import ConsistentHashRing
 
 
@@ -201,50 +209,42 @@ def measure_onehop(
     mean_downtime: float = 30.0,
     quarantine_window: float = 5.0,
 ) -> ModeResult:
-    sim = Simulation(seed=seed)
-    cluster = Cluster(sim, latency=UniformLatency(0.005, 0.05))
-    buckets = 64 if n <= 2000 else 256
-    space = RingSpace(virtual_nodes=8, buckets=buckets)
-
-    def stack(node):
-        return [OneHopRouting(space, quarantine_window=quarantine_window)]
-
-    nodes = cluster.add_nodes(n, stack, boot=False)
-    space.seed(node.node_id.value for node in nodes)
-    for node in nodes:
-        node.boot()
+    """The deployment path: a DataDroplets facade with ``n`` soft nodes
+    in onehop mode over a small storage layer, churning the soft nodes
+    only. Each lookup is a client put, and its path length is the
+    number of sends to a coordinator (1, +1 per client retry after a
+    timeout) plus the op's redirects (``onehop.stale_routes``)."""
+    dd = DataDroplets(DataDropletsConfig(
+        seed=seed, n_soft=n, n_storage=8, routing_mode="onehop", virtual_nodes=8,
+        onehop_quarantine_window=quarantine_window))
+    dd.start(warmup=0.0)
     churn = None
     if churn_rate > 0:
-        churn = PoissonChurn(sim, cluster, event_rate=churn_rate,
+        soft_layer = Cluster.view_of(dd.sim, dd.cluster.network, dd.soft_nodes)
+        churn = PoissonChurn(dd.sim, soft_layer, event_rate=churn_rate,
                              mean_downtime=mean_downtime)
         churn.start()
-    sim.run_for(warmup)
+    dd.run_for(warmup)
 
     result = ModeResult(mode="onehop", nodes=n, simulated_nodes=n)
-    window = _maintenance_window(sim, cluster.metrics, ["onehop"], n, maintenance_window)
+    window = _maintenance_window(dd.sim, dd.metrics, ["onehop"], n, maintenance_window)
     result.maint_bytes_per_node_s = window["bytes_per_node_s"]
     result.maint_msgs_per_node_s = window["msgs_per_node_s"]
 
-    rng = sim.rng("e05b-lookups")
+    traces: List[Any] = []
+    dd.set_op_observer(traces.append)
     hops: List[int] = []
-    outstanding = {"n": 0}
     for i in range(lookups):
-        live = [node for node in nodes if node.is_up]
-        origin = live[rng.randrange(len(live))]
-        issued_at = sim.now
-        outstanding["n"] += 1
-
-        def finish(owner, hop_count, issued=issued_at):
-            outstanding["n"] -= 1
-            if owner is not None:
-                hops.append(max(1, hop_count))
-                result.latencies_ms.append((sim.now - issued) * 1000.0)
-
-        origin.protocol("onehop").lookup(f"e05b:probe:{i}", finish)
-        sim.run_for(0.12)
-    deadline = sim.now + 10.0
-    while outstanding["n"] > 0 and sim.now < deadline:
-        sim.run_for(0.5)
+        dd.run_for(0.12)  # staggered like the chord row's lookups
+        redirects_before = dd.metrics.counter_value("onehop.stale_routes")
+        try:
+            dd.put(f"e05b:probe:{i}", {"i": i})
+        except DataDropletsError:
+            continue  # unresolved
+        redirects = dd.metrics.counter_value("onehop.stale_routes") - redirects_before
+        op = traces[-1]
+        hops.append(len(op.attempts) + int(redirects))
+        result.latencies_ms.append((op.completed_at - op.invoked_at) * 1000.0)
     result.lookups_issued = lookups
     _finish_lookup_stats(result, hops)
     if churn is not None:

@@ -105,8 +105,8 @@ class DataDropletsConfig:
     # "legacy": one shared ring, aliveness from the facade oracle.
     # "onehop": every soft node keeps a full routing table fed by
     # epidemically disseminated membership events (repro.softstate.onehop)
-    # and misrouted ops are redirected to the believed owner instead of
-    # erroring (probe-and-redirect).
+    # that each coordinator routes by; misrouted ops are redirected to the
+    # owner its table names instead of erroring.
     routing_mode: str = "legacy"
     onehop_quarantine_window: float = 10.0
 

@@ -133,7 +133,7 @@ class DataDroplets:
         self.cluster = Cluster(self.sim, network=network)
         # In "legacy" mode this is *the* coordinator ring, shared by all
         # soft nodes. In "onehop" mode every soft node routes by its own
-        # table-fed ring and this object is only the *client's* view,
+        # routing table and this object is only the *client's* view,
         # synced (possibly stale) from a live node's table.
         self.ring = ConsistentHashRing(self.config.virtual_nodes)
         self.onehop_space: Optional[RingSpace] = None
@@ -206,17 +206,14 @@ class DataDroplets:
     def _soft_stack(self, node: Node) -> Sequence[Protocol]:
         if self.config.routing_mode == "onehop":
             assert self.onehop_space is not None
-            # Per-node ring mirrored from the node's own routing table;
-            # the router's presence makes the coordinator redirect
-            # misrouted ops to the believed owner instead of bouncing them.
-            ring = ConsistentHashRing(self.config.virtual_nodes)
+            # The coordinator routes by the router's own table and
+            # redirects misrouted ops to the owner it names.
             router = OneHopRouting(
                 space=self.onehop_space,
-                mirror_ring=ring,
                 quarantine_window=self.config.onehop_quarantine_window,
             )
             soft = SoftStateProtocol(
-                ring=ring,
+                ring=None,
                 storage_directory=self._storage_directory,
                 config=self.config.soft,
             )
@@ -267,13 +264,11 @@ class DataDroplets:
             node.protocol("membership").seed(peers)
         if self.onehop_space is not None:
             # Seed the shared baseline *before* boot so first boots are
-            # recognised members (no join-quarantine of the founding set);
-            # each router projects the seeded table into its mirror ring
-            # during on_start.
+            # recognised members (no join-quarantine of the founding set).
             self.onehop_space.seed(node.node_id.value for node in self.soft_nodes)
         for node in self.soft_nodes:
             node.boot()
-            self.ring.add(node.node_id)
+        self.ring.extend(node.node_id for node in self.soft_nodes)
         self.client_node.boot()
         self._started = True
         if warmup > 0:

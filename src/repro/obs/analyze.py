@@ -206,8 +206,6 @@ _PHASE_BY_MSG = (
     ("EventGossip", "route-gossip"),
     ("OneHopPing", "route-probe"),
     ("OneHopPong", "route-probe"),
-    ("RouteProbe", "route-probe"),
-    ("RouteReply", "route-probe"),
     ("Table", "route-antientropy"),
     # redundancy census random walks (the audit machinery's probes).
     ("WalkStep", "census"),

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.common.hashing import Arc
 from repro.common.ids import NodeId
 from repro.common.messages import Message, message_type
 from repro.obs.trace import TraceContext
@@ -56,7 +57,7 @@ from repro.softstate.messages import (
     StoreAck,
     StoreWrite,
 )
-from repro.softstate.onehop import RedirectedOp
+from repro.softstate.onehop import OneHopRouting, RedirectedOp
 from repro.softstate.ring import ConsistentHashRing
 from repro.sim.node import Protocol
 from repro.store.tuples import Version, VersionedTuple, ZERO_VERSION, make_tuple
@@ -185,13 +186,21 @@ class _AggregateState:
 
 
 class SoftStateProtocol(Protocol):
-    """The coordinator protocol (see module docstring)."""
+    """The coordinator protocol (see module docstring).
+
+    Args:
+        ring: the coordinator ring shared by the soft layer in legacy
+            mode. ``None`` on a node that runs the one-hop router: the
+            coordinator then routes by that router's own table.
+        storage_directory: current storage-layer entry points.
+        config: coordinator tunables.
+    """
 
     name = "soft"
 
     def __init__(
         self,
-        ring: ConsistentHashRing,
+        ring: Optional[ConsistentHashRing],
         storage_directory: StorageDirectory,
         config: Optional[SoftStateConfig] = None,
     ):
@@ -207,6 +216,7 @@ class SoftStateProtocol(Protocol):
         self._scans: Dict[str, _ScanState] = {}
         self._aggregates: Dict[str, _AggregateState] = {}
         self._seq = itertools.count()
+        self._router: Optional[OneHopRouting] = None
         self.rebuild_complete = False
 
     # ------------------------------------------------------------------
@@ -220,18 +230,35 @@ class SoftStateProtocol(Protocol):
         self._scans = {}
         self._aggregates = {}
         self.rebuild_complete = False
-        # A node that runs the one-hop router forwards misrouted ops to
-        # the believed owner (RedirectedOp) instead of bouncing an error.
+        # A node that runs the one-hop router routes by its table (read at
+        # call time: the router boots after us) and forwards misrouted ops
+        # to the owner it names (RedirectedOp) instead of bouncing an error.
         try:
-            self.host.protocol("onehop")
-            self._redirect_misrouted = True
+            self._router = self.host.protocol("onehop")  # type: ignore[assignment]
         except KeyError:
-            self._redirect_misrouted = False
+            self._router = None
         # Parked fallback writes (acked to the client but never stored in
         # the persistent layer) are retried until a storage node acks —
         # without this loop an acknowledged write could sit in the
         # coordinator's durable store forever and never gain redundancy.
         self.every(FALLBACK_FLUSH_PERIOD, self._flush_fallback)
+
+    # -- routing ---------------------------------------------------------
+    def _owns(self, key: str) -> bool:
+        if self._router is not None:
+            return self._router.table.owns(key)
+        return self.ring.owns(self.host.node_id, key)
+
+    def _owner_of(self, key: str) -> Optional[NodeId]:
+        if self._router is not None:
+            value = self._router.table.coordinator_value(key)
+            return None if value is None else NodeId(value)
+        return self.ring.coordinator_for(key)
+
+    def _responsibility(self) -> List[Arc]:
+        if self._router is not None:
+            return self._router.table.responsibility()
+        return self.ring.responsibility_of(self.host.node_id)
 
     # -- helpers ---------------------------------------------------------
     def _next_id(self, prefix: str) -> str:
@@ -335,7 +362,7 @@ class SoftStateProtocol(Protocol):
     def _handle_put(self, client: NodeId, request_id: str, key: str,
                     record: Dict[str, Any], delete: bool,
                     origin: Optional[Message] = None, hops: int = 0) -> None:
-        if not self.ring.owns(self.host.node_id, key):
+        if not self._owns(key):
             self._forward(client, request_id, key, origin=origin, hops=hops)
             return
         meta = self._meta(key)
@@ -438,7 +465,7 @@ class SoftStateProtocol(Protocol):
     # reads (get)
     # ------------------------------------------------------------------
     def _handle_get(self, client: NodeId, message: ClientGet, hops: int = 0) -> None:
-        if not self.ring.owns(self.host.node_id, message.key):
+        if not self._owns(message.key):
             self._forward(client, message.request_id, message.key, origin=message, hops=hops)
             return
         self.host.metrics.counter("soft.reads").inc()
@@ -806,7 +833,7 @@ class SoftStateProtocol(Protocol):
         """Flood a rebuild probe for this coordinator's arcs; storage
         nodes answer with (key, version) digests of matching keys.
         Returns the rebuild id (progress is observable via metadata)."""
-        arcs = tuple((arc.start, arc.end) for arc in self.ring.responsibility_of(self.host.node_id))
+        arcs = tuple((arc.start, arc.end) for arc in self._responsibility())
         rebuild_id = self._next_id("rebuild")
         probe = RebuildProbe(rebuild_id, self.host.node_id, arcs)
         entry = self._storage_entry()
@@ -842,12 +869,13 @@ class SoftStateProtocol(Protocol):
 
     def _forward(self, client: NodeId, request_id: str, key: str,
                  origin: Optional[Message] = None, hops: int = 0) -> None:
-        """Misrouted request: redirect it to the believed owner (one-hop
-        fallback) or, in legacy mode, tell the client who owns the key."""
-        owner = self.ring.coordinator_for(key)
+        """Misrouted request: redirect it to the owner this node's table
+        names (one-hop mode) or, in legacy mode, tell the client who owns
+        the key."""
+        owner = self._owner_of(key)
         self.host.metrics.counter("soft.misrouted").inc()
         if (
-            self._redirect_misrouted
+            self._router is not None
             and origin is not None
             and owner is not None
             and owner != self.host.node_id

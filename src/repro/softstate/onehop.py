@@ -45,11 +45,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.common.hashing import fingerprint64, key_hash
+from repro.common.hashing import Arc, fingerprint64, key_hash
 from repro.common.ids import NodeId
 from repro.common.messages import Message, message_type
 from repro.sim.node import Protocol
-from repro.softstate.ring import ConsistentHashRing, virtual_positions
+from repro.softstate.ring import merge_positions, virtual_positions
 
 # -- member status / event vocabulary -----------------------------------------
 
@@ -170,28 +170,11 @@ class TableRequest(Message):
 
 @message_type
 @dataclass(frozen=True)
-class RouteProbe(Message):
-    """One-hop lookup: ask the believed owner to confirm ownership."""
-
-    probe_id: str
-    key: str
-    reply_to: NodeId
-    hops: int = 1
-
-
-@message_type
-@dataclass(frozen=True)
-class RouteReply(Message):
-    probe_id: str
-    owner: int  # NodeId value of the confirmed owner (-1 = unresolved)
-    hops: int = 1
-
-
-@message_type
-@dataclass(frozen=True)
 class RedirectedOp(Message):
-    """A client operation forwarded by a stale-routed coordinator to the
-    believed owner (probe-and-redirect fallback; see coordinator.py)."""
+    """A client operation that reached a soft node which does not own its
+    key, forwarded to the owner that node's own table names. A client op
+    costs one hop to the owner its view believes in plus one per
+    redirect (see coordinator.py)."""
 
     client: NodeId
     op: Any = None
@@ -231,36 +214,25 @@ class RingSpace:
 
     def ensure(self, value: int) -> None:
         """Make ``value``'s positions part of the shared space."""
-        if value in self._known:
-            return
-        self._known[value] = None
-        self.members_list.append(value)
-        self.bucket_members[self.bucket_of(value)].append(value)
-        fresh = [(p, value) for p in virtual_positions(value, self.virtual_nodes)]
-        if not self._ring:
-            self._ring = fresh
-        else:
-            merged: List[Tuple[int, int]] = []
-            old = self._ring
-            i = j = 0
-            while i < len(old) and j < len(fresh):
-                if old[i] <= fresh[j]:
-                    merged.append(old[i])
-                    i += 1
-                else:
-                    merged.append(fresh[j])
-                    j += 1
-            merged.extend(old[i:])
-            merged.extend(fresh[j:])
-            self._ring = merged
+        if value not in self._known:
+            self._ensure_all((value,))
+
+    def _ensure_all(self, values: Iterable[int]) -> None:
+        fresh = [v for v in dict.fromkeys(values) if v not in self._known]
+        for value in fresh:
+            self._known[value] = None
+            self.members_list.append(value)
+            self.bucket_members[self.bucket_of(value)].append(value)
+        if fresh:
+            self._ring = merge_positions(
+                self._ring, ((v, v) for v in fresh), self.virtual_nodes)
 
     def seed(self, values: Iterable[int], incarnation: int = 1) -> None:
         """Install the shared baseline (idempotent per value)."""
-        for value in values:
-            if value in self.baseline:
-                continue
-            self.ensure(value)
-            packed = _pack(incarnation, STATUS_ALIVE)
+        fresh = [v for v in dict.fromkeys(values) if v not in self.baseline]
+        self._ensure_all(fresh)
+        packed = _pack(incarnation, STATUS_ALIVE)
+        for value in fresh:
             self.baseline[value] = packed
             b = self.bucket_of(value)
             xor, count = self.baseline_summary[b]
@@ -424,6 +396,18 @@ class RoutingTable:
     def owns(self, key: str) -> bool:
         return self.coordinator_value(key) == self.owner
 
+    def responsibility(self) -> List[Arc]:
+        """The key-space arcs the owner coordinates: from the previous
+        routable position to each of its own (the keys metadata
+        reconstruction must query for)."""
+        if not self.is_alive(self.owner):
+            return []
+        routable = [(position, value) for position, value in self.space._ring
+                    if self.is_alive(value)]
+        return [Arc(routable[index - 1][0], position)
+                for index, (position, value) in enumerate(routable)
+                if value == self.owner]
+
     # -- anti-entropy (PR 2 bucketed-digest idiom over the table) -------
     def summaries(self) -> List[Tuple[int, int, int]]:
         out = []
@@ -560,13 +544,15 @@ class RoutingTable:
 class OneHopRouting(Protocol):
     """Event-disseminated full-membership routing (see module docstring).
 
+    A collocated :class:`~repro.softstate.coordinator.SoftStateProtocol`
+    routes by :attr:`table` directly: it owns a key when
+    ``table.owns(key)``, forwards misrouted ops to
+    ``table.coordinator_value(key)`` and scopes its metadata rebuild by
+    ``table.responsibility()``. Quarantined members are not routable, so
+    they can never be chosen as coordinators.
+
     Args:
         space: shared :class:`RingSpace` (one per cluster).
-        mirror_ring: optional per-node :class:`ConsistentHashRing` kept
-            in sync with the table — this is what a collocated
-            :class:`~repro.softstate.coordinator.SoftStateProtocol`
-            routes by. Quarantined members are withheld from it until
-            admitted, so they can never be chosen as coordinators.
         bootstrap: returns a known member to request a table from when
             booting with an empty table (new joiner).
         fanout: peers each event batch is relayed to per flush.
@@ -584,7 +570,6 @@ class OneHopRouting(Protocol):
     def __init__(
         self,
         space: RingSpace,
-        mirror_ring: Optional[ConsistentHashRing] = None,
         bootstrap: Optional[Callable[[], Optional[NodeId]]] = None,
         fanout: int = 4,
         flush_period: float = 0.5,
@@ -594,7 +579,6 @@ class OneHopRouting(Protocol):
         suspect_timeout: float = 8.0,
         quarantine_window: float = 10.0,
         antientropy_period: float = 5.0,
-        probe_timeout: float = 5.0,
         max_batch: int = 128,
         on_member_event: Optional[Callable[[MemberEvent, float], None]] = None,
     ):
@@ -606,7 +590,6 @@ class OneHopRouting(Protocol):
         #: lifetime estimator of churn-adaptive redundancy.
         self.on_member_event = on_member_event
         self.space = space
-        self.mirror_ring = mirror_ring
         self.bootstrap = bootstrap
         self.fanout = fanout
         self.flush_period = flush_period
@@ -616,15 +599,12 @@ class OneHopRouting(Protocol):
         self.suspect_timeout = suspect_timeout
         self.quarantine_window = quarantine_window
         self.antientropy_period = antientropy_period
-        self.probe_timeout = probe_timeout
         self.max_batch = max_batch
         self.table: Optional[RoutingTable] = None
         self._incarnation = 0
         self._buffer: List[MemberEvent] = []
         self._awaiting_pong: Dict[int, int] = {}  # nonce -> node value
-        self._pending_probes: Dict[str, Callable[[Optional[int], int], None]] = {}
         self._nonce = itertools.count()
-        self._probe_seq = itertools.count()
         self._timers: List[Any] = []
 
     # ------------------------------------------------------------------
@@ -643,12 +623,10 @@ class OneHopRouting(Protocol):
         durable["onehop-incarnation"] = self._incarnation
         self._buffer = []
         self._awaiting_pong = {}
-        self._pending_probes = {}
         self.space.ensure(value)
         kind = EVENT_ALIVE if self._incarnation > 1 or table.knows(value) else EVENT_JOIN
         self._originate(MemberEvent(value, self._incarnation, kind))
         table.admit(value)  # never quarantine ourselves
-        self._rebuild_mirror()
         seed = self.bootstrap() if self.bootstrap is not None else None
         if seed is not None and seed.value != value:
             self.send(seed, TableRequest(next(self._nonce)))
@@ -667,9 +645,6 @@ class OneHopRouting(Protocol):
     # so epidemic protocols can ride it: EagerGossip(membership="onehop"))
     def seed(self, peers: List[NodeId]) -> None:
         self.space.seed(p.value for p in peers)
-        if self.mirror_ring is not None:
-            for peer in peers:
-                self.mirror_ring.add(peer)
 
     def neighbors(self) -> List[NodeId]:
         assert self.table is not None
@@ -707,7 +682,6 @@ class OneHopRouting(Protocol):
     def _originate(self, event: MemberEvent) -> None:
         assert self.table is not None
         self.table.apply(event, self.host.now)
-        self._sync_mirror(event.node)
         self._buffer.append(event)
         self.host.metrics.counter("onehop.events_originated").inc()
         if self.on_member_event is not None:
@@ -732,7 +706,6 @@ class OneHopRouting(Protocol):
                 metrics.counter("onehop.refutations").inc()
                 continue
             if table.apply(event, now):
-                self._sync_mirror(event.node)
                 self._buffer.append(event)  # infect-and-die: relay news only
                 metrics.counter("onehop.events_applied").inc()
                 if event.kind == EVENT_JOIN and event.node in table._quarantine:
@@ -742,41 +715,9 @@ class OneHopRouting(Protocol):
             else:
                 metrics.counter("onehop.events_stale").inc()
 
-    def _rebuild_mirror(self) -> None:
-        """Reboot path: the mirror ring is per-boot soft state while the
-        table is durable — reproject the whole table into it."""
-        if self.mirror_ring is None or self.table is None:
-            return
-        for value in self.space.members_list:
-            self._sync_mirror(value)
-
-    def _sync_mirror(self, value: int) -> None:
-        ring = self.mirror_ring
-        if ring is None or self.table is None:
-            return
-        record = self.table.record(value)
-        if record is None:
-            return
-        status = record[1]
-        node = NodeId(value)
-        if status == STATUS_ALIVE:
-            ring.add(node)  # add() of an existing member just revives it
-        elif status == STATUS_QUARANTINE:
-            # Withheld from the coordinator map until admitted; if it was
-            # already a member (re-quarantine cannot happen to known
-            # members, but stay safe) mark it not-alive.
-            if node in ring:
-                ring.set_alive(node, False)
-        else:
-            # Down members keep their positions (partition map stays put,
-            # matching legacy set_alive semantics) but take no traffic.
-            ring.add(node)
-            ring.set_alive(node, False)
-
     def _flush(self) -> None:
         assert self.table is not None
-        for value in self.table.admit_due(self.host.now):
-            self._sync_mirror(value)
+        for _ in self.table.admit_due(self.host.now):
             self.host.metrics.counter("onehop.admitted").inc()
         if not self._buffer:
             return
@@ -823,12 +764,10 @@ class OneHopRouting(Protocol):
     # -- corruption seam ------------------------------------------------
     def corrupt_table(self, rng, flips: int = 2) -> Dict[str, Any]:
         """Nemesis seam: scramble routing-table exceptions on this node
-        (records damaged, digests left lying) and project the damage
-        into the mirror ring so routing actually misbehaves."""
+        (records damaged, digests left lying); the collocated coordinator
+        routes by this table, so routing misbehaves until it heals."""
         assert self.table is not None
         scrambled = self.table.corrupt(rng, flips, exclude=self.host.node_id.value)
-        for value, _ in scrambled:
-            self._sync_mirror(value)
         if scrambled:
             self.host.metrics.counter("onehop.corruptions_injected").inc()
         return {"scrambled": [value for value, _ in scrambled]}
@@ -879,62 +818,6 @@ class OneHopRouting(Protocol):
             self.send(sender, TableEntries(tuple(self.table.entries_for(differing))))
             self.host.metrics.counter("onehop.antientropy_repairs").inc()
 
-    # -- one-hop lookups ------------------------------------------------
-    def lookup(self, key: str, on_done: Callable[[Optional[int], int], None]) -> None:
-        """Resolve and *confirm* the coordinator of ``key``.
-
-        ``on_done(owner_value, hops)`` gets the confirmed owner (None on
-        failure) and the number of routing messages spent reaching it —
-        1 when the local table was right (the one-hop promise), +1 per
-        stale-route redirect."""
-        assert self.table is not None
-        owner = self.table.coordinator_value(key)
-        self.host.metrics.counter("onehop.lookups").inc()
-        if owner is None:
-            on_done(None, 0)
-            return
-        if owner == self.host.node_id.value:
-            self.host.metrics.histogram("onehop.lookup_hops").observe(0)
-            on_done(owner, 0)
-            return
-        probe_id = f"{self.host.node_id.value}:{next(self._probe_seq)}"
-
-        def finish(confirmed: Optional[int], hops: int) -> None:
-            if confirmed is not None:
-                self.host.metrics.histogram("onehop.lookup_hops").observe(hops)
-            else:
-                self.host.metrics.counter("onehop.lookup_failures").inc()
-            on_done(confirmed, hops)
-
-        self._pending_probes[probe_id] = finish
-        self.send(NodeId(owner), RouteProbe(probe_id, key, self.host.node_id))
-        self.host.set_timer(self.probe_timeout, lambda: self._probe_deadline(probe_id))
-
-    def _probe_deadline(self, probe_id: str) -> None:
-        callback = self._pending_probes.pop(probe_id, None)
-        if callback is not None:
-            callback(None, 0)
-
-    def _handle_probe(self, message: RouteProbe) -> None:
-        assert self.table is not None
-        me = self.host.node_id.value
-        owner = self.table.coordinator_value(message.key)
-        if owner == me:
-            self.send(message.reply_to, RouteReply(message.probe_id, me, message.hops))
-            return
-        # Stale route: the sender's table pointed at us but ours says
-        # someone else owns the key — redirect the probe one hop.
-        self.host.metrics.counter("onehop.stale_routes").inc()
-        tracer = self.host.tracer
-        if tracer.active:
-            tracer.event("stale-route", me, self.host.now,
-                         key=message.key, hops=message.hops)
-        if owner is None or message.hops >= 8:
-            self.send(message.reply_to, RouteReply(message.probe_id, -1, message.hops))
-            return
-        self.send(NodeId(owner), RouteProbe(
-            message.probe_id, message.key, message.reply_to, message.hops + 1))
-
     # ------------------------------------------------------------------
     def on_message(self, sender: NodeId, message: Message) -> None:
         if isinstance(message, EventGossip):
@@ -943,13 +826,6 @@ class OneHopRouting(Protocol):
             self.send(sender, OneHopPong(message.nonce))
         elif isinstance(message, OneHopPong):
             self._awaiting_pong.pop(message.nonce, None)
-        elif isinstance(message, RouteProbe):
-            self._handle_probe(message)
-        elif isinstance(message, RouteReply):
-            callback = self._pending_probes.pop(message.probe_id, None)
-            if callback is not None:
-                owner = message.owner if message.owner >= 0 else None
-                callback(owner, message.hops)
         elif isinstance(message, TableDigest):
             self._handle_digest(sender, message)
         elif isinstance(message, TableSummary):

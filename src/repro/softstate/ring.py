@@ -10,16 +10,19 @@ machinery is reserved for the large persistent layer below.
 Hot-path notes: a node's virtual positions are a pure function of
 (node id, replica index), so they are computed once per node per
 process and shared across every ring instance (`virtual_positions`).
-``add`` batch-merges the precomputed positions into the sorted list in
-one O(P + V) pass instead of V ``insort`` shifts, and key→coordinator
-lookups are memoised against a mutation epoch that every
-add/remove/set_alive bumps.
+Positions enter a sorted list only through :func:`merge_positions`,
+one sort per batch of members, and key→coordinator lookups are
+memoised against a mutation epoch that every add/remove/set_alive bumps.
+
+In ``routing_mode="onehop"`` the soft nodes route by their own
+:class:`~repro.softstate.onehop.RoutingTable`; this ring is then only
+the client's view, and the reference the table's map is tested against.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.common.hashing import Arc, key_hash
 from repro.common.ids import NodeId
@@ -32,6 +35,8 @@ _VNODE_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 #: the memo is an epoch cache, not an LRU; correctness never depends on it).
 _COORD_CACHE_CAPACITY = 65_536
 
+_Entry = TypeVar("_Entry")
+
 
 def virtual_positions(node_value: int, virtual_nodes: int) -> Tuple[int, ...]:
     """The sorted ring positions of a node (cached process-wide)."""
@@ -43,6 +48,22 @@ def virtual_positions(node_value: int, virtual_nodes: int) -> Tuple[int, ...]:
         ))
         _VNODE_CACHE[(node_value, virtual_nodes)] = cached
     return cached
+
+
+def merge_positions(
+    positions: List[Tuple[int, _Entry]],
+    members: Iterable[Tuple[int, _Entry]],
+    virtual_nodes: int,
+) -> List[Tuple[int, _Entry]]:
+    """The sorted ``positions`` plus every virtual position of
+    ``members`` — (node value, ring entry) pairs — as one sorted list.
+
+    One sort per batch: timsort merges the existing sorted run with the
+    new positions, so adding one node is O(P + V) and seeding N nodes at
+    once is a single sort rather than N merges."""
+    fresh = [(position, entry) for value, entry in members
+             for position in virtual_positions(value, virtual_nodes)]
+    return sorted(positions + fresh)
 
 
 class ConsistentHashRing:
@@ -74,31 +95,25 @@ class ConsistentHashRing:
         return self._epoch
 
     def add(self, node_id: NodeId) -> None:
-        if node_id in self._members:
-            if not self._members[node_id]:
-                self._members[node_id] = True
-                self._mutated()
-            return
-        self._members[node_id] = True
-        fresh = [(p, node_id) for p in virtual_positions(node_id.value, self.virtual_nodes)]
-        if not self._positions:
-            self._positions = fresh
-        else:
-            # One-pass sorted merge: O(P + V) instead of V insort shifts.
-            merged: List[Tuple[int, NodeId]] = []
-            old = self._positions
-            i = j = 0
-            while i < len(old) and j < len(fresh):
-                if old[i] <= fresh[j]:
-                    merged.append(old[i])
-                    i += 1
-                else:
-                    merged.append(fresh[j])
-                    j += 1
-            merged.extend(old[i:])
-            merged.extend(fresh[j:])
-            self._positions = merged
-        self._mutated()
+        self.extend((node_id,))
+
+    def extend(self, node_ids: Iterable[NodeId]) -> None:
+        """Add (or revive) members, placing all new positions in one sort."""
+        fresh: List[NodeId] = []
+        changed = False
+        for node_id in node_ids:
+            alive = self._members.get(node_id)
+            if alive:
+                continue
+            if alive is None:
+                fresh.append(node_id)
+            self._members[node_id] = True
+            changed = True
+        if fresh:
+            self._positions = merge_positions(
+                self._positions, ((n.value, n) for n in fresh), self.virtual_nodes)
+        if changed:
+            self._mutated()
 
     def remove(self, node_id: NodeId) -> None:
         """Remove permanently (positions are withdrawn)."""
@@ -186,6 +201,5 @@ class ConsistentHashRing:
 
 def build_ring(members: Sequence[NodeId], virtual_nodes: int = 32) -> ConsistentHashRing:
     ring = ConsistentHashRing(virtual_nodes)
-    for member in members:
-        ring.add(member)
+    ring.extend(members)
     return ring

@@ -462,3 +462,27 @@ class TestGoldenFingerprint:
         dd.run_for(10.0)
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
                 dd.metrics.counter_value("net.bytes.total")) == (8328, 6379.0, 1376898.0)
+
+    def test_onehop_run_with_a_soft_crash_repeats_the_recorded_counts(self):
+        """The same deployment under onehop routing, with one soft node
+        crashed and rebooted (with metadata rebuild), so the coordinators
+        route and scope their rebuild by tables that have changed."""
+        from repro import DataDroplets, DataDropletsConfig, IndexSpec
+
+        dd = DataDroplets(DataDropletsConfig(
+            seed=11, n_storage=16, n_soft=2, replication=4, routing_mode="onehop",
+            indexes=(IndexSpec("score", lo=0, hi=100),))).start(warmup=10.0)
+        for i in range(20):
+            dd.put(f"k{i}", {"score": float(i * 5), "pad": "x" * 16})
+        dd.crash_soft_layer(fraction=0.5)
+        dd.run_for(10.0)
+        for i in range(20, 25):
+            dd.put(f"k{i}", {"score": float(i * 2), "pad": "x" * 16})
+        dd.recover_soft_layer(rebuild=True)
+        dd.run_for(10.0)
+        for i in range(0, 25, 4):
+            dd.get(f"k{i}")
+        dd.run_for(10.0)
+        assert dd.metrics.counter_value("onehop.suspicions") >= 1
+        assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
+                dd.metrics.counter_value("net.bytes.total")) == (15167, 11020.0, 2545010.0)

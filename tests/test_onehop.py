@@ -2,9 +2,9 @@
 
 Covers the routing table's semilattice merge and quarantine rules, the
 bucketed anti-entropy over the table, live convergence under crash /
-reboot, probe-and-redirect lookups, and the DataDroplets facade in
-``routing_mode="onehop"`` — including a forced misroute and operation
-under churn + message loss.
+reboot, client ops routed and redirected by the soft nodes' tables, and
+the DataDroplets facade in ``routing_mode="onehop"`` — including a
+forced misroute and operation under churn + message loss.
 """
 
 import pytest
@@ -205,35 +205,48 @@ class TestLiveConvergence:
 
 
 class TestLookup:
-    def test_lookup_resolves_in_one_hop(self):
-        sim, cluster, space, nodes = onehop_cluster(8)
-        origin = nodes[0].protocol("onehop")
-        results = []
-        for i in range(20):
-            origin.lookup(f"key:{i}", lambda owner, hops: results.append((owner, hops)))
-        sim.run_for(2.0)
-        assert len(results) == 20
-        for owner, hops in results:
-            assert owner is not None
-            assert hops <= 1  # 0 = self-owned, 1 = direct hit
-        assert cluster.metrics.counter_value("onehop.stale_routes") == 0
+    """Clients reach a coordinator through the owner their view names;
+    the soft node routes by its own table and redirects what it does not
+    own."""
 
-    def test_stale_table_is_redirected_and_counted(self):
-        sim, cluster, space, nodes = onehop_cluster(8)
-        origin = nodes[0].protocol("onehop")
-        key = "stale:key"
-        owner = origin.table.coordinator_value(key)
-        assert owner is not None and owner != nodes[0].node_id.value
-        # poison only the origin's table: believe the real owner is suspect
-        incarnation, _ = origin.table.record(owner)
-        origin.table.apply(MemberEvent(owner, incarnation, EVENT_SUSPECT), now=sim.now)
-        assert origin.table.coordinator_value(key) != owner
+    def test_client_ops_reach_the_owner_in_one_hop(self, onehop_system):
+        dd = onehop_system
+        traces = []
+        before = dd.metrics.counter_value("onehop.stale_routes")
+        dd.set_op_observer(traces.append)
+        try:
+            for i in range(20):
+                dd.put(f"onehop:{i}", {"v": i})
+        finally:
+            dd.set_op_observer(None)
+        assert dd.metrics.counter_value("onehop.stale_routes") == before
+        assert len(traces) == 20
+        for op in traces:
+            (_, coordinator), = op.attempts
+            for node in dd.soft_nodes:
+                table = node.protocol("onehop").table
+                assert table.coordinator_value(op.routing_key) == coordinator
 
-        results = []
-        origin.lookup(key, lambda who, hops: results.append((who, hops)))
-        sim.run_for(2.0)
-        assert results == [(owner, 2)]  # wrong first hop, one redirect
-        assert cluster.metrics.counter_value("onehop.stale_routes") >= 1
+    def test_stale_client_view_is_redirected_by_the_coordinator_table(self):
+        dd = DataDroplets(DataDropletsConfig(
+            seed=13, n_soft=4, n_storage=16, replication=3,
+            routing_mode="onehop")).start(warmup=10.0)
+        source = dd.soft_nodes[0].protocol("onehop").table  # the client's view
+        owner = dd.soft_nodes[1].node_id.value
+        clean = dd.soft_nodes[2].protocol("onehop").table
+        # Poison only the view the client learns from: the owner is suspect.
+        incarnation, _ = source.record(owner)
+        source.apply(MemberEvent(owner, incarnation, EVENT_SUSPECT), now=dd.sim.now)
+        key = next(k for k in (f"stale:{i}" for i in range(200))
+                   if clean.coordinator_value(k) == owner
+                   and source.coordinator_value(k) != source.owner)
+        traces = []
+        dd.set_op_observer(traces.append)
+        dd.put(key, {"v": 1})
+        (_, first_hop), = traces[-1].attempts
+        assert first_hop != owner  # wrong first hop, one redirect
+        assert dd.metrics.counter_value("onehop.stale_routes") == 1
+        assert key in dd.soft_nodes[1].protocol("soft").metadata
 
     def test_peer_sampler_interface(self):
         sim, cluster, space, nodes = onehop_cluster(6)

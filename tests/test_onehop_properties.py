@@ -7,17 +7,23 @@ Two layers of convergence guarantees:
   same member view, and quarantined members can never be chosen as
   coordinators. Driven directly against :class:`RoutingTable` (a pure
   state machine), no simulator involved.
+* **Reference map** — the table's key -> coordinator map and its
+  responsibility arcs are those of a :class:`ConsistentHashRing` built
+  over the table's routable members, under any aliveness and quarantine.
 * **Live tier** — after an arbitrary crash/reboot/join sequence plus a
   quiet period, every live node's table converges to the same member
   view. Driven through the full simulator with pings, gossip and
   anti-entropy running.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.ids import NodeId
 from repro.sim import Cluster, Simulation, UniformLatency
-from repro.softstate import OneHopRouting, RingSpace
+from repro.softstate import OneHopRouting, RingSpace, build_ring
 from repro.softstate.onehop import (
     EVENT_ALIVE,
     EVENT_DEAD,
@@ -87,6 +93,38 @@ class TestTableAlgebra:
         assert early.member_view() == late.member_view()
         assert not early.quarantined_values()
         assert not late.quarantined_values()
+
+
+class TestTableMatchesTheReferenceRing:
+    """The coordinator routes by the table alone, so its map must be the
+    consistent-hashing map over exactly the members it may route to."""
+
+    def test_coordinator_and_arcs_match_build_ring(self):
+        kinds = (EVENT_JOIN, EVENT_ALIVE, EVENT_SUSPECT, EVENT_DEAD)
+        checked = 0
+        for seed in range(10):
+            rng = random.Random(seed)
+            space = RingSpace(virtual_nodes=rng.choice((4, 8, 16)), buckets=16)
+            seeded = rng.randint(3, 40)
+            space.seed(range(seeded))
+            table = RoutingTable(space, 0, quarantine_window=rng.choice((1.0, 1000.0)))
+            for _ in range(rng.randint(0, 3 * seeded)):
+                event = MemberEvent(rng.randrange(seeded + 10), rng.randint(1, 4),
+                                    rng.choice(kinds))
+                table.apply(event, now=0.0)
+            table.admit_due(now=rng.choice((0.0, 10.0)))
+            routable = [NodeId(v) for v in space.members_list if table.is_alive(v)]
+            reference = build_ring(routable, space.virtual_nodes)
+            for i in range(10_000):
+                key = f"ref:{seed}:{i}"
+                expected = reference.coordinator_for(key)
+                assert table.coordinator_value(key) == (
+                    None if expected is None else expected.value)
+                checked += 1
+            for value in space.members_list:
+                table.owner = value
+                assert table.responsibility() == reference.responsibility_of(NodeId(value))
+        assert checked == 100_000
 
 
 # crash/reboot/join scripts over a 5-node cluster; node 0 is never

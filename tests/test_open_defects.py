@@ -7,6 +7,39 @@ import pytest
 from repro import DataDroplets, DataDropletsConfig, IndexSpec
 
 
+@pytest.fixture(scope="module")
+def hole_at_256():
+    """256 storage nodes, r = 4, no estimator epochs: ``k16`` lands in a
+    sieve bucket that no storage node covers, and its put is still acked
+    (after its write retries, from the coordinator's fallback store)."""
+    dd = DataDroplets(DataDropletsConfig(
+        seed=1, n_storage=256, n_soft=4, replication=4,
+        estimator_epoch=None)).start(warmup=15.0)
+    versions = {f"k{i}": dd.put(f"k{i}", {"i": i}) for i in range(17)}
+    return dd, versions
+
+
+def _holders(dd, key, up_only):
+    return [node for node in dd.storage_nodes
+            if (node.is_up or not up_only)
+            and node.durable["memtable"].get_any(key) is not None]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: a sieve bucket at N = 256 has no holder")
+def test_every_put_key_has_an_up_storage_holder(hole_at_256):
+    dd, _ = hole_at_256
+    assert _holders(dd, "k16", up_only=True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the coordinator acks a write it could not store")
+def test_an_acked_put_has_a_durable_copy(hole_at_256):
+    dd, versions = hole_at_256
+    assert versions["k16"] is not None  # the put was acked
+    assert _holders(dd, "k16", up_only=False)
+
+
 @pytest.mark.parametrize("epoch", [
     30.0,
     pytest.param(None, marks=pytest.mark.xfail(
