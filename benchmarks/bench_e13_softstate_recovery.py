@@ -4,7 +4,8 @@ Three measurements of the layer split the paper's §II argues for:
 
 * the cache/hint benefit: persistent-layer messages per read for cached,
   hinted and flooded (epidemic) read paths;
-* quorum-free reads: hinted reads contact <= read_fanout nodes, not a
+* quorum-free reads: hinted reads contact read_fanout nodes (one more
+  per hedge, only past a slow or crashed hinted replica), not a
   majority quorum;
 * catastrophic recovery: crash the whole soft layer, rebuild metadata
   from the persistent layer, and verify reads/versions come back.

@@ -40,7 +40,7 @@ from repro.sim.network import Network, UniformLatency
 from repro.sim.node import Node, NodeState, Protocol
 from repro.sim.simulator import Simulation
 from repro.softstate.coordinator import SoftStateProtocol
-from repro.softstate.onehop import OneHopRouting, RingSpace
+from repro.softstate.onehop import OneHopRouting, RingSpace, table_buckets
 from repro.softstate.messages import (
     ClientAggregate,
     ClientDelete,
@@ -138,7 +138,8 @@ class DataDroplets:
         self.ring = ConsistentHashRing(self.config.virtual_nodes)
         self.onehop_space: Optional[RingSpace] = None
         if self.config.routing_mode == "onehop":
-            self.onehop_space = RingSpace(self.config.virtual_nodes, buckets=16)
+            self.onehop_space = RingSpace(self.config.virtual_nodes,
+                                          buckets=table_buckets(self.config.n_soft))
         self._request_seq = itertools.count()
 
         # Churn-adaptive redundancy (claim C5): one shared lifetime

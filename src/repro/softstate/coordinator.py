@@ -18,6 +18,13 @@ from the paper:
 * **reconstruction** — all of the above is soft state; after a crash it
   is rebuilt from the persistent layer (rebuild_metadata).
 
+Read path: cache, then the first ``read_fanout`` hints at once, then
+one more hint per *hedge delay* (twice the upper quartile of measured
+round trips, at most ``read_timeout``) while the read is open, and only
+when the hints run out an epidemic read (``EpidemicRead``) — the hedged
+request of Dean & Barroso, "The Tail at Scale" (CACM 2013), over the
+copies the hints already name.
+
 Durability backstop: if a write collects no StoreAck after retries (a
 sieve-coverage hole or a partition), the coordinator parks the tuple in
 its own durable fallback store rather than lose it — the coverage
@@ -27,8 +34,9 @@ requirement says such holes must never pass silently.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.hashing import Arc
 from repro.common.ids import NodeId
@@ -78,6 +86,12 @@ WRITE_RETRIES = 2
 HINT_CAPACITY = 8
 #: Seconds between retries to disseminate parked writes.
 FALLBACK_FLUSH_PERIOD = 4.0
+#: Hinted-read round trips the hedge delay is drawn from.
+HEDGE_WINDOW = 32
+#: Round trips a coordinator measures before it hedges at all.
+HEDGE_MIN_SAMPLES = 4
+#: Hedge delay = this × the window's upper quartile (at most ``read_timeout``).
+HEDGE_FACTOR = 2.0
 
 
 @message_type
@@ -102,7 +116,7 @@ class SoftStateConfig:
 
     ack_quorum: int = 1  # StoreAcks before a write is confirmed
     ack_timeout: float = 3.0
-    read_fanout: int = 2  # hint nodes probed in parallel
+    read_fanout: int = 2  # hint nodes probed at once; the rest are hedged
     read_timeout: float = 3.0
     scan_timeout: float = 8.0
     cache_capacity: int = 10_000
@@ -142,6 +156,11 @@ class _ReadState:
     client: Optional[NodeId]
     key: str
     min_version: Optional[Version]
+    #: Hints not yet asked, in probe order; one is hedged per timer.
+    untried: List[NodeId] = field(default_factory=list)
+    #: When the first probe went out, while its replies still time a
+    #: round trip (cleared once a hedge or flood goes out).
+    sent_at: Optional[float] = None
     best: Optional[VersionedTuple] = None
     flood_attempts: int = 0
     last_entry: Optional[NodeId] = None
@@ -215,6 +234,7 @@ class SoftStateProtocol(Protocol):
         self._multigets: Dict[str, _MultiGetState] = {}
         self._scans: Dict[str, _ScanState] = {}
         self._aggregates: Dict[str, _AggregateState] = {}
+        self._round_trips: Deque[float] = deque(maxlen=HEDGE_WINDOW)
         self._seq = itertools.count()
         self._router: Optional[OneHopRouting] = None
         self.rebuild_complete = False
@@ -229,6 +249,7 @@ class SoftStateProtocol(Protocol):
         self._multigets = {}
         self._scans = {}
         self._aggregates = {}
+        self._round_trips = deque(maxlen=HEDGE_WINDOW)
         self.rebuild_complete = False
         # A node that runs the one-hop router routes by its table (read at
         # call time: the router boots after us) and forwards misrouted ops
@@ -518,18 +539,39 @@ class SoftStateProtocol(Protocol):
         self._reads[read_id] = state
         hints = sorted(meta.hints, key=lambda n: n.value) if meta is not None else []
         if hints:
-            targets = hints[: self.config.read_fanout]
-            for target in targets:
+            fanout = self.config.read_fanout
+            for target in hints[:fanout]:
                 self._to_storage(target, ReadRequest(read_id, key, self.host.node_id, min_version))
+            state.sent_at = self.host.now
             self.host.metrics.counter("soft.hinted_reads").inc()
+            delay = self.hedge_delay()
+            if delay is None:
+                # Unmeasured: no hedges, the flood comes after read_timeout.
+                delay = self.config.read_timeout
+            else:
+                state.untried = hints[fanout:]
+            self.host.set_timer(delay, lambda: self._read_timer(read_id))
         else:
             self._flood_read(read_id, state)
-        self.host.set_timer(self.config.read_timeout, lambda: self._read_deadline(read_id))
+            self.host.set_timer(self.config.read_timeout, lambda: self._read_timer(read_id))
+
+    def hedge_delay(self) -> Optional[float]:
+        """How long a hinted probe may go unanswered before the next hint
+        is asked: ``HEDGE_FACTOR`` × the upper quartile of the last
+        ``HEDGE_WINDOW`` hinted round trips, at most ``read_timeout``.
+        ``None`` (reads are not hedged) until ``HEDGE_MIN_SAMPLES`` round
+        trips are measured: a quantile of fewer hedges healthy replicas."""
+        samples = self._round_trips
+        if len(samples) < HEDGE_MIN_SAMPLES:
+            return None
+        upper_quartile = sorted(samples)[3 * len(samples) // 4]
+        return min(self.config.read_timeout, HEDGE_FACTOR * upper_quartile)
 
     def _flood_read(self, read_id: str, state: _ReadState) -> None:
         # Always consume an attempt, even with no reachable entry —
         # otherwise the deadline loop would retry forever.
         state.flood_attempts += 1
+        state.sent_at = None
         # A different entry point each attempt: the previous one may be
         # crashed or cut off by a partition (the flood dies silently
         # then). With a single known entry, reuse it.
@@ -543,23 +585,38 @@ class SoftStateProtocol(Protocol):
         self._to_storage(entry, EpidemicRead(probe))
         self.host.metrics.counter("soft.epidemic_reads").inc()
 
-    def _read_deadline(self, read_id: str) -> None:
+    def _read_timer(self, read_id: str) -> None:
         state = self._reads.get(read_id)
         if state is None or state.done:
             return
-        if state.flood_attempts <= FLOOD_RETRIES:
-            # Hinted probes (or a previous flood) went unanswered — escalate
-            # under the op's trace context (timers drop the ambient one).
-            with self.host.tracer.activate(state.ctx):
+        # Timers drop the ambient trace context: re-join the op's tree.
+        with self.host.tracer.activate(state.ctx):
+            if state.untried:
+                # Hedge (Dean & Barroso, "The Tail at Scale"): the probed
+                # hints are slow or down, so ask the next copy they name
+                # before paying for a flood.
+                target = state.untried.pop(0)
+                state.sent_at = None
+                self._to_storage(target, ReadRequest(read_id, state.key, self.host.node_id,
+                                                     state.min_version))
+                self.host.metrics.counter("soft.hedged_reads").inc()
+                # Measured already: the window only grows until a reboot.
+                self.host.set_timer(self.hedge_delay(), lambda: self._read_timer(read_id))
+                return
+            if state.flood_attempts <= FLOOD_RETRIES:
+                # Every hint (or a previous flood) went unanswered: escalate.
                 self._flood_read(read_id, state)
-            self.host.set_timer(self.config.read_timeout, lambda: self._read_deadline(read_id))
-            return
+                self.host.set_timer(self.config.read_timeout, lambda: self._read_timer(read_id))
+                return
         self._finish_read(read_id, state, state.best)
 
     def _handle_read_reply(self, reply: ReadReply) -> None:
         state = self._reads.get(reply.read_id)
         if state is None or state.done:
             return
+        if state.sent_at is not None:
+            # Answers a first probe, sent before any hedge or flood.
+            self._round_trips.append(self.host.now - state.sent_at)
         if reply.origin is not None and reply.found:
             self._add_hint(state.key, reply.origin)
         if not reply.found or reply.item is None:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -182,6 +183,13 @@ class RedirectedOp(Message):
 
 
 # -- shared position space ----------------------------------------------------
+
+
+def table_buckets(members: int) -> int:
+    """Digest buckets for a table of ``members`` nodes: about 16 members
+    per bucket, as a power of two, and never fewer than 16 buckets, so a
+    differing bucket ships a handful of entries at any N."""
+    return max(16, 2 ** round(math.log2(members / 16)))
 
 
 class RingSpace:

@@ -44,16 +44,19 @@ class TestReadPaths:
         coordinator = dd.ring.coordinator_for("k")
         soft = next(n for n in dd.soft_nodes if n.node_id == coordinator).protocol("soft")
         soft.cache.clear()
-        # Crash the two nodes the coordinator will actually probe (it
-        # probes the first read_fanout hints in node-id order) so the
-        # hinted path dead-ends while other replicas survive.
+        # Crash the two nodes the coordinator probes first (the first
+        # read_fanout hints in node-id order) and forget the other hints
+        # (they would be hedged), so the hinted path dead-ends while
+        # other replicas survive.
         hints = sorted(soft.metadata["k"].hints, key=lambda n: n.value)
         probed = set(hints[: dd.config.soft.read_fanout])
+        soft.metadata["k"].hints = set(probed)
         for node in dd.storage_nodes:
             if node.node_id in probed:
                 node.crash()
         # hinted probes time out, the epidemic fallback answers
         assert dd.get("k") == {"v": 1}
+        assert dd.metrics.counter_value("soft.hedged_reads") == 0
         assert dd.metrics.counter_value("soft.epidemic_reads") >= 1
 
     def test_read_with_message_loss(self):

@@ -23,6 +23,7 @@ from repro.softstate.onehop import (
     STATUS_SUSPECT,
     MemberEvent,
     RoutingTable,
+    table_buckets,
 )
 
 
@@ -125,6 +126,17 @@ class TestBucketedAntiEntropy:
         sim.run_for(30.0)  # several anti-entropy periods, no faults
         assert cluster.metrics.counter_value("onehop.antientropy_clean") > 0
         assert cluster.metrics.counter_value("onehop.antientropy_repairs") == 0
+
+    @pytest.mark.parametrize("members,buckets", [
+        (1, 16), (2, 16), (16, 16), (200, 16), (400, 32), (1000, 64), (10_000, 512),
+    ])
+    def test_bucket_count_grows_with_the_membership(self, members, buckets):
+        # About 16 members per bucket, never fewer than 16 buckets.
+        assert table_buckets(members) == buckets
+
+    def test_facade_space_is_sized_by_n_soft(self):
+        config = DataDropletsConfig(seed=3, n_storage=4, n_soft=400, routing_mode="onehop")
+        assert DataDroplets(config).onehop_space.buckets == 32
 
     def test_exception_equal_to_baseline_is_dropped(self):
         table = make_table()

@@ -2,6 +2,8 @@
 stated assertion and is marked ``xfail(strict=True)``, so the change
 that fixes the defect must delete its marker (ROADMAP item 19)."""
 
+import random
+
 import pytest
 
 from repro import DataDroplets, DataDropletsConfig, IndexSpec
@@ -57,3 +59,25 @@ def test_aggregates_read_the_stored_items(epoch):
     assert dd.aggregate("score", "count") > 0
     assert dd.aggregate("score", "sum") > 0
     assert 0 < dd.aggregate("score", "avg") < 100
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16")
+def test_a_scan_that_replies_ok_returns_every_stored_row():
+    """The first scan of a 16-node run walks 0.7 virtual s, stops early
+    with no timeout or relaunch and replies ``ok`` with 2 of its 6 rows;
+    each missing key is held by six or more up storage nodes."""
+    dd = DataDroplets(DataDropletsConfig(
+        seed=2, n_storage=16, n_soft=4, replication=4, routing_mode="onehop",
+        estimator_epoch=None, indexes=(IndexSpec("score", lo=0, hi=100),))).start()
+    rng = random.Random(2)
+    scores = {f"k{i}": round(rng.uniform(0, 100), 3) for i in range(60)}
+    for key, score in scores.items():
+        dd.put(key, {"score": score})
+    dd.run_for(10.0)
+    low, high = 65.14, 75.14
+    expected = {key for key, score in scores.items() if low <= score <= high}
+    unplaced = [key for key in expected if not _holders(dd, key, up_only=True)]
+    if unplaced:
+        pytest.fail(f"not a scan defect: {unplaced} have no up holder")
+    rows = dd.scan("score", low, high)  # raises unless the reply is ok
+    assert {row["_key"] for row in rows} == expected

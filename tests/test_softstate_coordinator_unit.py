@@ -11,6 +11,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro import DataDroplets, DataDropletsConfig
 from repro.common.ids import NodeId
 from repro.common.messages import Message
 from repro.sim import Cluster, FixedLatency, Protocol, Simulation
@@ -27,12 +28,15 @@ from repro.softstate import (
 )
 from repro.softstate.coordinator import (
     FALLBACK_FLUSH_PERIOD,
+    HEDGE_FACTOR,
+    HEDGE_MIN_SAMPLES,
     HINT_CAPACITY,
     WRITE_RETRIES,
     EpidemicRead,
+    KeyMeta,
 )
 from repro.softstate.messages import AggregateReply, AggregateRequest, ClientAggregate
-from repro.store.tuples import Version
+from repro.store.tuples import Version, make_tuple
 
 
 class ScriptedStorage(Protocol):
@@ -92,10 +96,12 @@ class RecordingClient(Protocol):
     def __init__(self):
         super().__init__()
         self.replies: List[ClientReply] = []
+        self.arrived_at = {}  # request id -> virtual time of its first reply
 
     def on_message(self, sender, message):
         if isinstance(message, ClientReply):
             self.replies.append(message)
+            self.arrived_at.setdefault(message.request_id, self.host.now)
 
 
 @dataclass
@@ -294,6 +300,158 @@ class TestReads:
         reply = next(r for r in rig.client.replies if r.request_id == "r2")
         assert not reply.ok
         assert "unavailable" in (reply.error or "")
+
+
+@dataclass
+class ReplicaRig:
+    """One coordinator over several scripted storage nodes, each holding
+    the keys it is given; the coordinator's hints name real nodes."""
+
+    sim: Simulation
+    coordinator: SoftStateProtocol
+    storages: List[ScriptedStorage]
+    storage_nodes: list
+    client: RecordingClient
+    soft_id: NodeId
+    latency: float
+
+    def hold(self, key: str, holders: List[int], hinted: List[int],
+             sequence: int = 1, versions: dict = None) -> None:
+        """Store ``key`` on ``holders`` (indexes; ``versions`` maps one to
+        an older sequence) and hint the coordinator at ``hinted``."""
+        versions = versions or {}
+        for index in holders:
+            version = Version(versions.get(index, sequence), 1)
+            self.storages[index].stored[key] = make_tuple(key, {"v": version.sequence}, version)
+        self.coordinator.metadata[key] = KeyMeta(
+            version=Version(sequence, 1),
+            hints={self.storage_nodes[i].node_id for i in hinted},
+        )
+
+    def get(self, request_id: str, key: str, run_for: float = 10.0) -> Tuple[ClientReply, float]:
+        """Issue a get; return its reply and the virtual seconds it took."""
+        start = self.sim.now
+        send_from_client(self, ClientGet(request_id, key))
+        self.sim.run_for(run_for)
+        reply = next(r for r in self.client.replies if r.request_id == request_id)
+        return reply, self.client.arrived_at[request_id] - start
+
+    def warm(self, reads: int = HEDGE_MIN_SAMPLES) -> None:
+        """Time enough hinted reads, every replica up, to start hedging."""
+        for i in range(reads):
+            key = f"warm{i}"
+            self.hold(key, holders=list(range(len(self.storages))), hinted=[0])
+            self.get(f"w{i}", key, run_for=10 * self.latency)
+
+
+def make_replica_rig(replicas: int = 4, latency: float = 0.01,
+                     config: SoftStateConfig = None) -> ReplicaRig:
+    sim = Simulation(seed=78)
+    cluster = Cluster(sim, latency=FixedLatency(latency))
+    storages = [ScriptedStorage() for _ in range(replicas)]
+    nodes = [cluster.add_node(lambda n, proto=proto: [proto]) for proto in storages]
+    ring = ConsistentHashRing(8)
+    soft_proto = SoftStateProtocol(
+        ring,
+        storage_directory=lambda: [n.node_id for n in nodes if n.is_up],
+        config=config if config is not None else SoftStateConfig(read_fanout=1, read_timeout=1.0),
+    )
+    soft_node = cluster.add_node(lambda n: [soft_proto])
+    ring.add(soft_node.node_id)
+    client_proto = RecordingClient()
+    cluster.add_node(lambda n: [client_proto])
+    return ReplicaRig(sim, soft_proto, storages, nodes, client_proto, soft_node.node_id, latency)
+
+
+class TestHedgedReads:
+    def counter(self, rig, name: str) -> float:
+        return rig.coordinator.host.metrics.counter_value(name)
+
+    def test_second_hint_answers_when_the_first_is_crashed(self):
+        rig = make_replica_rig()
+        rig.warm()
+        delay = rig.coordinator.hedge_delay()
+        round_trip = 2 * rig.latency
+        assert delay == pytest.approx(HEDGE_FACTOR * round_trip)
+        rig.hold("k", holders=[0, 1, 2, 3], hinted=[0, 1, 2, 3])
+        rig.storage_nodes[0].crash()
+        reply, took = rig.get("r1", "k")
+        assert reply.ok and reply.value == {"v": 1}
+        # client -> coordinator, one hedge delay, the hedge's round trip,
+        # coordinator -> client
+        assert took <= delay + round_trip + 2 * rig.latency + 1e-9
+        assert self.counter(rig, "soft.hedged_reads") == 1
+        assert [r.key for r in rig.storages[1].reads] == ["k"]
+        assert rig.storages[2].reads == [] and rig.storages[3].reads == []
+        assert all(storage.floods == [] for storage in rig.storages)
+        assert self.counter(rig, "soft.epidemic_reads") == 0
+
+    def test_every_hint_crashed_runs_out_the_hedges_then_floods(self):
+        rig = make_replica_rig()
+        rig.warm()
+        # Replica 3 holds the key but no hint names it: only the flood
+        # can find it.
+        rig.hold("k", holders=[0, 1, 2, 3], hinted=[0, 1, 2])
+        for node in rig.storage_nodes[:3]:
+            node.crash()
+        reply, took = rig.get("r1", "k")
+        assert reply.ok and reply.value == {"v": 1}
+        assert self.counter(rig, "soft.hedged_reads") == 2
+        assert self.counter(rig, "soft.epidemic_reads") == 1
+        assert [f.probe.key for f in rig.storages[3].floods] == ["k"]
+        # Three hedge delays (first probe, two hedges) before the flood,
+        # well inside the one read_timeout the parent path waited.
+        assert took < rig.coordinator.config.read_timeout
+
+    def test_stale_first_answer_is_hedged_at_the_hedge_delay(self):
+        rig = make_replica_rig()
+        rig.warm()
+        delay = rig.coordinator.hedge_delay()
+        # Replica 0 only has version 1 of a key at version 2.
+        rig.hold("k", holders=[0, 1], hinted=[0, 1], sequence=2, versions={0: 1})
+        reply, took = rig.get("r1", "k")
+        assert reply.ok and reply.value == {"v": 2}
+        assert self.counter(rig, "soft.hedged_reads") == 1
+        assert self.counter(rig, "soft.epidemic_reads") == 0
+        assert took <= delay + 4 * rig.latency + 1e-9
+        assert took < rig.coordinator.config.read_timeout
+
+    def test_unmeasured_reads_are_not_hedged_and_the_delay_never_exceeds_the_timeout(self):
+        config = SoftStateConfig(read_fanout=1, read_timeout=1.0)
+        rig = make_replica_rig(config=config)
+        rig.warm(reads=HEDGE_MIN_SAMPLES - 1)
+        assert rig.coordinator.hedge_delay() is None
+        # Too few round trips for a quantile: the read waits read_timeout
+        # and floods, as an unhedged read does.
+        rig.hold("k", holders=[0, 1, 2, 3], hinted=[0, 1, 2, 3])
+        rig.storage_nodes[0].crash()
+        reply, took = rig.get("r1", "k")
+        assert reply.ok and reply.value == {"v": 1}
+        assert self.counter(rig, "soft.hedged_reads") == 0
+        assert self.counter(rig, "soft.epidemic_reads") == 1
+        assert took >= config.read_timeout
+        # Round trips of 0.6 s would make a 1.2 s delay: capped.
+        slow = make_replica_rig(latency=0.3, config=config)
+        slow.warm()
+        assert slow.coordinator.hedge_delay() == config.read_timeout
+
+    def test_no_hedge_fires_without_churn(self):
+        dd = DataDroplets(DataDropletsConfig(seed=5, n_storage=16, n_soft=2)).start(warmup=5.0)
+        keys = [f"k{i}" for i in range(40)]
+        for key in keys:
+            dd.put(key, {"v": key})
+        dd.run_for(5.0)
+        for node in dd.soft_nodes:
+            node.protocol("soft").cache.clear()
+        assert [dd.get(key) for key in keys] == [{"v": key} for key in keys]
+        assert dd.metrics.counter_value("soft.hinted_reads") >= len(keys)
+        # Every coordinator measured enough round trips to hedge...
+        delays = [node.protocol("soft").hedge_delay() for node in dd.soft_nodes]
+        assert all(delay is not None and delay < dd.config.soft.read_timeout
+                   for delay in delays)
+        # ...and its delay outlasts every round trip of an all-up network.
+        assert dd.metrics.counter_value("soft.hedged_reads") == 0
+        assert dd.metrics.counter_value("soft.epidemic_reads") == 0
 
 
 class TestRouting:
