@@ -531,8 +531,8 @@ class StorageNodeProtocol(Protocol):
         when the node holds none)."""
         extremes = {}
         for attribute in self.indexes:
-            values = [v for _, v in self.memtable.attribute_values(attribute)]
-            extremes[attribute] = (max(values), min(values)) if values else (None, None)
+            bounds = self.memtable.attribute_range(attribute)
+            extremes[attribute] = (None, None) if bounds is None else (bounds[1], bounds[0])
         return extremes
 
     # ------------------------------------------------------------------

@@ -18,9 +18,10 @@ for gossip estimation in dynamic networks).
 
 One exchange is push-pull: the push carries the whole K-vector, the
 reply (:class:`ExtremaReply`) only the minima lower than the ones the
-push carried. That loses nothing: minima only fall, so the requester's
-vector is already at or below what it sent, and ``min(current, sent)``
-is ``current`` for every entry the reply leaves out.
+push carried, and no reply goes out when none is. That loses nothing:
+minima only fall, so the requester's vector is already at or below what
+it sent, and ``min(current, sent)`` is ``current`` for every entry the
+reply leaves out.
 
 The sieve layer uses this estimate for the r/N retention probability
 (claim C3), and dissemination can size its fanout as ln(N_hat)+c (C1).
@@ -157,6 +158,10 @@ class ExtremaSizeEstimator(Protocol):
             pushed = message.minima
             self._merge(enumerate(pushed))
             lower = [mine < theirs for mine, theirs in zip(self._minima, pushed)]
+            if not any(lower):
+                # An empty reply would lower none of the requester's minima.
+                self.host.metrics.counter("extrema.replies_skipped").inc()
+                return
             self.send(sender, ExtremaReply(
                 self._epoch, pack_mask(lower),
                 tuple(mine for mine, flag in zip(self._minima, lower) if flag)))

@@ -28,6 +28,7 @@ quantities it aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NodeId
@@ -203,10 +204,21 @@ class ExtremeShare(Message):
     minima: Tuple[Optional[float], ...]
 
 
+#: Cap on the firings a converged table stays quiet between two sends.
+QUIET_MAX_ROUNDS = 8
+
+
 def _merged(pick, ours: Sequence[Optional[float]],
             theirs: Sequence[Optional[float]]) -> List[Optional[float]]:
     return [b if a is None else a if b is None else pick(a, b)
             for a, b in zip(ours, theirs)]
+
+
+def _ahead(better, ours: Sequence[Optional[float]], theirs: Sequence[Optional[float]]) -> bool:
+    """Whether ``ours`` holds a strictly better value in some slot. Every
+    comparison with a NaN is false, so two tables holding NaNs never
+    answer each other forever."""
+    return any(a is not None and (b is None or better(a, b)) for a, b in zip(ours, theirs))
 
 
 class ExtremeAggregator(Protocol):
@@ -217,6 +229,17 @@ class ExtremeAggregator(Protocol):
     exact under duplicates and loss; it only ever lags, never errs,
     which is why the paper can offer these "simple summaries" at almost
     no cost (§III-C).
+
+    A converged table goes quiet the way Trickle does (RFC 6206): the
+    timer still fires and samples ``values_fn`` every period, but a
+    firing sends only when the table changed since this node last sent,
+    or once ``quiet`` firings in a row have passed without a send.
+    ``quiet`` doubles after each send that carried no change, up to
+    :data:`QUIET_MAX_ROUNDS`, and any change resets it to 1. A receiver
+    that holds a strictly better value in some slot replies with its
+    table, so a stale sender catches up in one round trip; a node whose
+    table is still all ``None`` sends an empty share every period to
+    one peer, as a pull.
 
     Args:
         values_fn: returns this node's local (max, min) per slot name, in
@@ -242,6 +265,9 @@ class ExtremeAggregator(Protocol):
         self.slots: Tuple[str, ...] = ()
         self._maxima: List[Optional[float]] = []
         self._minima: List[Optional[float]] = []
+        self._changed = False  # since this node last sent
+        self._quiet = 1
+        self._idle = 0  # firings in a row without a send
         self._timer = None
 
     def on_start(self) -> None:
@@ -258,16 +284,33 @@ class ExtremeAggregator(Protocol):
         return self.host.protocol(self.membership)  # type: ignore[return-value]
 
     def _merge(self, maxima: Sequence[Optional[float]], minima: Sequence[Optional[float]]) -> None:
-        self._maxima = _merged(max, self._maxima, maxima)
-        self._minima = _merged(min, self._minima, minima)
+        merged_max = _merged(max, self._maxima, maxima)
+        merged_min = _merged(min, self._minima, minima)
+        if merged_max != self._maxima or merged_min != self._minima:
+            self._maxima, self._minima = merged_max, merged_min
+            self._changed = True
+            self._quiet = 1
+
+    def _share(self) -> ExtremeShare:
+        return ExtremeShare(self.instance, tuple(self._maxima), tuple(self._minima))
 
     def _round(self) -> None:
         local = self.values_fn()
         self._merge([local[slot][0] for slot in self.slots],
                     [local[slot][1] for slot in self.slots])
         if all(v is None for v in self._maxima + self._minima):
+            for peer in self._sampler().sample_peers(1):
+                self.send(peer, self._share())
             return
-        share = ExtremeShare(self.instance, tuple(self._maxima), tuple(self._minima))
+        if not self._changed and self._idle < self._quiet:
+            self._idle += 1
+            self.host.metrics.counter("extreme.sends_skipped").inc()
+            return
+        if not self._changed:
+            self._quiet = min(2 * self._quiet, QUIET_MAX_ROUNDS)
+        self._changed = False
+        self._idle = 0
+        share = self._share()
         for peer in self._sampler().sample_peers(self.fanout):
             self.send(peer, share)
 
@@ -280,6 +323,8 @@ class ExtremeAggregator(Protocol):
             self.host.metrics.counter("extreme.shape_mismatch").inc()
             return
         self._merge(message.maxima, message.minima)
+        if _ahead(gt, self._maxima, message.maxima) or _ahead(lt, self._minima, message.minima):
+            self.send(sender, self._share())
 
     def maximum(self, slot: str) -> Optional[float]:
         return self._maxima[self.slots.index(slot)]

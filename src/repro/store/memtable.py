@@ -213,6 +213,15 @@ class Memtable(AntiEntropyStore):
             if (value := _numeric(item.record.get(attribute))) is not None
         )
 
+    def attribute_range(self, attribute: str) -> Optional[Tuple[float, float]]:
+        """(min, max) of the live values of ``attribute``, None when no
+        live tuple carries one: the two ends of its sorted index."""
+        index = self._indexes.get(attribute)
+        if index is not None:
+            return (index[0][0], index[-1][0]) if index else None
+        values = [value for _, value in self.attribute_values(attribute)]
+        return (min(values), max(values)) if values else None
+
     def scan(
         self,
         attribute: str,

@@ -1,8 +1,12 @@
 """Unit-level tests of the storage-node protocol internals."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import DataDroplets, DataDropletsConfig, IndexSpec
+from repro.store.memtable import Memtable
+from repro.store.tuples import Version, VersionedTuple
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,31 @@ class TestCorrectedContributions:
         assert storage.local_extremes() == {"v": (None, None)}
 
 
+_writes = st.lists(st.tuples(
+    st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.none() | st.booleans() | st.text(max_size=2) | st.integers(-50, 50)
+    | st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from(["put", "tombstone", "drop"]),
+), max_size=30)
+
+
+class TestLocalExtremes:
+    @given(_writes)
+    def test_the_index_ends_equal_the_walk_over_the_values(self, writes):
+        indexed, plain = Memtable(index_attributes=["v"]), Memtable()
+        for counter, (key, value, kind) in enumerate(writes, start=1):
+            for memtable in (indexed, plain):
+                if kind == "drop":
+                    memtable.delete(key)
+                else:
+                    record = {} if value is None else {"v": value}
+                    memtable.put(VersionedTuple(key, Version(counter, 1), record,
+                                                tombstone=kind == "tombstone"))
+        values = [value for _, value in plain.attribute_values("v")]
+        walk = (min(values), max(values)) if values else None
+        assert indexed.attribute_range("v") == plain.attribute_range("v") == walk
+
+
 class TestTombstonePropagation:
     def test_tombstone_reaches_existing_replicas(self, system):
         system.put("mortal", {"v": 42.0})
@@ -127,10 +156,15 @@ class TestIndexBookkeeping:
             assert item is not None
 
     def test_maintenance_is_idempotent_when_stable(self, system):
-        system.run_for(40.0)  # distribution long converged
-        before = system.metrics.counter_value("storage.index_migrations")
-        for node in system.storage_nodes:
-            if node.is_up:
-                node.protocol("storage").run_index_maintenance()
-        after = system.metrics.counter_value("storage.index_migrations")
-        assert after - before <= 3  # essentially no drift left
+        def maintenance_pass():
+            before = system.metrics.counter_value("storage.index_migrations")
+            for node in system.storage_nodes:
+                if node.is_up:
+                    node.protocol("storage").run_index_maintenance()
+            return system.metrics.counter_value("storage.index_migrations") - before
+
+        system.run_for(40.0)
+        maintenance_pass()  # whatever the estimate moved since the last pass
+        # Nothing moved in between: a second pass finds no drift. (That
+        # 40 s leave none is tests/test_open_defects.py's, ROADMAP item 20.)
+        assert maintenance_pass() == 0

@@ -26,9 +26,9 @@ from repro.sim import Cluster, Simulation, UniformLatency
 from tests.conftest import build_connected
 
 
-def _estimator_cluster(extra_factory, n=150, seed=61, warmup=25.0):
+def _estimator_cluster(extra_factory, n=150, seed=61, warmup=25.0, loss_rate=0.0):
     sim = Simulation(seed=seed)
-    cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+    cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02), loss_rate=loss_rate)
     factory = lambda node: [CyclonProtocol(view_size=10, shuffle_size=5, period=1.0)] + extra_factory(node)
     nodes = build_connected(sim, cluster, n, factory, warmup=warmup)
     return sim, cluster, nodes
@@ -190,6 +190,84 @@ class TestExtremeAggregator:
         assert table.maximum("never") is None and table.minimum("never") is None
 
 
+class TestExtremeBackoff:
+    """A converged table goes quiet, and still takes news in fast.
+
+    Node ``i`` holds ``(i, i)`` in slot ``x`` unless ``local`` says
+    otherwise; ``(None, None)`` is a node with nothing to offer."""
+
+    PERIOD = 0.5
+
+    def _tables(self, n=50, seed=61, loss_rate=0.0, local=None):
+        local = {} if local is None else local
+
+        def extra(node):
+            i = node.node_id.value
+            return [ExtremeAggregator(
+                "t", lambda i=i: {"x": local.get(i, (float(i), float(i)))}, period=self.PERIOD)]
+
+        return _estimator_cluster(extra, n=n, seed=seed, warmup=25.0, loss_rate=loss_rate)
+
+    @staticmethod
+    def _holding(nodes, maximum, minimum):
+        return [node for node in nodes if node.is_up and
+                (node.protocol("extreme:t").maximum("x"),
+                 node.protocol("extreme:t").minimum("x")) == (maximum, minimum)]
+
+    def test_a_converged_table_sends_at_most_a_quarter_share_per_node_per_period(self):
+        sim, cluster, nodes = self._tables()
+        assert len(self._holding(nodes, 49.0, 0.0)) == 50
+        sent = cluster.metrics.counter_value("net.sent.extreme:t")
+        periods = 36
+        sim.run_for(periods * self.PERIOD)
+        per_node_period = (cluster.metrics.counter_value("net.sent.extreme:t") - sent) / (50 * periods)
+        assert per_node_period <= 0.25  # 2.0 when every firing sends to both peers
+        assert cluster.metrics.counter_value("extreme.sends_skipped") > 0
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_a_new_local_max_reaches_every_node_within_log_n_plus_3_periods(self, seed):
+        local = {}
+        sim, cluster, nodes = self._tables(seed=seed, local=local)
+        local[7] = (1000.0, 7.0)
+        sim.run_for((math.ceil(math.log2(50)) + 3) * self.PERIOD)
+        assert len(self._holding(nodes, 1000.0, 0.0)) == 50
+
+    def test_a_rebooted_or_data_less_node_holds_the_global_table_within_2_periods(self):
+        local = {i: (None, None) for i in range(10, 20)}
+        sim, cluster, nodes = self._tables(local=local)
+        rebooted = nodes[10:15] + nodes[30:35]  # five without data, five with
+        for node in rebooted:
+            node.crash()
+        sim.run_for(5 * self.PERIOD)
+        for node in rebooted:
+            node.boot()
+        assert not self._holding(rebooted, 49.0, 0.0)
+        sim.run_for(2 * self.PERIOD)
+        assert len(self._holding(rebooted, 49.0, 0.0)) == len(rebooted)
+
+    def test_a_share_is_answered_only_by_a_strictly_better_table(self):
+        sim = Simulation(seed=1)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        table = ExtremeAggregator("t", lambda: {"x": (5.0, 5.0), "y": (math.nan, math.nan)})
+        cluster.add_node(lambda n: [CyclonProtocol(), table])
+        table._round()
+        sent = lambda: cluster.metrics.counter_value("net.sent.extreme:t")
+        table.on_message(NodeId(99), ExtremeShare("t", (5.0, math.nan), (5.0, math.nan)))
+        assert sent() == 0  # x is equal and a NaN is never "better": no reply, no ping-pong
+        table.on_message(NodeId(99), ExtremeShare("t", (4.0, None), (5.0, None)))
+        assert sent() == 1  # the sender lacks our max of 5
+
+    def test_tables_converge_exactly_under_5_percent_loss(self):
+        local = {}
+        sim, cluster, nodes = self._tables(loss_rate=0.05, local=local)
+        assert len(self._holding(nodes, 49.0, 0.0)) == 50
+        sim.run_for(30 * self.PERIOD)  # quiet, and losing shares
+        local[3], local[40] = (3.0, -5.0), (77.0, 40.0)
+        sim.run_for(40 * self.PERIOD)
+        assert len(self._holding(nodes, 77.0, -5.0)) == 50
+        assert cluster.metrics.counter_value("net.dropped.loss") > 0
+
+
 class TestShortShareIsDropped:
     """A share whose shape differs from the local one (a peer with
     another layout, a forged datagram) used to be zip()-merged and
@@ -249,7 +327,11 @@ class TestShortShareIsDropped:
         assert cluster.metrics.counter_value("net.sent.size-estimator") == 0  # and no reply
         size.on_message(peer, ExtremaExchange(0, (1e-9,) * 16))
         assert len(size._minima) == 16 and size.estimate() > before[1]
-        assert cluster.metrics.counter_value("net.sent.size-estimator") == 1  # the push-pull reply
+        # Nothing held is lower than the push: no reply, it would lower nothing.
+        assert cluster.metrics.counter_value("net.sent.size-estimator") == 0
+        assert cluster.metrics.counter_value("extrema.replies_skipped") == 1
+        size.on_message(peer, ExtremaExchange(0, (1.0,) + (1e-9,) * 15))
+        assert cluster.metrics.counter_value("net.sent.size-estimator") == 1  # entry 0 is lower
 
     #: (mask, values) pairs a 12-entry reply cannot be, in that order.
     _BAD_FOR_TWELVE = ((b"\xff", (1e-9,) * 8), (b"\xff\x0f\x00", (1e-9,) * 12),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.common.codec import BinaryCodec
@@ -92,17 +92,23 @@ class TestExtremaDeltaReply:
         st.lists(_minimum, min_size=k, max_size=k),               # the push
         st.lists(st.none() | _minimum, min_size=k, max_size=k),   # where the requester fell since
     )))
+    @example(([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [None, 0.5, None]))  # nothing lower: no reply
     def test_delta_merge_equals_the_full_merge(self, vectors):
         held, pushed, falls = vectors
         replier, replier_host = _estimator(held)
         replier.on_message(NodeId(1), ExtremaExchange(0, tuple(pushed)))
-        (reply,) = replier_host.sent
         full = replier._minima  # what the dense reply carried
         lower = [m < p for m, p in zip(full, pushed)]
-        assert reply == ExtremaReply(0, pack_mask(lower), tuple(m for m, f in zip(full, lower) if f))
         current = [p if fall is None else min(p, fall) for p, fall in zip(pushed, falls)]
         requester, _ = _estimator(current)
-        requester.on_message(NodeId(0), reply)
+        if any(lower):
+            (reply,) = replier_host.sent
+            assert reply == ExtremaReply(0, pack_mask(lower), tuple(m for m, f in zip(full, lower) if f))
+            requester.on_message(NodeId(0), reply)
+        else:
+            # The dense reply would have left the requester as it was.
+            assert replier_host.sent == []
+            assert requester._minima == current
         assert requester._minima == [min(c, m) for c, m in zip(current, full)]
         dense, _ = _estimator(current)
         dense.on_message(NodeId(0), ExtremaReply(0, pack_mask([True] * len(full)), tuple(full)))
@@ -240,8 +246,17 @@ def _reply_pair(full):
     pushed = tuple(m + 1.0 if full else m for m in held)
     replier, host = _estimator(held)
     replier.on_message(NodeId(1), ExtremaExchange(0, pushed))
-    (reply,) = host.sent
-    return reply, _DenseReply(0, tuple(replier._minima), True), "lower"
+    dense = _DenseReply(0, tuple(replier._minima), True)
+    if full:
+        (reply,) = host.sent
+        return reply, dense, "lower"
+    # Nothing held is lower than the push: the replier sends nothing, and
+    # the dense reply would have left the requester as it was.
+    assert host.sent == []
+    requester, _ = _estimator(pushed)
+    requester.on_message(NodeId(0), ExtremaReply(0, pack_mask([True] * len(held)), dense.minima))
+    assert requester._minima == list(pushed)
+    return None, dense, "lower"
 
 
 @pytest.mark.parametrize("pair", [_summary_pair, _share_pair, _reply_pair],
@@ -263,6 +278,9 @@ class TestSparseSize:
 
     def test_none_present_costs_less(self, pair):
         sparse, dense, mask_field = pair(False)
+        if sparse is None:  # not sent at all
+            assert dense.size_bytes() > 0 and _frame(dense) > 0
+            return
         assert not any(getattr(sparse, mask_field))
         assert sparse.size_bytes() < dense.size_bytes()
         assert _frame(sparse) < _frame(dense)
