@@ -78,8 +78,8 @@ def test_e06_repair_restores_replication(benchmark):
             counts_after = _replica_counts(dd)
             after = statistics.fmean(counts_after)
             # a key counts as lost only if it *had* storage replicas and
-            # now has none (keys parked in the coordinator's durability
-            # fallback never entered the storage layer)
+            # now has none (a put that no storage node acked never
+            # entered the storage layer)
             lost = sum(
                 1 for b, a in zip(counts_before, counts_after) if b > 0 and a == 0
             )

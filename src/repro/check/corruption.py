@@ -2,12 +2,12 @@
 
 The corruption nemeses (:mod:`repro.check.nemesis`, kinds in
 ``CORRUPTION_KINDS``) damage *internal* replica state — version
-vectors, bucket summaries, sieve ranges, the coordinator fallback
-queue, routing-table exceptions — without touching the network or
-killing nodes. A self-stabilising substrate must (a) *detect* the
-divergence through its own protocols (anti-entropy digests, the
-periodic state audit, census position echoes, SWIM refutation) and
-(b) *heal* it within a bounded number of anti-entropy rounds.
+vectors, bucket summaries, sieve ranges, routing-table exceptions —
+without touching the network or killing nodes. A self-stabilising
+substrate must (a) *detect* the divergence through its own protocols
+(anti-entropy digests, the periodic state audit, census position
+echoes, SWIM refutation) and (b) *heal* it within a bounded number of
+anti-entropy rounds.
 
 :class:`ConvergenceMonitor` rides along with the nemesis driver
 (``nemesis.monitor = monitor``): each injection is recorded into
@@ -19,10 +19,7 @@ it holds, stamping ``detected_at`` / ``healed_at`` / ``heal_rounds``.
 :func:`check_corruption_healed` turns the annotated records into
 :class:`~repro.check.checkers.Violation`\\ s: an injection that was
 never detected, never healed, or healed only after the round bound is
-a checker failure. ``truncate_fallback`` keys with no surviving
-storage replica are carved out as extinct at injection time (the E6a
-rule: loss of the sole durable copy is unavoidable, not a repair
-failure) and therefore judged healed-by-carve-out here.
+a checker failure.
 """
 
 from __future__ import annotations
@@ -39,8 +36,7 @@ from repro.sieve.keyspace import node_position
 #: Detection counters per corruption kind: the injection snapshots their
 #: values; any later increase means the protocols *noticed* (digests
 #: mismatched, an audit repaired, a census echo failed, a refutation was
-#: originated). ``truncate_fallback`` is self-announcing — the durable
-#: queue's accounting counter moves at injection — so it detects at t=0.
+#: originated).
 DETECTION_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "flip_version": (
         "antientropy.buckets_diverged",
@@ -55,19 +51,12 @@ DETECTION_COUNTERS: Dict[str, Tuple[str, ...]] = {
         "storage.sieve_audit_repairs",
         "redundancy.sieve_desync_detected",
     ),
-    "truncate_fallback": (
-        "soft.fallback_truncated",
-    ),
     "scramble_routing": (
         "onehop.table_audit_repairs",
         "onehop.refutations",
         "onehop.antientropy_mismatch",
     ),
 }
-
-#: Kinds whose injection seam itself moves the detection counter, so
-#: detection is immediate by construction.
-_SELF_ANNOUNCING = ("truncate_fallback",)
 
 
 class ConvergenceMonitor:
@@ -119,13 +108,9 @@ class ConvergenceMonitor:
         self._baselines[record["id"]] = {
             name: self._counter(name) for name in DETECTION_COUNTERS.get(kind, ())
         }
-        if kind in _SELF_ANNOUNCING:
-            record["detected_at"] = now
         self.history.corruptions.append(record)
-        # Some corruptions heal at the instant of injection (e.g. a
-        # truncated fallback entry whose key still has a storage
-        # replica): evaluate once immediately, then probe each round.
-        self._evaluate(record, now)
+        # Every kind leaves damage behind at injection (none heals or is
+        # detected at that instant), so the first evaluation is a probe.
         self._arm()
 
     # -- probe loop ----------------------------------------------------
@@ -185,8 +170,6 @@ class ConvergenceMonitor:
             storage = node.protocol("storage")
             sieve = storage._primary_bucket_sieve()
             return sieve is None or sieve.position == node_position(sieve.node_id)
-        if kind == "truncate_fallback":
-            return self._healed_truncate(details)
         if kind == "scramble_routing":
             return self._healed_scramble(node, details)
         return True
@@ -198,25 +181,6 @@ class ConvergenceMonitor:
             if held is None or held.version.packed() < int(old_packed):
                 return False
         return True
-
-    def _healed_truncate(self, details: Dict[str, Any]) -> bool:
-        extinct = set(details.get("extinct", ()))
-        for key, packed in details.get("removed", ()):
-            if key in extinct:
-                continue  # carved out at injection: loss was unavoidable
-            if not self._replicated_at(key, int(packed)):
-                return False
-        return True
-
-    def _replicated_at(self, key: str, packed: int) -> bool:
-        for node in self.dd.storage_nodes:
-            if node.state is NodeState.DEAD:
-                continue
-            memtable = node.durable.get("memtable")
-            held = memtable.get_any(key) if memtable is not None else None
-            if held is not None and held.version.packed() >= packed:
-                return True
-        return False
 
     def _healed_scramble(self, node: Node, details: Dict[str, Any]) -> bool:
         table = node.protocol("onehop").table
@@ -307,7 +271,4 @@ def _record_key(record: Dict[str, Any]) -> Optional[str]:
     keys = details.get("keys")
     if isinstance(keys, dict) and keys:
         return sorted(keys)[0]
-    removed = details.get("removed")
-    if removed:
-        return removed[0][0]
     return None

@@ -134,10 +134,8 @@ def corruption_schedule(seed: int, quick: bool = False) -> NemesisSchedule:
     """Fuzzed state-corruption schedule for ``--nemesis corruption``.
 
     Corruption events superimposed (via the ``overlap`` combinator) on
-    one early message-loss window: the loss makes coordinator writes
-    genuinely fall back to the durable queue, so ``truncate_fallback``
-    finds parked victims, and proves corruption composes with the
-    recoverable fault tier."""
+    one early message-loss window, which proves corruption composes
+    with the recoverable fault tier."""
     duration = 35.0 if quick else 60.0
     base = NemesisSchedule.corruption_from_seed(
         seed, duration=duration, events=3 if quick else 5)

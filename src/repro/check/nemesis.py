@@ -11,9 +11,11 @@ dicts for the JSON failure artifacts.
 
 The :class:`Nemesis` driver arms a schedule against a running
 :class:`~repro.core.datadroplets.DataDroplets` deployment: events apply
-at their virtual times, timed events revert when their duration ends,
-and :meth:`Nemesis.heal` force-reverts everything still active,
-restores network baselines and reboots transient victims — the
+at their virtual times, timed events revert when their duration ends
+(overlapping network-knob windows stack, so a knob stays set until the
+last window that set it ends), and :meth:`Nemesis.heal` force-reverts
+everything still active, restores network baselines and reboots
+transient victims — the
 "quiesce" step before the convergence and lost-write checkers run.
 
 Event kinds
@@ -76,7 +78,6 @@ CORRUPTION_KINDS = (
     "flip_version",      # roll back / wipe memtable versions on one replica
     "poison_summary",    # make bucket (xor, count) summaries lie about contents
     "desync_sieve",      # corrupt the cached sieve ring position
-    "truncate_fallback", # drop parked coordinator fallback writes
     "scramble_routing",  # damage onehop routing-table exception records
 )
 
@@ -197,8 +198,7 @@ class NemesisSchedule:
     #: must also come back clean. scramble_routing is excluded: it is a
     #: no-op under legacy routing (the stock check config); onehop-mode
     #: campaigns add it explicitly.
-    STOCK_CORRUPTION_KINDS = ("flip_version", "poison_summary",
-                              "desync_sieve", "truncate_fallback")
+    STOCK_CORRUPTION_KINDS = ("flip_version", "poison_summary", "desync_sieve")
 
     @staticmethod
     def from_seed(
@@ -255,9 +255,6 @@ class NemesisSchedule:
             elif kind == "desync_sieve":
                 params = {}
                 span = 0.0
-            elif kind == "truncate_fallback":
-                params = {"count": rng.randint(0, 2)}
-                span = 0.0
             elif kind == "scramble_routing":
                 params = {"flips": rng.randint(1, 3)}
                 span = 0.0
@@ -276,9 +273,8 @@ class NemesisSchedule:
         """Deterministic state-corruption schedule (self-stabilisation
         campaigns). Same fuzzing discipline as :meth:`from_seed`, but
         kinds *cycle* through a shuffled corruption tier instead of
-        being drawn independently — every campaign exercises every
-        primitive (an all-``truncate_fallback`` draw against an empty
-        fallback queue would inject nothing). Composable with stock
+        being drawn independently — a campaign with at least as many
+        events as kinds exercises every primitive. Composable with stock
         schedules through :meth:`overlap`/:meth:`sequence`."""
         rng = random.Random(seed)
         pool = list(kinds if kinds is not None
@@ -295,8 +291,6 @@ class NemesisSchedule:
                 params = {"buckets": rng.randint(1, 2)}
             elif kind == "desync_sieve":
                 params = {}
-            elif kind == "truncate_fallback":
-                params = {"count": rng.randint(0, 2)}
             else:  # scramble_routing
                 params = {"flips": rng.randint(1, 3)}
             out.append(NemesisEvent(kind, round(at, 2), 0.0, params))
@@ -320,7 +314,10 @@ class Nemesis:
         self._reverts: Dict[int, Callable[[], None]] = {}
         self._revert_seq = itertools.count()
         self._churns: List[PoissonChurn] = []
-        self._baseline: Optional[Tuple[float, float, float, float]] = None
+        # Network knobs (loss_rate, ...) under a fault window: their
+        # value before the first window, and one layer per open window.
+        self._knob_base: Dict[str, float] = {}
+        self._knob_layers: List[Dict[str, float]] = []
         self.applied: List[NemesisEvent] = []
         self.kills = 0
         self.extinct_keys: Dict[str, Dict[str, Any]] = {}
@@ -343,9 +340,6 @@ class Nemesis:
         sim = self.dd.sim
         t0 = sim.now if t0 is None else t0
         self._armed_at = t0
-        net = self.dd.cluster.network
-        self._baseline = (net.loss_rate, net.duplicate_rate,
-                          net.reorder_rate, net.extra_delay)
         for ev in self.schedule:
             sim.schedule_at(t0 + ev.at, lambda e=ev: self._apply(e))
 
@@ -359,9 +353,6 @@ class Nemesis:
         net = self.dd.cluster.network
         net.set_partition(None)
         net.set_drop_filter(None)
-        if self._baseline is not None:
-            (net.loss_rate, net.duplicate_rate,
-             net.reorder_rate, net.extra_delay) = self._baseline
         for node in self.dd.storage_nodes:
             if node.state is NodeState.DOWN:
                 node.boot()
@@ -469,46 +460,39 @@ class Nemesis:
         net.set_partition(reachable)
         return lambda: net.set_partition(None)
 
-    def _do_loss(self, ev: NemesisEvent) -> Callable[[], None]:
+    def _set_knobs(self, **knobs: float) -> Callable[[], None]:
+        """Set network knobs for one fault window. Overlapping windows
+        stack: when one ends, each knob it set goes back to the newest
+        open window's value for it, or to its value before the first.
+        (Restoring the value seen at apply time would leave the knob set
+        for good whenever the earlier of two windows ends first, outside
+        every window the checkers exempt.)"""
         net = self.dd.cluster.network
-        old = net.loss_rate
-        net.loss_rate = float(ev.params.get("rate", 0.1))
+        for name, value in knobs.items():
+            self._knob_base.setdefault(name, getattr(net, name))
+            setattr(net, name, value)
+        self._knob_layers.append(knobs)
 
         def revert() -> None:
-            net.loss_rate = old
+            self._knob_layers.remove(knobs)
+            for name in knobs:
+                setattr(net, name, next((layer[name] for layer in reversed(self._knob_layers)
+                                         if name in layer), self._knob_base[name]))
 
         return revert
+
+    def _do_loss(self, ev: NemesisEvent) -> Callable[[], None]:
+        return self._set_knobs(loss_rate=float(ev.params.get("rate", 0.1)))
 
     def _do_duplicate(self, ev: NemesisEvent) -> Callable[[], None]:
-        net = self.dd.cluster.network
-        old = net.duplicate_rate
-        net.duplicate_rate = float(ev.params.get("rate", 0.2))
-
-        def revert() -> None:
-            net.duplicate_rate = old
-
-        return revert
+        return self._set_knobs(duplicate_rate=float(ev.params.get("rate", 0.2)))
 
     def _do_reorder(self, ev: NemesisEvent) -> Callable[[], None]:
-        net = self.dd.cluster.network
-        old = (net.reorder_rate, net.reorder_delay)
-        net.reorder_rate = float(ev.params.get("rate", 0.2))
-        net.reorder_delay = float(ev.params.get("extra", 0.25))
-
-        def revert() -> None:
-            net.reorder_rate, net.reorder_delay = old
-
-        return revert
+        return self._set_knobs(reorder_rate=float(ev.params.get("rate", 0.2)),
+                               reorder_delay=float(ev.params.get("extra", 0.25)))
 
     def _do_delay(self, ev: NemesisEvent) -> Callable[[], None]:
-        net = self.dd.cluster.network
-        old = net.extra_delay
-        net.extra_delay = float(ev.params.get("extra", 0.05))
-
-        def revert() -> None:
-            net.extra_delay = old
-
-        return revert
+        return self._set_knobs(extra_delay=float(ev.params.get("extra", 0.05)))
 
     def _do_isolate(self, ev: NemesisEvent) -> Optional[Callable[[], None]]:
         pool = [n for n in self.dd.storage_nodes if n.is_up]
@@ -620,48 +604,6 @@ class Nemesis:
         details = node.protocol("storage").corrupt("desync_sieve", self._rng)
         if details.get("desynced"):
             self._note_corruption("desync_sieve", node, details)
-        return None
-
-    def _do_truncate_fallback(self, ev: NemesisEvent) -> None:
-        pool = [n for n in self.dd.soft_nodes
-                if n.is_up and n.durable.get("soft-fallback")]
-        if not pool:
-            return None
-        node = self._rng.choice(pool)
-        removed = node.protocol("soft").corrupt_fallback(
-            self._rng, count=int(ev.params.get("count", 0)))
-        if not removed:
-            return None
-        # Extinction carve-out, mirroring _note_permanent_kills: a parked
-        # fallback write may be the *only* durable copy of an acked
-        # write. If no live storage replica holds >= that version, no
-        # protocol can recover it — unavoidable loss by definition,
-        # recorded so the lost-write checker skips it. Keys that do have
-        # a storage replica heal at injection time (the flush loop's
-        # reason to exist is simply gone for them).
-        now = self.dd.sim.now
-        extinct: List[str] = []
-        for key, packed in removed:
-            survives = False
-            for sn in self.dd.storage_nodes:
-                if sn.state is NodeState.DEAD:
-                    continue
-                memtable = sn.durable.get("memtable")
-                held = memtable.get_any(key) if memtable is not None else None
-                if held is not None and held.version.packed() >= packed:
-                    survives = True
-                    break
-            if not survives:
-                extinct.append(key)
-                info = {"at": now, "holders_before": 1,
-                        "killed": [node.node_id.value],
-                        "cause": "truncate_fallback"}
-                self.extinct_keys[key] = info
-                if self.history is not None:
-                    self.history.extinct_keys[key] = info
-        details = {"removed": [[key, packed] for key, packed in removed],
-                   "extinct": extinct}
-        self._note_corruption("truncate_fallback", node, details)
         return None
 
     def _do_scramble_routing(self, ev: NemesisEvent) -> None:

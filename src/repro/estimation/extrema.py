@@ -14,7 +14,10 @@ loss — the properties the paper wants from every substrate.
 Dynamism is handled by *epochs*: with ``epoch_length`` set, nodes
 restart the computation on a common virtual-time grid, so departed
 nodes' variates age out after one epoch (the standard restart approach
-for gossip estimation in dynamic networks).
+for gossip estimation in dynamic networks). While an epoch mixes, a node
+reads the previous epoch's estimate; a push carries it, so a node that
+booted into the epoch (it saw no previous one) reads what its peers
+read, and its sieves cut the same bucket grid as theirs.
 
 One exchange is push-pull: the push carries the whole K-vector, the
 reply (:class:`ExtremaReply`) only the minima lower than the ones the
@@ -42,10 +45,12 @@ from repro.sim.node import Protocol
 @message_type
 @dataclass(frozen=True)
 class ExtremaExchange(Message):
-    """The push: the sender's whole minima vector."""
+    """The push: the sender's whole minima vector, and the previous
+    epoch's estimate it reads while this one mixes (None if it has none)."""
 
     epoch: int
     minima: Tuple[float, ...]
+    last: Optional[float] = None
 
 
 @message_type
@@ -137,7 +142,7 @@ class ExtremaSizeEstimator(Protocol):
         self._maybe_advance_epoch()
         self._rounds_done += 1
         for peer in self._sampler().sample_peers(self.fanout):
-            self.send(peer, ExtremaExchange(self._epoch, tuple(self._minima)))
+            self.send(peer, ExtremaExchange(self._epoch, tuple(self._minima), self._last_estimate))
         self.host.metrics.counter("extrema.rounds").inc()
 
     def _maybe_advance_epoch(self) -> None:
@@ -155,6 +160,11 @@ class ExtremaSizeEstimator(Protocol):
                 return
             if not self._enter(message.epoch):
                 return
+            if self._last_estimate is None and message.last is not None:
+                # Booted into this epoch: read what the peers that saw
+                # the previous one read until the next turn.
+                self._last_estimate = message.last
+                self._estimate = self._compute_estimate()
             pushed = message.minima
             self._merge(enumerate(pushed))
             lower = [mine < theirs for mine, theirs in zip(self._minima, pushed)]

@@ -17,7 +17,7 @@ Records are flat *events*, not open/close span pairs:
 * ``recv``  — the matching delivery (same span id as its ``send``), so
   send/recv pairs yield per-hop latency.
 * annotation events (``apply``, ``sieve-admit``, ``sieve-reject``,
-  ``deliver``, ``repair``, ``ack``, ``reply``, ``fallback-park``, …) —
+  ``deliver``, ``repair``, ``ack``, ``reply``, ``stale-route``, …) —
   attached to whatever span is active where they happen.
 
 Timestamps are whatever the host clock says: *virtual seconds* in the

@@ -62,8 +62,11 @@ class TupleCache:
         # persistent layer for it.
         return entry
 
-    def invalidate(self, key: str) -> None:
-        self._entries.pop(key, None)
+    def invalidate(self, key: str, version: Version) -> None:
+        """Drop the key's entry if it is at ``version`` (a newer one stays)."""
+        entry = self._entries.get(key)
+        if entry is not None and entry.version == version:
+            del self._entries[key]
 
     def clear(self) -> None:
         self._entries.clear()

@@ -25,10 +25,14 @@ when the hints run out an epidemic read (``EpidemicRead``) — the hedged
 request of Dean & Barroso, "The Tail at Scale" (CACM 2013), over the
 copies the hints already name.
 
-Durability backstop: if a write collects no StoreAck after retries (a
-sieve-coverage hole or a partition), the coordinator parks the tuple in
-its own durable fallback store rather than lose it — the coverage
-requirement says such holes must never pass silently.
+Write path: a put is acked once ``ack_quorum`` storage nodes have
+acked it (``StoreAck``). One that gathers no ack after ``WRITE_RETRIES``
+re-dispatches (a sieve-coverage hole or a partition) fails visibly with
+``unavailable``: its outcome is indeterminate (it may have landed with
+its acks lost), and nothing holds it in soft state, which the rebuild
+from the persistent layer could not recover. Reads ask storage for the
+newest version known to be stored (``KeyMeta.stored``), never for one
+that only a failed put was given.
 """
 
 from __future__ import annotations
@@ -80,12 +84,10 @@ SCAN_HOP_BUDGET = 64
 AGGREGATE_TIMEOUT = 3.0
 #: Forwards of a misrouted op before giving up on a loop.
 REDIRECT_HOP_BUDGET = 3
-#: Re-dispatches of an unacked write before it is parked.
+#: Re-dispatches of an unacked write before it fails.
 WRITE_RETRIES = 2
 #: Remembered storage nodes per key.
 HINT_CAPACITY = 8
-#: Seconds between retries to disseminate parked writes.
-FALLBACK_FLUSH_PERIOD = 4.0
 #: Hinted-read round trips the hedge delay is drawn from.
 HEDGE_WINDOW = 32
 #: Round trips a coordinator measures before it hedges at all.
@@ -130,9 +132,12 @@ class SoftStateConfig:
 
 @dataclass
 class KeyMeta:
-    """Per-key soft state: latest version + storage hints."""
+    """Per-key soft state: the newest version issued or seen (the next
+    put takes one above it), the newest known to be stored (a read's
+    floor: a put that failed may be stored nowhere) and storage hints."""
 
     version: Version = ZERO_VERSION
+    stored: Version = ZERO_VERSION
     hints: Set[NodeId] = field(default_factory=set)
 
 
@@ -143,7 +148,6 @@ class _WriteState:
     item: VersionedTuple
     acks: Set[NodeId] = field(default_factory=set)
     retries_left: int = 0
-    replied: bool = False
     # Trace context of the originating client op, captured at dispatch so
     # timer-driven retries re-join the op's causal tree (timers otherwise
     # break the ambient-context chain).
@@ -237,7 +241,6 @@ class SoftStateProtocol(Protocol):
         self._round_trips: Deque[float] = deque(maxlen=HEDGE_WINDOW)
         self._seq = itertools.count()
         self._router: Optional[OneHopRouting] = None
-        self.rebuild_complete = False
 
     # ------------------------------------------------------------------
     def on_start(self) -> None:
@@ -250,7 +253,6 @@ class SoftStateProtocol(Protocol):
         self._scans = {}
         self._aggregates = {}
         self._round_trips = deque(maxlen=HEDGE_WINDOW)
-        self.rebuild_complete = False
         # A node that runs the one-hop router routes by its table (read at
         # call time: the router boots after us) and forwards misrouted ops
         # to the owner it names (RedirectedOp) instead of bouncing an error.
@@ -258,11 +260,6 @@ class SoftStateProtocol(Protocol):
             self._router = self.host.protocol("onehop")  # type: ignore[assignment]
         except KeyError:
             self._router = None
-        # Parked fallback writes (acked to the client but never stored in
-        # the persistent layer) are retried until a storage node acks —
-        # without this loop an acknowledged write could sit in the
-        # coordinator's durable store forever and never gain redundancy.
-        self.every(FALLBACK_FLUSH_PERIOD, self._flush_fallback)
 
     # -- routing ---------------------------------------------------------
     def _owns(self, key: str) -> bool:
@@ -315,32 +312,6 @@ class SoftStateProtocol(Protocol):
         meta = self._meta(key)
         if len(meta.hints) < HINT_CAPACITY:
             meta.hints.add(storage_node)
-
-    def _fallback_store(self) -> Dict[str, VersionedTuple]:
-        return self.host.durable.setdefault("soft-fallback", {})
-
-    def corrupt_fallback(self, rng, count: int = 0) -> List[Tuple[str, int]]:
-        """Nemesis seam: truncate the parked-write fallback queue.
-
-        Drops up to ``count`` parked items (all of them when 0). These
-        writes were acked to clients but may exist nowhere else — the
-        convergence checker must decide per key whether a storage
-        replica still holds the version (then the flush loop's job is
-        simply gone) or the sole durable copy was just destroyed (an
-        extinction event, mirrored from the permanent-kill carve-out).
-        Returns the removed (key, packed version) pairs."""
-        fallback = self._fallback_store()
-        keys = sorted(fallback)
-        if count > 0:
-            keys = rng.sample(keys, min(count, len(keys)))
-        removed: List[Tuple[str, int]] = []
-        for key in keys:
-            item = fallback.pop(key, None)
-            if item is not None:
-                removed.append((key, item.version.packed()))
-        if removed:
-            self.host.metrics.counter("soft.fallback_truncated").inc(len(removed))
-        return removed
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -422,8 +393,8 @@ class SoftStateProtocol(Protocol):
 
     def _write_deadline(self, key: str, packed: int) -> None:
         state = self._writes.get((key, packed))
-        if state is None or len(state.acks) >= self.config.ack_quorum:
-            return
+        if state is None:
+            return  # acked: _handle_store_ack stopped tracking it
         if state.retries_left > 0:
             state.retries_left -= 1
             self.host.metrics.counter("soft.write_retries").inc()
@@ -435,48 +406,34 @@ class SoftStateProtocol(Protocol):
             self._write_failed(state)
 
     def _write_failed(self, state: _WriteState) -> None:
-        """No acks after retries: park durably here, still confirm."""
-        self._fallback_store()[state.item.key] = state.item
-        self._add_hint(state.item.key, self.host.node_id)
-        self.host.metrics.counter("soft.write_fallback").inc()
-        self.host.tracer.event("fallback-park", self.host.node_id.value, self.host.now,
-                               ctx=state.ctx, key=state.item.key)
-        if not state.replied:
-            state.replied = True
-            self._reply(state.client, state.request_id, ok=True, value=self._version_view(state.item))
+        """No ack after the retries: the client is told the put failed.
+        Its outcome is indeterminate (it may have landed with its acks
+        lost), so the cache stops serving it and reads go to storage with
+        the last stored version as their floor; the next put of the key
+        still takes the next version."""
         self._writes.pop((state.item.key, state.item.version.packed()), None)
-
-    def _flush_fallback(self) -> None:
-        """Retry dissemination of parked writes (see _write_failed)."""
-        fallback = self.host.durable.get("soft-fallback")
-        if not fallback:
-            return
-        entry = self._storage_entry()
-        if entry is None:
-            return
-        for item in list(fallback.values()):
-            self._to_storage(entry, StoreWrite(item, reply_to=self.host.node_id))
-            self.host.metrics.counter("soft.fallback_flush").inc()
+        self.cache.invalidate(state.item.key, state.item.version)
+        self.host.metrics.counter("soft.write_unavailable").inc()
+        self._reply(state.client, state.request_id, ok=False, error="unavailable")
 
     def _handle_store_ack(self, ack: StoreAck) -> None:
         self._add_hint(ack.key, ack.stored_at)
-        fallback = self.host.durable.get("soft-fallback")
-        if fallback:
-            parked = fallback.get(ack.key)
-            if parked is not None and parked.version.packed() <= ack.version.packed():
-                # The persistent layer now holds this (or a newer) version:
-                # the parked copy is no longer the only replica.
-                del fallback[ack.key]
         state = self._writes.get((ack.key, ack.version.packed()))
         if state is None:
             return
         state.acks.add(ack.stored_at)
-        if len(state.acks) >= self.config.ack_quorum and not state.replied:
-            state.replied = True
+        if len(state.acks) >= self.config.ack_quorum:
+            # Confirmed: later acks only add hints (above), and the
+            # write's deadline finds nothing left to retry.
+            self._writes.pop((ack.key, ack.version.packed()))
+            self._note_stored(ack.key, ack.version)
             self._reply(state.client, state.request_id, ok=True, value=self._version_view(state.item))
-        if len(state.acks) >= self.config.ack_quorum + 2:
-            # Enough redundancy confirmed; stop tracking.
-            self._writes.pop((ack.key, ack.version.packed()), None)
+
+    def _note_stored(self, key: str, version: Version) -> None:
+        """A storage node holds ``key`` at ``version``."""
+        meta = self._meta(key)
+        meta.version = max(meta.version, version)
+        meta.stored = max(meta.stored, version)
 
     @staticmethod
     def _version_view(item: VersionedTuple) -> Dict[str, int]:
@@ -504,18 +461,15 @@ class SoftStateProtocol(Protocol):
         )
 
     def _local_lookup(self, key: str) -> Optional[Tuple[bool, Optional[VersionedTuple]]]:
-        """Resolve from cache / fallback / authoritative absence.
+        """Resolve from the version-checked cache.
 
         Returns None when the persistent layer must be consulted."""
         meta = self.metadata.get(key)
-        required = meta.version if meta is not None and meta.version != ZERO_VERSION else None
+        required = meta.stored if meta is not None and meta.stored != ZERO_VERSION else None
         cached = self.cache.get(key, required_version=required)
         if cached is not None:
             self.host.metrics.counter("soft.cache_hits").inc()
             return (not cached.tombstone, cached)
-        fallback = self._fallback_store().get(key)
-        if fallback is not None and (required is None or fallback.version >= required):
-            return (not fallback.tombstone, fallback)
         return None
 
     def _start_read(
@@ -526,7 +480,7 @@ class SoftStateProtocol(Protocol):
         on_done: Optional[Callable[[str, Optional[VersionedTuple]], None]],
     ) -> None:
         meta = self.metadata.get(key)
-        min_version = meta.version if meta is not None and meta.version != ZERO_VERSION else None
+        min_version = meta.stored if meta is not None and meta.stored != ZERO_VERSION else None
         read_id = self._next_id("read")
         state = _ReadState(
             request_id=request_id,
@@ -633,9 +587,7 @@ class SoftStateProtocol(Protocol):
         self._reads.pop(read_id, None)
         if item is not None:
             self.cache.put(item)
-            meta = self._meta(state.key)
-            if item.version > meta.version:
-                meta.version = item.version
+            self._note_stored(state.key, item.version)
         if state.on_done is not None:
             state.on_done(state.key, item)
             return
@@ -901,12 +853,9 @@ class SoftStateProtocol(Protocol):
 
     def _handle_rebuild_reply(self, reply: RebuildReply) -> None:
         for key, version in reply.entries:
-            meta = self._meta(key)
-            if version > meta.version:
-                meta.version = version
+            self._note_stored(key, version)
             if reply.origin is not None:
                 self._add_hint(key, reply.origin)
-        self.rebuild_complete = True
 
     # ------------------------------------------------------------------
     def _handle_redirected(self, message: RedirectedOp) -> None:

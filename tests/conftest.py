@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro import UnavailableError
 from repro.membership import CyclonProtocol
 from repro.sim import Cluster, FixedLatency, Simulation, UniformLatency
+from repro.store.tuples import Version
 
 # Tier-1 repeats exactly: every property test draws the same examples on
 # every run. The "fuzz" profile (``--hypothesis-profile fuzz``, a CI step
@@ -49,3 +51,27 @@ def build_connected(sim: Simulation, cluster: Cluster, count: int, factory, warm
     cluster.seed_views("membership", seed_views)
     sim.run_for(warmup)
     return nodes
+
+
+def put_each(dd, records):
+    """Put every ``(key, record)`` through the facade: each put's
+    version, or ``None`` for a put that raised ``UnavailableError`` (no
+    storage node acked it)."""
+    versions = {}
+    for key, record in records:
+        try:
+            versions[key] = dd.put(key, record)
+        except UnavailableError:
+            versions[key] = None
+    return versions
+
+
+def assert_acked_means_stored(dd, versions):
+    """The put contract: every put raised, or a storage node (up or
+    down) holds its key at >= the acked version."""
+    for key, version in versions.items():
+        if version is None:
+            continue
+        floor = Version(version["sequence"], version["coordinator"])
+        held = [node.durable["memtable"].get_any(key) for node in dd.storage_nodes]
+        assert any(item is not None and item.version >= floor for item in held), key

@@ -13,6 +13,7 @@ from repro.sieve import (
     coverage_report,
     prefix_tag,
 )
+from tests.conftest import assert_acked_means_stored, put_each
 
 
 class TestProductionComposite:
@@ -93,13 +94,18 @@ class TestCapacityPressure:
             seed=61, n_storage=30, n_soft=1, replication=5,
             memtable_capacity=12,
         )).start(warmup=15.0)
-        for i in range(40):
-            dd.put(f"k{i}", {"v": i})
+        versions = put_each(dd, ((f"k{i}", {"v": i}) for i in range(40)))
         dd.run_for(20.0)
         rejected = sum(n.durable["memtable"].rejected_puts for n in dd.storage_nodes)
         assert rejected > 0  # capacity pressure is real
-        ok = sum(1 for i in range(40) if dd.get(f"k{i}") == {"v": i})
-        assert ok == 40  # but no operation fails: other replicas + fallback
+        refused = [key for key, version in versions.items() if version is None]
+        assert refused  # some keys found every admitting memtable full
+        assert_acked_means_stored(dd, versions)
+        for node in dd.storage_nodes:
+            assert len(node.durable["memtable"]) <= 12
+        # every acked put is served
+        assert all(dd.get(key) == {"v": int(key[1:])}
+                   for key, version in versions.items() if version is not None)
 
     def test_capacity_zero_config_rejected(self):
         from repro.store import Memtable
@@ -112,8 +118,9 @@ class TestCapacityPressure:
             seed=62, n_storage=20, n_soft=1, replication=4,
             memtable_capacity=10,
         )).start(warmup=15.0)
-        for i in range(60):
-            dd.put(f"k{i}", {"v": i})
+        versions = put_each(dd, ((f"k{i}", {"v": i}) for i in range(60)))
         dd.run_for(30.0)
+        assert any(version is None for version in versions.values())
+        assert_acked_means_stored(dd, versions)
         for node in dd.storage_nodes:
             assert len(node.durable["memtable"]) <= 10

@@ -111,35 +111,6 @@ class TestPrimitivesHeal:
         _assert_healed(history, "flip_version")
 
 
-class TestTruncateFallback:
-    def test_truncate_with_replicated_keys_heals_at_injection(self):
-        # Park fallback entries deliberately: cut the storage layer off,
-        # write (acked into the durable fallback queue), reconnect, then
-        # truncate before the flush loop drains everything.
-        dd = _deploy()
-        dd.cluster.network.set_drop_filter(
-            lambda src, dst, protocol, message: protocol in
-            ("storage", "antientropy"))
-        for i in range(6):
-            try:
-                dd.put(f"parked-{i}", {"v": float(i)})
-            except Exception:  # noqa: BLE001 - unavailable is fine, parked is the point
-                pass
-        dd.cluster.network.set_drop_filter(None)
-        parked = [n for n in dd.soft_nodes if n.durable.get("soft-fallback")]
-        if not parked:
-            pytest.skip("no write fell back to the durable queue")
-        history = _inject_and_converge(dd, "truncate_fallback", {"count": 0})
-        records = [c for c in history.corruptions
-                   if c["kind"] == "truncate_fallback"]
-        assert records
-        assert check_corruption_healed(history, bound_rounds=BOUND) == []
-        record = records[0]
-        # Keys whose only durable copy was the queue are carved out as
-        # extinct (E6a rule) — everything else must re-replicate.
-        assert set(record["details"]["extinct"]) == set(history.extinct_keys)
-
-
 class TestMonitorJudgement:
     def test_break_audit_leaves_poison_unhealed(self):
         # Positive control: with the audit hook off, a poisoned summary

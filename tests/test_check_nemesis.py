@@ -95,6 +95,23 @@ class TestNemesisDriver:
         dd.run_for(3.0)
         assert net.loss_rate == base
 
+    def test_overlapping_windows_end_with_their_last_one(self):
+        # The earlier window ends first: the later one's rate holds until
+        # it ends too, then the baseline is back.
+        dd = small_dd()
+        net = dd.cluster.network
+        base = (net.loss_rate, net.extra_delay)
+        sched = NemesisSchedule([
+            NemesisEvent("loss", at=0.5, duration=2.0, params={"rate": 0.5}),
+            NemesisEvent("loss", at=1.0, duration=3.0, params={"rate": 0.3}),
+            NemesisEvent("delay", at=1.5, duration=1.0, params={"extra": 0.2}),
+            NemesisEvent("delay", at=2.0, duration=3.0, params={"extra": 0.1})])
+        Nemesis(dd, sched).arm()
+        dd.run_for(3.0)  # at 3.0 the first loss and the first delay are over
+        assert (net.loss_rate, net.extra_delay) == (0.3, 0.1)
+        dd.run_for(3.0)
+        assert (net.loss_rate, net.extra_delay) == base
+
     def test_partition_splits_storage_only(self):
         dd = small_dd()
         sched = NemesisSchedule([

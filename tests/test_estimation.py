@@ -69,6 +69,29 @@ class TestExtremaSizeEstimator:
         assert estimate < 100  # moved toward 50
         assert abs(estimate - 50) / 50 < 0.6
 
+    def test_a_node_rebooted_into_an_epoch_reads_what_its_peers_read(self):
+        """Reboots inflate an epoch's estimate: each adds fresh variates
+        to the minima. Until the next turn the nodes that saw that epoch
+        read its estimate; a node down at the turn boots with no previous
+        epoch of its own and must read the same value (so the sieves'
+        bucket grids agree), not its fresh, lower one."""
+        sim, cluster, nodes = _estimator_cluster(
+            lambda n: [ExtremaSizeEstimator(k=64, period=0.5, epoch_length=15.0)],
+            n=40, warmup=20.0)
+        late = nodes[-1]
+        for node in nodes[:30]:  # epoch 1, [15, 30): 30 reboots
+            node.crash()
+            sim.run_for(0.1)
+            node.boot()
+        late.crash()
+        sim.run_for(31.0 - sim.now)  # past the turn to epoch 2
+        late.boot()
+        sim.run_for(6.0)  # epoch 2 has mixed; its turn is at 45
+        carried = [n.protocol("size-estimator")._last_estimate for n in nodes[:-1]]
+        assert min(carried) > 1.3 * 40  # the inflation is real
+        estimates = [n.protocol("size-estimator").estimate() for n in nodes]
+        assert max(estimates) - min(estimates) < 1.0
+
     def test_fanout_fn(self):
         sim, cluster, nodes = _estimator_cluster(
             lambda n: [ExtremaSizeEstimator(k=64, period=0.5)], n=60, warmup=15.0

@@ -11,27 +11,28 @@ def build(seed, **overrides):
     return DataDroplets(DataDropletsConfig(seed=seed, **defaults)).start(warmup=15.0)
 
 
-class TestWriteFallback:
-    def test_write_succeeds_with_storage_layer_down(self):
+class TestWriteUnavailable:
+    def test_write_fails_visibly_with_storage_layer_down(self):
         dd = build(41)
         for node in dd.storage_nodes:
             node.crash()
-        # durability backstop: coordinator parks the tuple locally
-        version = dd.put("orphan", {"v": 1})
-        assert version["sequence"] == 1
-        assert dd.metrics.counter_value("soft.write_fallback") >= 1
-        # and can still serve it
-        assert dd.get("orphan") == {"v": 1}
+        # no storage node acks, so the put is not acked either
+        with pytest.raises(UnavailableError):
+            dd.put("orphan", {"v": 1})
+        assert dd.metrics.counter_value("soft.write_unavailable") == 1
 
-    def test_fallback_data_survives_until_storage_returns(self):
+    def test_the_same_put_succeeds_once_storage_returns(self):
         dd = build(42)
         for node in dd.storage_nodes:
             node.crash()
-        dd.put("parked", {"v": 7})
+        with pytest.raises(UnavailableError):
+            dd.put("orphan", {"v": 7})
         for node in dd.storage_nodes:
             node.boot()
         dd.run_for(20.0)
-        assert dd.get("parked") == {"v": 7}
+        version = dd.put("orphan", {"v": 7})
+        assert version["sequence"] == 2  # the failed put's version is not reused
+        assert dd.get("orphan") == {"v": 7}
 
 
 class TestReadPaths:

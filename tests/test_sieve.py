@@ -233,8 +233,8 @@ class TestDistributionAwareSieve:
         rng = random.Random(5)
         rows = [(f"k{i}", {"v": min(79.9, max(0.0, rng.gauss(40, 8)))}) for i in range(3000)]
         # r = 8 >~ ln(N): the regime where bucket coverage holds w.h.p.
-        # (with small r the paper's scheme deliberately accepts holes and
-        # the coordinator's durability backstop catches them).
+        # (with small r the paper's scheme deliberately accepts holes, and
+        # a put into one fails visibly at the coordinator).
         aware = coverage_report(self._sieves(r=8), rows)
         # compare against hash placement of the same rows through a plain
         # value-proportional arc (fallback uniform mapping = no estimate)

@@ -205,8 +205,10 @@ class TestTupleCache:
 
     def test_invalidate_and_clear(self):
         cache = TupleCache(capacity=4)
-        cache.put(make_tuple("k", {}, Version(1, 0)))
-        cache.invalidate("k")
+        cache.put(make_tuple("k", {}, Version(2, 0)))
+        cache.invalidate("k", Version(1, 0))  # a newer entry stays
+        assert "k" in cache
+        cache.invalidate("k", Version(2, 0))
         assert "k" not in cache
         cache.put(make_tuple("k2", {}, Version(1, 0)))
         cache.clear()

@@ -27,7 +27,6 @@ from repro.softstate import (
     StoreWrite,
 )
 from repro.softstate.coordinator import (
-    FALLBACK_FLUSH_PERIOD,
     HEDGE_FACTOR,
     HEDGE_MIN_SAMPLES,
     HINT_CAPACITY,
@@ -193,43 +192,42 @@ class TestWrites:
         rig.sim.run_for(2.0)
         assert rig.client.replies and rig.client.replies[0].ok
 
-    def test_retry_then_fallback_without_acks(self):
+    def test_retry_then_unavailable_without_acks(self):
         config = SoftStateConfig(ack_timeout=1.0)
         rig = make_rig(config, ack_count=0)  # storage never acks
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
-        # parked after 1 + WRITE_RETRIES deadlines, before the first flush
         rig.sim.run_for(WRITE_RETRIES + 1.5)
-        assert WRITE_RETRIES + 1.5 < 0.9 * FALLBACK_FLUSH_PERIOD
-        # retried, then parked durably and confirmed anyway
+        # retried, then failed visibly: nothing was acked, nothing kept
         assert len(rig.storage.writes) == 1 + WRITE_RETRIES
-        assert rig.client.replies and rig.client.replies[0].ok
-        fallback = rig.coordinator.host.durable["soft-fallback"]
-        assert "k" in fallback
+        assert [(r.ok, r.error) for r in rig.client.replies] == [(False, "unavailable")]
+        assert rig.coordinator._writes == {}
+        assert rig.coordinator.host.metrics.counter_value("soft.write_unavailable") == 1
 
-    def test_fallback_flush_redisseminates_parked_writes(self):
-        config = SoftStateConfig(ack_timeout=1.0)
-        rig = make_rig(config, ack_count=0)  # storage never acks...
+    def test_a_failed_put_is_not_read_back_from_the_cache(self):
+        config = SoftStateConfig(ack_timeout=1.0, read_timeout=1.0)
+        rig = make_rig(config)
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
+        rig.sim.run_for(2.0)
+        acked = rig.storage.stored["k"]
+        rig.storage.ack_count = 0
+        send_from_client(rig, ClientPut("r2", "k", {"v": 2}))
         rig.sim.run_for(WRITE_RETRIES + 1.5)
-        assert "k" in rig.coordinator.host.durable["soft-fallback"]
-        # ...until it comes back: the periodic flush must re-send the
-        # parked item and drop it from the fallback once storage acks.
-        rig.storage.ack_count = 1
-        rig.sim.run_for(1.5 * FALLBACK_FLUSH_PERIOD)
-        assert "k" not in rig.coordinator.host.durable["soft-fallback"]
-        assert rig.storage.stored["k"].record == {"v": 1}
+        rig.storage.stored["k"] = acked  # the failed write never landed
+        send_from_client(rig, ClientGet("r3", "k"))
+        rig.sim.run_for(15.0)
+        replies = {r.request_id: (r.ok, r.value if r.ok else r.error) for r in rig.client.replies}
+        assert replies["r2"] == (False, "unavailable")
+        assert replies["r3"] == (True, {"v": 1})  # storage's value, not the failed one
 
-    def test_fallback_flush_keeps_newer_parked_version(self):
+    @pytest.mark.parametrize("ack_count", [1, 2])
+    def test_a_confirmed_write_stops_being_tracked(self, ack_count):
         config = SoftStateConfig(ack_timeout=1.0)
-        rig = make_rig(config, ack_count=0)
-        send_from_client(rig, ClientPut("r1", "k", {"v": 2}))
-        rig.sim.run_for(WRITE_RETRIES + 1.5)
-        parked = rig.coordinator.host.durable["soft-fallback"]["k"]
-        # a stale ack (older version) must not evict the parked copy
-        stale = StoreAck("k", Version(sequence=0, coordinator=1), NodeId(900))
-        rig.sim.call_soon(lambda: rig.storage.host.send(rig.soft_id, "soft", stale))
-        rig.sim.run_for(1.0)
-        assert rig.coordinator.host.durable["soft-fallback"]["k"] is parked
+        rig = make_rig(config, ack_count=ack_count)
+        send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
+        rig.sim.run_for(2.0)  # past the write's deadline
+        assert [r.ok for r in rig.client.replies] == [True]
+        assert len(rig.storage.writes) == 1
+        assert rig.coordinator._writes == {}
 
     def test_versions_are_per_key_monotone(self):
         rig = make_rig()
@@ -294,7 +292,6 @@ class TestReads:
         send_from_client(rig, ClientPut("r1", "k", {"v": 1}))
         rig.sim.run_for(2.0)
         rig.coordinator.cache.clear()
-        rig.coordinator._fallback_store().pop("k", None)
         send_from_client(rig, ClientGet("r2", "k"))
         rig.sim.run_for(15.0)
         reply = next(r for r in rig.client.replies if r.request_id == "r2")
@@ -325,6 +322,7 @@ class ReplicaRig:
             self.storages[index].stored[key] = make_tuple(key, {"v": version.sequence}, version)
         self.coordinator.metadata[key] = KeyMeta(
             version=Version(sequence, 1),
+            stored=Version(sequence, 1),
             hints={self.storage_nodes[i].node_id for i in hinted},
         )
 
