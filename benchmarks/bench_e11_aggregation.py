@@ -7,7 +7,8 @@ instances of data due to redundancy, still remain."
 
 Measures count/sum/avg/max/min accuracy against ground truth through the
 client API — static, then under churn — including the 1/range-population
-duplicate correction the storage layer applies.
+duplicate correction the storage layer applies, and what max/min cost:
+they ride the size estimator's push, so its sends may not grow.
 """
 
 import math
@@ -21,8 +22,16 @@ from _helpers import print_table, run_once, stash
 N = 50
 ITEMS = 80
 #: The last virtual seconds of the static run, over which the converged
-#: max/min table's sends are counted.
+#: size estimator's sends are counted.
 QUIET_WINDOW = 18.0
+#: Size-estimator sends per up storage node per period over the quiet
+#: window while max/min ran as a protocol of its own (commit 40d4168,
+#: seeds 1100-1105: 1.2144, 1.2178, 1.2256, 1.2178, 1.2256, 1.2211, i.e.
+#: 1 093-1 103 sends from 50 nodes in 18 periods), plus that spread (10
+#: sends): dropping the other protocol re-rolls each seed's variate
+#: replies by as much, either way. The max/min entries now ride its
+#: table; one reply of theirs per node per ten periods would fail this.
+SIZE_ESTIMATOR_ALONE = 1113 / 900
 
 
 def _build(seed):
@@ -36,11 +45,11 @@ def _build(seed):
         values.append(value)
         dd.put(f"row:{i}", {"score": value})
     dd.run_for(40.0 - QUIET_WINDOW)  # estimators converge
-    sent = dd.metrics.counter_value("net.sent.extreme:agg")
+    sent = dd.metrics.counter_value("net.sent.size-estimator")
     dd.run_for(QUIET_WINDOW)
-    periods = QUIET_WINDOW / dd.config.pushsum_period
+    periods = QUIET_WINDOW / dd.config.size_estimator_period
     up = sum(1 for node in dd.storage_nodes if node.is_up)
-    quiet = (dd.metrics.counter_value("net.sent.extreme:agg") - sent) / (up * periods)
+    quiet = (dd.metrics.counter_value("net.sent.size-estimator") - sent) / (up * periods)
     return dd, GroundTruth.of(values), quiet
 
 
@@ -85,8 +94,9 @@ def test_e11_aggregate_accuracy(benchmark):
             for kind in KINDS
         ]
         print_table(
-            f"E11 — extreme:agg sends per node per period over the last "
-            f"{QUIET_WINDOW:.0f} s of the static run (2.0 when every round sends)",
+            f"E11 — size-estimator sends per node per period over the last "
+            f"{QUIET_WINDOW:.0f} s of the static run, max/min entries included "
+            f"(gate <= {SIZE_ESTIMATOR_ALONE:.4f}, the estimator without them)",
             ["seed", "sends"],
             [(seed, f"{quiet:.3f}") for seed, (_, _, quiet) in runs.items()],
         )
@@ -100,14 +110,13 @@ def test_e11_aggregate_accuracy(benchmark):
     runs, rows = run_once(benchmark, experiment)
     stash(benchmark, "rows", [dict(zip(["kind", "static", "churn"], r)) for r in rows])
     stash(benchmark, "per_seed", [
-        {"seed": seed, "static": static, "churn": churned, "extreme_sends": quiet}
+        {"seed": seed, "static": static, "churn": churned, "size_estimator_sends": quiet}
         for seed, (static, churned, quiet) in runs.items()
     ])
 
     for static, churned, quiet in runs.values():
-        # a converged max/min table goes quiet: at most one share in four
-        # periods per node (one send to two peers per nine at steady state)
-        assert quiet <= 0.25
+        # max/min ride the size estimator's push: no message of their own
+        assert quiet <= SIZE_ESTIMATOR_ALONE
         # extremes are exact (monotone merge) on every seed
         assert static["max"] == 0.0
         assert static["min"] == 0.0

@@ -28,7 +28,7 @@ from repro.core.config import DataDropletsConfig, IndexSpec
 from repro.epidemic.eager import EagerGossip
 from repro.estimation.extrema import ExtremaSizeEstimator
 from repro.estimation.histogram import DistributionEstimate, bin_of
-from repro.estimation.pushsum import ExtremeAggregator, PushSumProtocol
+from repro.estimation.pushsum import PushSumProtocol
 from repro.membership.cyclon import CyclonProtocol
 from repro.overlay.tman import TManProtocol
 from repro.randomwalk.walker import RandomWalkProtocol
@@ -473,8 +473,7 @@ class StorageNodeProtocol(Protocol):
                 return None
             return sums[0] / counts[0]
         if kind in ("max", "min"):
-            extremes: ExtremeAggregator = self.host.protocol("extreme:agg")  # type: ignore[assignment]
-            return extremes.maximum(attribute) if kind == "max" else extremes.minimum(attribute)
+            return size.maximum(attribute) if kind == "max" else size.minimum(attribute)
         raise KeyError(kind)
 
     def _aggregate_reply(self, message: AggregateRequest, ok: bool,
@@ -659,6 +658,9 @@ def make_storage_stack(
             k=SIZE_ESTIMATOR_K,
             period=config.size_estimator_period,
             epoch_length=config.estimator_epoch,
+            # Every max/min aggregate is a pair of entries on its table;
+            # the storage protocol is assembled last (it needs the sieves).
+            extremes_fn=(lambda: storage.local_extremes()) if config.indexes else None,
         )
         protocols.append(size_estimator)
         size_fn = size_estimator.estimate
@@ -756,7 +758,7 @@ def make_storage_stack(
             audit_period=config.audit_period,
         )
 
-        # --- aggregates: one protocol per merge algebra ---------------------
+        # --- aggregates: every count/sum/avg/histogram is a push-sum slot --
         protocols.append(
             PushSumProtocol(
                 "agg",
@@ -765,14 +767,6 @@ def make_storage_stack(
                 epoch_length=config.estimator_epoch,
             )
         )
-        if config.indexes:
-            protocols.append(
-                ExtremeAggregator(
-                    "agg",
-                    values_fn=storage.local_extremes,
-                    period=config.pushsum_period,
-                )
-            )
 
         protocols.append(storage)
         return protocols

@@ -15,20 +15,13 @@ from repro.estimation.histogram import (
     local_histogram,
 )
 from repro.estimation.lifetimes import LifetimeEstimator, SurvivalFit
-from repro.estimation.pushsum import (
-    ExtremeAggregator,
-    ExtremeShare,
-    PushSumProtocol,
-    PushSumShare,
-)
+from repro.estimation.pushsum import PushSumProtocol, PushSumShare
 
 __all__ = [
     "DistributionEstimate",
     "ExtremaExchange",
     "ExtremaReply",
     "ExtremaSizeEstimator",
-    "ExtremeAggregator",
-    "ExtremeShare",
     "LifetimeEstimator",
     "PushSumProtocol",
     "PushSumShare",

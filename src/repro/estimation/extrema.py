@@ -1,4 +1,5 @@
-"""Network size estimation by extrema propagation (paper ref [23]).
+"""Network size estimation by extrema propagation (paper ref [23]), and
+the global max and min of each indexed attribute on the same table.
 
 Every node draws K exponential(1) variates. Gossip exchanges propagate
 the *pointwise minimum* of these vectors; once the minima have spread,
@@ -11,18 +12,28 @@ with relative standard deviation ~ 1/sqrt(K-2). Minima are idempotent,
 so the protocol is naturally tolerant to duplicates, reordering and
 loss — the properties the paper wants from every substrate.
 
-Dynamism is handled by *epochs*: with ``epoch_length`` set, nodes
-restart the computation on a common virtual-time grid, so departed
-nodes' variates age out after one epoch (the standard restart approach
-for gossip estimation in dynamic networks). While an epoch mixes, a node
-reads the previous epoch's estimate; a push carries it, so a node that
-booted into the epoch (it saw no previous one) reads what its peers
-read, and its sieves cut the same bucket grid as theirs.
+The global max and min of a quantity are the same computation: after
+the K variates the table holds two entries per indexed attribute, −max
+and min, each ``None`` until some node offers a value. One merge rule
+covers every entry: it takes a value strictly lower than the one it
+holds, and ``None`` is above every value. Each firing first merges the
+node's own (−max, min) into its entries; they then ride the push that
+goes out every period anyway, so the paper's "simple summaries" (§III-C)
+cost no message of their own.
 
-One exchange is push-pull: the push carries the whole K-vector, the
-reply (:class:`ExtremaReply`) only the minima lower than the ones the
-push carried, and no reply goes out when none is. That loses nothing:
-minima only fall, so the requester's vector is already at or below what
+Dynamism is handled by *epochs*: with ``epoch_length`` set, nodes
+restart the variates on a common virtual-time grid, so departed nodes'
+variates age out after one epoch (the standard restart approach for
+gossip estimation in dynamic networks). The attribute entries never
+restart: a max or min only lags, it never errs. While an epoch mixes, a
+node reads the previous epoch's estimate; a push carries it, so a node
+that booted into the epoch (it saw no previous one) reads what its
+peers read, and its sieves cut the same bucket grid as theirs.
+
+One exchange is push-pull: the push carries the whole table, the reply
+(:class:`ExtremaReply`) only the entries lower than the ones the push
+carried, and no reply goes out when none is. That loses nothing:
+entries only fall, so the requester's table is already at or below what
 it sent, and ``min(current, sent)`` is ``current`` for every entry the
 reply leaves out.
 
@@ -34,22 +45,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.ids import NodeId
 from repro.common.messages import Message, mask_indices, message_type, pack_mask
 from repro.membership.views import PeerSampler
 from repro.sim.node import Protocol
 
+#: What an entry that holds ``None`` compares as: any number is lower,
+#: and a NaN, lower than nothing, never enters.
+_UNKNOWN = math.inf
+
 
 @message_type
 @dataclass(frozen=True)
 class ExtremaExchange(Message):
-    """The push: the sender's whole minima vector, and the previous
-    epoch's estimate it reads while this one mixes (None if it has none)."""
+    """The push: the sender's whole table (K minima, then −max and min
+    per attribute, None where unknown), and the previous epoch's estimate
+    it reads while this one mixes (None if it has none)."""
 
     epoch: int
-    minima: Tuple[float, ...]
+    minima: Tuple[Optional[float], ...]
     last: Optional[float] = None
 
 
@@ -57,8 +73,8 @@ class ExtremaExchange(Message):
 @dataclass(frozen=True)
 class ExtremaReply(Message):
     """The pull: the entries (:func:`~repro.common.messages.pack_mask`
-    over the K positions) where the replier's merged minima are lower
-    than the push carried, and those minima in order."""
+    over the table's positions) where the replier's merged table is
+    lower than the push carried, and those values in order."""
 
     epoch: int
     lower: bytes
@@ -66,7 +82,7 @@ class ExtremaReply(Message):
 
 
 class ExtremaSizeEstimator(Protocol):
-    """Gossip network-size estimator.
+    """Gossip network-size estimator, carrying each attribute's max/min.
 
     Args:
         k: number of exponential variates (accuracy ~ 1/sqrt(k-2)).
@@ -74,6 +90,9 @@ class ExtremaSizeEstimator(Protocol):
         fanout: peers contacted per round.
         epoch_length: if set, restart on this virtual-time grid to track
             a changing population; None = single converging computation.
+        extremes_fn: returns this node's local (max, min) per attribute,
+            in wire order — either may be None while the node holds
+            nothing; sampled every round. None = no attribute entries.
     """
 
     name = "size-estimator"
@@ -85,6 +104,7 @@ class ExtremaSizeEstimator(Protocol):
         fanout: int = 1,
         epoch_length: Optional[float] = None,
         membership: str = "membership",
+        extremes_fn: Optional[Callable[[], Mapping[str, Tuple[Optional[float], Optional[float]]]]] = None,
     ):
         super().__init__()
         if k < 3:
@@ -94,9 +114,11 @@ class ExtremaSizeEstimator(Protocol):
         self.fanout = fanout
         self.epoch_length = epoch_length
         self.membership = membership
+        self.extremes_fn = extremes_fn
+        self.slots: Tuple[str, ...] = ()
         self._epoch = 0
-        self._minima: List[float] = []
-        self._own: List[float] = []
+        # K variate minima, then −max and min per slot.
+        self._minima: List[Optional[float]] = []
         self._timer = None
         # Previous epoch's converged estimate; consumers read this while
         # the current epoch is still mixing.
@@ -105,15 +127,12 @@ class ExtremaSizeEstimator(Protocol):
         # the sieves read it on every admission, the minima move only on
         # exchanges that lower one and on epoch turns.
         self._estimate = 1.0
-        # Diameter estimation (the second half of ref [23]): the minima
-        # vector stops changing once information from the farthest node
-        # has arrived, so the last round that changed it estimates the
-        # overlay's effective diameter in gossip rounds.
-        self._rounds_done = 0
-        self._last_change_round = 0
 
     # ------------------------------------------------------------------
     def on_start(self) -> None:
+        if self.extremes_fn is not None:
+            self.slots = tuple(self.extremes_fn())
+        self._minima = [None] * (self.k + 2 * len(self.slots))
         self._epoch = self._current_epoch()
         self._regenerate()
         self._timer = self.every(self.period, self._round)
@@ -128,10 +147,9 @@ class ExtremaSizeEstimator(Protocol):
         return int(self.host.now / self.epoch_length)
 
     def _regenerate(self) -> None:
-        self._own = [self.host.rng.expovariate(1.0) for _ in range(self.k)]
-        self._minima = list(self._own)
-        self._rounds_done = 0
-        self._last_change_round = 0
+        """Fresh variates; the attribute entries carry over."""
+        own = [self.host.rng.expovariate(1.0) for _ in range(self.k)]
+        self._minima = own + self._minima[self.k:]
         self._estimate = self._compute_estimate()
 
     def _sampler(self) -> PeerSampler:
@@ -140,10 +158,23 @@ class ExtremaSizeEstimator(Protocol):
     # ------------------------------------------------------------------
     def _round(self) -> None:
         self._maybe_advance_epoch()
-        self._rounds_done += 1
+        if self.slots:
+            self._merge(self._local_entries())
         for peer in self._sampler().sample_peers(self.fanout):
             self.send(peer, ExtremaExchange(self._epoch, tuple(self._minima), self._last_estimate))
         self.host.metrics.counter("extrema.rounds").inc()
+
+    def _local_entries(self) -> Iterator[Tuple[int, float]]:
+        """This node's −max and min per slot as (position, value), less
+        the unknown and the non-finite (the wire codec refuses NaN and
+        ±inf, so one adopted could not be sent)."""
+        local = self.extremes_fn()  # type: ignore[misc]
+        for i, slot in enumerate(self.slots):
+            high, low = local[slot]
+            position = self.k + 2 * i
+            for offset, value in ((0, None if high is None else -high), (1, low)):
+                if value is not None and math.isfinite(value):
+                    yield position + offset, float(value)
 
     def _maybe_advance_epoch(self) -> None:
         epoch = self._current_epoch()
@@ -154,8 +185,8 @@ class ExtremaSizeEstimator(Protocol):
 
     def on_message(self, sender: NodeId, message: Message) -> None:
         if isinstance(message, ExtremaExchange):
-            if len(message.minima) != self.k:
-                # Merged, it would shorten the vector for good and inflate N.
+            if len(message.minima) != len(self._minima):
+                # Merged, it would shorten the table for good and inflate N.
                 self.host.metrics.counter("extrema.shape_mismatch").inc()
                 return
             if not self._enter(message.epoch):
@@ -167,16 +198,17 @@ class ExtremaSizeEstimator(Protocol):
                 self._estimate = self._compute_estimate()
             pushed = message.minima
             self._merge(enumerate(pushed))
-            lower = [mine < theirs for mine, theirs in zip(self._minima, pushed)]
+            lower = [mine is not None and (theirs is None or mine < theirs)
+                     for mine, theirs in zip(self._minima, pushed)]
             if not any(lower):
-                # An empty reply would lower none of the requester's minima.
+                # An empty reply would lower none of the requester's entries.
                 self.host.metrics.counter("extrema.replies_skipped").inc()
                 return
             self.send(sender, ExtremaReply(
                 self._epoch, pack_mask(lower),
                 tuple(mine for mine, flag in zip(self._minima, lower) if flag)))
         elif isinstance(message, ExtremaReply):
-            indices = mask_indices(message.lower, self.k)
+            indices = mask_indices(message.lower, len(self._minima))
             if indices is None or len(indices) != len(message.values):
                 self.host.metrics.counter("extrema.shape_mismatch").inc()
                 return
@@ -197,23 +229,23 @@ class ExtremaSizeEstimator(Protocol):
             self._regenerate()
         return True
 
-    def _merge(self, entries: Iterable[Tuple[int, float]]) -> None:
-        """Lower the minima to the given (position, value) entries."""
+    def _merge(self, entries: Iterable[Tuple[int, Optional[float]]]) -> None:
+        """Lower the table to the given (position, value) entries."""
         merged = None
         for index, value in entries:
-            if value < self._minima[index]:
+            held = self._minima[index]
+            if value is not None and value < (_UNKNOWN if held is None else held):
                 if merged is None:
                     merged = list(self._minima)
                 merged[index] = value
         if merged is not None:
-            self._last_change_round = self._rounds_done
             self._minima = merged
             self._estimate = self._compute_estimate()
 
     # ------------------------------------------------------------------
     def _raw_estimate(self) -> Optional[float]:
-        total = sum(self._minima)
-        if total <= 0 or not self._minima:
+        total = sum(self._minima[:self.k])  # type: ignore[arg-type]
+        if total <= 0:
             return None
         return (self.k - 1) / total
 
@@ -236,12 +268,14 @@ class ExtremaSizeEstimator(Protocol):
         # when _last_estimate rolls over.
         return max(1.0, max(candidates))
 
-    def diameter_estimate(self) -> int:
-        """Effective overlay diameter in gossip rounds (ref [23]'s
-        second estimator): the round at which the minima vector last
-        changed — information from the farthest node had then arrived.
-        Meaningful once the current epoch has quiesced."""
-        return max(1, self._last_change_round)
+    def maximum(self, slot: str) -> Optional[float]:
+        """The largest value of ``slot`` heard of, None before any."""
+        negated = self._minima[self.k + 2 * self.slots.index(slot)]
+        return None if negated is None else -negated
+
+    def minimum(self, slot: str) -> Optional[float]:
+        """The smallest value of ``slot`` heard of, None before any."""
+        return self._minima[self.k + 2 * self.slots.index(slot) + 1]
 
     def fanout_fn(self, c: float = 2.0) -> Callable[[], int]:
         """A FanoutSpec for gossip protocols: ceil(ln(N_hat) + c)."""
@@ -250,9 +284,3 @@ class ExtremaSizeEstimator(Protocol):
             return max(1, math.ceil(math.log(max(2.0, self.estimate())) + c))
 
         return _fanout
-
-    def retention_probability(self, replication: int) -> float:
-        """The paper's uniform sieve probability r / N_hat, capped at 1."""
-        if replication <= 0:
-            raise ValueError("replication must be positive")
-        return min(1.0, replication / max(1.0, self.estimate()))

@@ -13,22 +13,19 @@ data-processing story — we expose them through the client API — and
 §III-B1's distribution estimate is the same machinery: a histogram is
 one more slot of the vector (see :mod:`repro.estimation.histogram`).
 
-For maximum/minimum the library uses :class:`ExtremeAggregator`, a
-monotone-merge gossip that is trivially churn- and duplicate-proof.
+Maximum and minimum are not sums: they are idempotent, and ride the
+size estimator's min-table (:mod:`repro.estimation.extrema`).
 
 A share lists only its non-zero cells behind a presence mask
 (:func:`~repro.common.messages.pack_mask`): the receiver adds what is
 listed, and ``a + 0.0 == a`` for the rest, so nothing is lost.
 
-There are two merge algebras here — mass-conserving and idempotent —
-and a node needs one protocol instance of each, however many
-quantities it aggregates.
+A node needs one instance, however many quantities it averages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt, lt
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.ids import NodeId
@@ -194,140 +191,3 @@ class PushSumProtocol(Protocol):
             return None
         vector, weight = readable
         return vector[self._span[slot][0]] / weight
-
-
-@message_type
-@dataclass(frozen=True)
-class ExtremeShare(Message):
-    instance: str
-    maxima: Tuple[Optional[float], ...]
-    minima: Tuple[Optional[float], ...]
-
-
-#: Cap on the firings a converged table stays quiet between two sends.
-QUIET_MAX_ROUNDS = 8
-
-
-def _merged(pick, ours: Sequence[Optional[float]],
-            theirs: Sequence[Optional[float]]) -> List[Optional[float]]:
-    return [b if a is None else a if b is None else pick(a, b)
-            for a, b in zip(ours, theirs)]
-
-
-def _ahead(better, ours: Sequence[Optional[float]], theirs: Sequence[Optional[float]]) -> bool:
-    """Whether ``ours`` holds a strictly better value in some slot. Every
-    comparison with a NaN is false, so two tables holding NaNs never
-    answer each other forever."""
-    return any(a is not None and (b is None or better(a, b)) for a, b in zip(ours, theirs))
-
-
-class ExtremeAggregator(Protocol):
-    """Monotone gossip for the global max and min of local quantities.
-
-    One instance carries a table with a (max, min) pair per named slot
-    and gossips the whole table in one share. Idempotent merge makes it
-    exact under duplicates and loss; it only ever lags, never errs,
-    which is why the paper can offer these "simple summaries" at almost
-    no cost (§III-C).
-
-    A converged table goes quiet the way Trickle does (RFC 6206): the
-    timer still fires and samples ``values_fn`` every period, but a
-    firing sends only when the table changed since this node last sent,
-    or once ``quiet`` firings in a row have passed without a send.
-    ``quiet`` doubles after each send that carried no change, up to
-    :data:`QUIET_MAX_ROUNDS`, and any change resets it to 1. A receiver
-    that holds a strictly better value in some slot replies with its
-    table, so a stale sender catches up in one round trip; a node whose
-    table is still all ``None`` sends an empty share every period to
-    one peer, as a pull.
-
-    Args:
-        values_fn: returns this node's local (max, min) per slot name, in
-            wire order — either may be None while the node has nothing
-            to offer; sampled every round.
-    """
-
-    def __init__(
-        self,
-        instance: str,
-        values_fn: Callable[[], Mapping[str, Tuple[Optional[float], Optional[float]]]],
-        period: float = 1.0,
-        fanout: int = 2,
-        membership: str = "membership",
-    ):
-        super().__init__()
-        self.name = f"extreme:{instance}"
-        self.instance = instance
-        self.values_fn = values_fn
-        self.period = period
-        self.fanout = fanout
-        self.membership = membership
-        self.slots: Tuple[str, ...] = ()
-        self._maxima: List[Optional[float]] = []
-        self._minima: List[Optional[float]] = []
-        self._changed = False  # since this node last sent
-        self._quiet = 1
-        self._idle = 0  # firings in a row without a send
-        self._timer = None
-
-    def on_start(self) -> None:
-        self.slots = tuple(self.values_fn())
-        self._maxima = [None] * len(self.slots)
-        self._minima = [None] * len(self.slots)
-        self._timer = self.every(self.period, self._round)
-
-    def on_stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-
-    def _sampler(self) -> PeerSampler:
-        return self.host.protocol(self.membership)  # type: ignore[return-value]
-
-    def _merge(self, maxima: Sequence[Optional[float]], minima: Sequence[Optional[float]]) -> None:
-        merged_max = _merged(max, self._maxima, maxima)
-        merged_min = _merged(min, self._minima, minima)
-        if merged_max != self._maxima or merged_min != self._minima:
-            self._maxima, self._minima = merged_max, merged_min
-            self._changed = True
-            self._quiet = 1
-
-    def _share(self) -> ExtremeShare:
-        return ExtremeShare(self.instance, tuple(self._maxima), tuple(self._minima))
-
-    def _round(self) -> None:
-        local = self.values_fn()
-        self._merge([local[slot][0] for slot in self.slots],
-                    [local[slot][1] for slot in self.slots])
-        if all(v is None for v in self._maxima + self._minima):
-            for peer in self._sampler().sample_peers(1):
-                self.send(peer, self._share())
-            return
-        if not self._changed and self._idle < self._quiet:
-            self._idle += 1
-            self.host.metrics.counter("extreme.sends_skipped").inc()
-            return
-        if not self._changed:
-            self._quiet = min(2 * self._quiet, QUIET_MAX_ROUNDS)
-        self._changed = False
-        self._idle = 0
-        share = self._share()
-        for peer in self._sampler().sample_peers(self.fanout):
-            self.send(peer, share)
-
-    def on_message(self, sender: NodeId, message: Message) -> None:
-        if not isinstance(message, ExtremeShare):
-            self.host.metrics.counter("extreme.unexpected_message").inc()
-            return
-        if not len(message.maxima) == len(message.minima) == len(self.slots):
-            # zip() in the merge would truncate the table for good.
-            self.host.metrics.counter("extreme.shape_mismatch").inc()
-            return
-        self._merge(message.maxima, message.minima)
-        if _ahead(gt, self._maxima, message.maxima) or _ahead(lt, self._minima, message.minima):
-            self.send(sender, self._share())
-
-    def maximum(self, slot: str) -> Optional[float]:
-        return self._maxima[self.slots.index(slot)]
-
-    def minimum(self, slot: str) -> Optional[float]:
-        return self._minima[self.slots.index(slot)]

@@ -217,7 +217,6 @@ _PHASE_BY_MSG = (
     ("TManExchange", "overlay"),
     ("VectorExchange", "overlay"),
     ("PushSumShare", "estimation"),
-    ("ExtremeShare", "estimation"),
     ("ExtremaExchange", "estimation"),
     ("ExtremaReply", "estimation"),
 )
@@ -245,7 +244,6 @@ _PHASE_BY_PROTO = {
 _PHASE_BY_PROTO_PREFIX = (
     ("tman:", "overlay"),
     ("push-sum:", "estimation"),
-    ("extreme:", "estimation"),
 )
 
 #: fine phase → coarse bucket for tail attribution: where did the slow

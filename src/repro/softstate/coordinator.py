@@ -179,6 +179,8 @@ class _MultiGetState:
     client: NodeId
     pending: Set[str]
     results: Dict[str, Optional[VersionedTuple]] = field(default_factory=dict)
+    # A key with a stored version came back with nothing.
+    unavailable: bool = False
     done: bool = False
 
 
@@ -429,6 +431,13 @@ class SoftStateProtocol(Protocol):
             self._note_stored(ack.key, ack.version)
             self._reply(state.client, state.request_id, ok=True, value=self._version_view(state.item))
 
+    def _stored_version(self, key: str) -> Optional[Version]:
+        """The newest version of ``key`` known to be on a storage node,
+        None if none is: a read that finds nothing then is unavailable,
+        not absent."""
+        meta = self.metadata.get(key)
+        return meta.stored if meta is not None and meta.stored != ZERO_VERSION else None
+
     def _note_stored(self, key: str, version: Version) -> None:
         """A storage node holds ``key`` at ``version``."""
         meta = self._meta(key)
@@ -464,9 +473,7 @@ class SoftStateProtocol(Protocol):
         """Resolve from the version-checked cache.
 
         Returns None when the persistent layer must be consulted."""
-        meta = self.metadata.get(key)
-        required = meta.stored if meta is not None and meta.stored != ZERO_VERSION else None
-        cached = self.cache.get(key, required_version=required)
+        cached = self.cache.get(key, required_version=self._stored_version(key))
         if cached is not None:
             self.host.metrics.counter("soft.cache_hits").inc()
             return (not cached.tombstone, cached)
@@ -480,7 +487,7 @@ class SoftStateProtocol(Protocol):
         on_done: Optional[Callable[[str, Optional[VersionedTuple]], None]],
     ) -> None:
         meta = self.metadata.get(key)
-        min_version = meta.stored if meta is not None and meta.stored != ZERO_VERSION else None
+        min_version = self._stored_version(key)
         read_id = self._next_id("read")
         state = _ReadState(
             request_id=request_id,
@@ -674,8 +681,7 @@ class SoftStateProtocol(Protocol):
         state = self._multigets.get(mg_id)
         if state is None or state.done or key not in state.pending:
             return
-        state.results[key] = item
-        state.pending.discard(key)
+        self._multiget_result(state, key, item)
         if not state.pending:
             self._finish_multiget(mg_id, state)
 
@@ -684,13 +690,25 @@ class SoftStateProtocol(Protocol):
         if state is None or state.done:
             return
         for key in list(state.pending):
-            state.results.setdefault(key, None)
-        state.pending.clear()
+            self._multiget_result(state, key, None)
         self._finish_multiget(mg_id, state)
+
+    def _multiget_result(self, state: _MultiGetState, key: str,
+                         item: Optional[VersionedTuple]) -> None:
+        state.results[key] = item
+        state.pending.discard(key)
+        if item is None and self._stored_version(key) is not None:
+            # As for a get: a version is stored but nothing reachable
+            # returned it, so the key is not absent.
+            state.unavailable = True
 
     def _finish_multiget(self, mg_id: str, state: _MultiGetState) -> None:
         state.done = True
         self._multigets.pop(mg_id, None)
+        if state.unavailable:
+            self._reply(state.client, state.request_id, ok=False, error="unavailable")
+            self.host.metrics.counter("soft.read_unavailable").inc()
+            return
         view = {}
         for key, item in state.results.items():
             view[key] = None if item is None or item.tombstone else dict(item.record)

@@ -23,9 +23,10 @@ def system():
 
 class TestStorageProtocolWiring:
     def test_every_node_runs_the_full_stack(self):
-        # One protocol per merge algebra, whatever the number of indexes:
-        # a further index costs one T-Man and no gossip estimator.
-        for attributes, size in (((), 8), (("v",), 10), (("v", "w"), 11)):
+        # One push-sum and one size estimator, whatever the number of
+        # indexes (max/min ride the estimator's table): a further index
+        # costs one T-Man and no gossip estimator.
+        for attributes, size in (((), 8), (("v",), 9), (("v", "w"), 10)):
             dd = DataDroplets(DataDropletsConfig(
                 seed=66, n_storage=6, n_soft=1, replication=2,
                 indexes=tuple(IndexSpec(a, lo=0, hi=100) for a in attributes),
@@ -33,7 +34,6 @@ class TestStorageProtocolWiring:
             expected = ["membership", "size-estimator", "gossip", "random-walk",
                         "redundancy", "range-repair"]
             expected += [f"tman:{a}" for a in attributes] + ["push-sum:agg"]
-            expected += ["extreme:agg"] if attributes else []
             names = list(dd.storage_nodes[0]._protocols)
             assert names == expected + ["storage"]
             assert len(names) == size

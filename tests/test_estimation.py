@@ -13,8 +13,6 @@ from repro.estimation import (
     ExtremaExchange,
     ExtremaReply,
     ExtremaSizeEstimator,
-    ExtremeAggregator,
-    ExtremeShare,
     PushSumProtocol,
     PushSumShare,
     empirical_distribution,
@@ -101,32 +99,9 @@ class TestExtremaSizeEstimator:
         assert fanout >= math.ceil(math.log(30))
         assert isinstance(fanout, int)
 
-    def test_retention_probability(self):
-        sim, cluster, nodes = _estimator_cluster(
-            lambda n: [ExtremaSizeEstimator(k=64, period=0.5)], n=60, warmup=15.0
-        )
-        estimator = nodes[0].protocol("size-estimator")
-        p = estimator.retention_probability(4)
-        assert 0 < p <= 1
-        assert p == pytest.approx(4 / estimator.estimate(), rel=1e-6)
-        with pytest.raises(ValueError):
-            estimator.retention_probability(0)
-
     def test_k_validation(self):
         with pytest.raises(ValueError):
             ExtremaSizeEstimator(k=2)
-
-    def test_diameter_estimate_plausible(self):
-        # Information spreads in O(log N) gossip rounds on the Cyclon
-        # overlay; the diameter estimator (ref [23]) reads that off the
-        # round the minima vector last changed.
-        sim, cluster, nodes = _estimator_cluster(
-            lambda n: [ExtremaSizeEstimator(k=64, period=0.5)], n=120, warmup=30.0
-        )
-        diameters = [n.protocol("size-estimator").diameter_estimate() for n in nodes]
-        assert all(1 <= d <= 40 for d in diameters)
-        import statistics
-        assert 2 <= statistics.fmean(diameters) <= 25  # ~O(log 120) rounds
 
     def test_estimate_before_any_exchange(self):
         sim = Simulation(seed=1)
@@ -187,14 +162,41 @@ class TestPushSum:
         assert nodes[0].protocol("push-sum:c").average("c") == pytest.approx(7.0, rel=0.01)
 
 
-class TestExtremeAggregator:
+class TestExtremeEntries:
+    """Max and min ride the size estimator's table: −max and min per
+    attribute after the K variates, merged by the same min rule.
+
+    Node ``i`` holds ``(i, i)`` in attribute ``x`` unless ``local`` says
+    otherwise; ``(None, None)`` is a node with nothing to offer."""
+
+    PERIOD = 0.5
+
+    def _estimator(self, extremes_fn):
+        return ExtremaSizeEstimator(k=16, period=self.PERIOD, extremes_fn=extremes_fn)
+
+    def _tables(self, n=50, seed=61, loss_rate=0.0, local=None, with_entries=True):
+        local = {} if local is None else local
+
+        def extra(node):
+            i = node.node_id.value
+            extremes = (lambda i=i: {"x": local.get(i, (float(i), float(i)))}) if with_entries else None
+            return [self._estimator(extremes)]
+
+        return _estimator_cluster(extra, n=n, seed=seed, warmup=25.0, loss_rate=loss_rate)
+
+    @staticmethod
+    def _holding(nodes, maximum, minimum):
+        return [node for node in nodes if node.is_up and
+                (node.protocol("size-estimator").maximum("x"),
+                 node.protocol("size-estimator").minimum("x")) == (maximum, minimum)]
+
     def test_max_and_min(self):
         def extra(node):
             v = float(node.node_id.value)
-            return [ExtremeAggregator("t", lambda v=v: {"id": (v, v), "neg": (-v, -v)}, period=0.5)]
+            return [self._estimator(lambda v=v: {"id": (v, v), "neg": (-v, -v)})]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=50, warmup=20.0)
-        table = nodes[3].protocol("extreme:t")
+        table = nodes[3].protocol("size-estimator")
         assert table.maximum("id") == 49.0
         assert table.minimum("id") == 0.0
         assert table.maximum("neg") == 0.0
@@ -203,49 +205,28 @@ class TestExtremeAggregator:
     def test_none_values_skipped(self):
         def extra(node):
             value = None if node.node_id.value % 2 else float(node.node_id.value)
-            return [ExtremeAggregator("m", lambda v=value: {"m": (v, v), "never": (None, None)},
-                                      period=0.5)]
+            return [self._estimator(lambda v=value: {"m": (v, v), "never": (None, None)})]
 
         sim, cluster, nodes = _estimator_cluster(extra, n=20, warmup=15.0)
-        table = nodes[0].protocol("extreme:m")
+        table = nodes[0].protocol("size-estimator")
         assert table.maximum("m") == 18.0
         assert table.minimum("m") == 0.0
         assert table.maximum("never") is None and table.minimum("never") is None
 
-
-class TestExtremeBackoff:
-    """A converged table goes quiet, and still takes news in fast.
-
-    Node ``i`` holds ``(i, i)`` in slot ``x`` unless ``local`` says
-    otherwise; ``(None, None)`` is a node with nothing to offer."""
-
-    PERIOD = 0.5
-
-    def _tables(self, n=50, seed=61, loss_rate=0.0, local=None):
-        local = {} if local is None else local
-
-        def extra(node):
-            i = node.node_id.value
-            return [ExtremeAggregator(
-                "t", lambda i=i: {"x": local.get(i, (float(i), float(i)))}, period=self.PERIOD)]
-
-        return _estimator_cluster(extra, n=n, seed=seed, warmup=25.0, loss_rate=loss_rate)
-
-    @staticmethod
-    def _holding(nodes, maximum, minimum):
-        return [node for node in nodes if node.is_up and
-                (node.protocol("extreme:t").maximum("x"),
-                 node.protocol("extreme:t").minimum("x")) == (maximum, minimum)]
-
-    def test_a_converged_table_sends_at_most_a_quarter_share_per_node_per_period(self):
-        sim, cluster, nodes = self._tables()
-        assert len(self._holding(nodes, 49.0, 0.0)) == 50
-        sent = cluster.metrics.counter_value("net.sent.extreme:t")
+    def test_the_entries_cost_no_message(self):
+        """Two same-seed clusters, one with attribute entries and one
+        without: once converged they send the same size-estimator
+        messages, one push per firing and no reply."""
         periods = 36
-        sim.run_for(periods * self.PERIOD)
-        per_node_period = (cluster.metrics.counter_value("net.sent.extreme:t") - sent) / (50 * periods)
-        assert per_node_period <= 0.25  # 2.0 when every firing sends to both peers
-        assert cluster.metrics.counter_value("extreme.sends_skipped") > 0
+        sent = []
+        for with_entries in (True, False):
+            sim, cluster, nodes = self._tables(with_entries=with_entries)
+            if with_entries:
+                assert len(self._holding(nodes, 49.0, 0.0)) == 50
+            before = cluster.metrics.counter_value("net.sent.size-estimator")
+            sim.run_for(periods * self.PERIOD)
+            sent.append(cluster.metrics.counter_value("net.sent.size-estimator") - before)
+        assert sent[0] == sent[1] > 0
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_a_new_local_max_reaches_every_node_within_log_n_plus_3_periods(self, seed):
@@ -268,23 +249,43 @@ class TestExtremeBackoff:
         sim.run_for(2 * self.PERIOD)
         assert len(self._holding(rebooted, 49.0, 0.0)) == len(rebooted)
 
-    def test_a_share_is_answered_only_by_a_strictly_better_table(self):
+    def test_a_non_finite_local_value_never_enters_the_table_or_draws_a_reply(self):
+        # The binary codec refuses NaN and ±inf: one adopted into an empty
+        # entry could not be pushed over UDP.
         sim = Simulation(seed=1)
         cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
-        table = ExtremeAggregator("t", lambda: {"x": (5.0, 5.0), "y": (math.nan, math.nan)})
+        table = ExtremaSizeEstimator(k=4, extremes_fn=lambda: {
+            "x": (5.0, 5.0), "y": (math.nan, math.nan), "z": (math.inf, -math.inf)})
         cluster.add_node(lambda n: [CyclonProtocol(), table])
         table._round()
-        sent = lambda: cluster.metrics.counter_value("net.sent.extreme:t")
-        table.on_message(NodeId(99), ExtremeShare("t", (5.0, math.nan), (5.0, math.nan)))
-        assert sent() == 0  # x is equal and a NaN is never "better": no reply, no ping-pong
-        table.on_message(NodeId(99), ExtremeShare("t", (4.0, None), (5.0, None)))
+        assert [(table.maximum(a), table.minimum(a)) for a in "xyz"] == [
+            (5.0, 5.0), (None, None), (None, None)]
+        variates = tuple(table._minima[:4])
+        sent = lambda: cluster.metrics.counter_value("net.sent.size-estimator")
+        table.on_message(NodeId(99), ExtremaExchange(0, variates + (-5.0, 5.0) + (math.nan,) * 4))
+        assert sent() == 0  # x is equal and a NaN is lower than nothing: no reply
+        assert table._minima[4:] == [-5.0, 5.0, None, None, None, None]
+        table.on_message(NodeId(99), ExtremaExchange(0, variates + (-4.0, 5.0) + (None,) * 4))
         assert sent() == 1  # the sender lacks our max of 5
+
+    def test_the_entries_survive_an_epoch_turn(self):
+        # Only the variates restart: a node holding no value of its own
+        # keeps the max and min it heard across the turn.
+        sim = Simulation(seed=1)
+        cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
+        table = ExtremaSizeEstimator(k=4, epoch_length=10.0, extremes_fn=lambda: {"x": (None, None)})
+        cluster.add_node(lambda n: [CyclonProtocol(), table])
+        table.on_message(NodeId(99), ExtremaExchange(0, tuple(table._minima[:4]) + (-9.0, 1.0)))
+        variates = table._minima[:4]
+        sim.run_for(12.0)  # past the turn at 10 s
+        assert table._epoch == 1 and table._minima[:4] != variates
+        assert (table.maximum("x"), table.minimum("x")) == (9.0, 1.0)
 
     def test_tables_converge_exactly_under_5_percent_loss(self):
         local = {}
         sim, cluster, nodes = self._tables(loss_rate=0.05, local=local)
         assert len(self._holding(nodes, 49.0, 0.0)) == 50
-        sim.run_for(30 * self.PERIOD)  # quiet, and losing shares
+        sim.run_for(30 * self.PERIOD)  # converged, and losing messages
         local[3], local[40] = (3.0, -5.0), (77.0, 40.0)
         sim.run_for(40 * self.PERIOD)
         assert len(self._holding(nodes, 77.0, -5.0)) == 50
@@ -329,16 +330,25 @@ class TestShortShareIsDropped:
         assert cluster.metrics.counter_value("pushsum.shape_mismatch") == 1
 
     def test_extreme_table(self):
-        table = ExtremeAggregator("t", lambda: {"x": (5.0, 5.0), "y": (None, None)})
-        cluster, node, peer = self._node(table)
-        table._round()
-        for maxima, minima in (((9.0,), (1.0,)), ((9.0, 9.0), (1.0,)), ((9.0,) * 3, (1.0,) * 3)):
-            table.on_message(peer, ExtremeShare("t", maxima, minima))
-        assert cluster.metrics.counter_value("extreme.shape_mismatch") == 3
-        assert (table.maximum("x"), table.minimum("x"), table.maximum("y")) == (5.0, 5.0, None)
-        table.on_message(peer, ExtremeShare("t", (9.0, None), (1.0, 2.0)))
-        assert (table.maximum("x"), table.minimum("x")) == (9.0, 1.0)
-        assert (table.maximum("y"), table.minimum("y")) == (None, 2.0)
+        size = ExtremaSizeEstimator(k=5, extremes_fn=lambda: {"x": (5.0, 5.0), "y": (None, None)})
+        cluster, node, peer = self._node(size)
+        size._round()
+        before = list(size._minima)
+        assert len(before) == 5 + 2 * 2
+        for minima in ((1e-9,) * 5, (1e-9,) * 8, (1e-9,) * 11):  # no entries, short, long
+            size.on_message(peer, ExtremaExchange(0, minima))
+        # A 9-entry reply whose mask flags entry 9, is one byte short, or
+        # flags two entries for one value.
+        for mask in (b"\x00\x02", b"\x20", b"\x60\x00"):
+            size.on_message(peer, ExtremaReply(0, mask, (-9.0,)))
+        assert cluster.metrics.counter_value("extrema.shape_mismatch") == 6
+        assert size._minima == before
+        assert (size.maximum("x"), size.minimum("x"), size.maximum("y")) == (5.0, 5.0, None)
+        size.on_message(peer, ExtremaExchange(0, tuple(before[:5]) + (-9.0, None, None, 2.0)))
+        assert (size.maximum("x"), size.minimum("x")) == (9.0, 5.0)
+        assert (size.maximum("y"), size.minimum("y")) == (None, 2.0)
+        size.on_message(peer, ExtremaReply(0, b"\x40\x00", (1.0,)))  # x's min only
+        assert (size.maximum("x"), size.minimum("x")) == (9.0, 1.0)
 
     def test_size_estimator(self):
         size = ExtremaSizeEstimator(k=16)

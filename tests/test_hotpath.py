@@ -461,7 +461,7 @@ class TestGoldenFingerprint:
             dd.get(f"k{i}")
         dd.run_for(10.0)
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
-                dd.metrics.counter_value("net.bytes.total")) == (7777, 5834.0, 1335107.0)
+                dd.metrics.counter_value("net.bytes.total")) == (7279, 5689.0, 1335849.0)
 
     def test_onehop_run_with_a_soft_crash_repeats_the_recorded_counts(self):
         """The same deployment under onehop routing, with one soft node
@@ -485,4 +485,4 @@ class TestGoldenFingerprint:
         dd.run_for(10.0)
         assert dd.metrics.counter_value("onehop.suspicions") >= 1
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
-                dd.metrics.counter_value("net.bytes.total")) == (14619, 10504.0, 2532339.0)
+                dd.metrics.counter_value("net.bytes.total")) == (12937, 9492.0, 2472242.0)

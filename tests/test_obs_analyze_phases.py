@@ -62,7 +62,6 @@ class TestPhaseOf:
         ("tman:rank", "TManExchange", "overlay", "disseminate"),
         ("push-sum:size", "PushSumShare", "estimation", "disseminate"),
         ("push-sum:agg", "PushSumShare", "estimation", "disseminate"),
-        ("extreme:agg", "ExtremeShare", "estimation", "disseminate"),
         ("dht", "Lookup", "baseline", "route"),
         ("chord", "Stabilize", "baseline", "route"),
     ])

@@ -360,6 +360,23 @@ class TestForgedShareOverUdp:
         assert seen[2] == (1, [1e-9] + seen[0][1][1:])
         assert node.metrics.counter_value("runtime.decode_errors") == 0
 
+    def test_push_with_unknown_extreme_entries_round_trips(self):
+        """A push whose max/min entries are partly None (no node has
+        offered a value yet) crosses the wire intact and is merged."""
+        from repro.estimation import ExtremaExchange, ExtremaSizeEstimator
+
+        push = ExtremaExchange(0, (1e-9,) * 4 + (-7.0, None, None, 3.0), last=12.5)
+        binary = BinaryCodec()
+        decoded = binary.decode(binary.encode(NodeId(5), "size-estimator", push))
+        assert decoded.message == push
+        size = ExtremaSizeEstimator(k=4, period=3600.0,
+                                    extremes_fn=lambda: {"x": (None, None), "y": (None, None)})
+        seen, node = self._deliver(31126, size, "size-estimator", [push], lambda node: (
+            size.maximum("x"), size.minimum("x"), size.maximum("y"), size.minimum("y")))
+        assert seen == [(None, None, None, None), (7.0, None, None, 3.0)]
+        assert size._minima[:4] == [1e-9] * 4
+        assert node.metrics.counter_value("runtime.decode_errors") == 0
+
     def test_malformed_bucket_summary_is_counted_and_dropped(self):
         from repro.epidemic import AntiEntropy, BucketSummaryMessage
         from repro.store import Memtable, Version, make_tuple

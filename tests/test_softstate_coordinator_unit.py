@@ -16,7 +16,10 @@ from repro.common.ids import NodeId
 from repro.common.messages import Message
 from repro.sim import Cluster, FixedLatency, Protocol, Simulation
 from repro.softstate import (
+    BatchReadReply,
+    BatchReadRequest,
     ClientGet,
+    ClientMultiGet,
     ClientPut,
     ClientReply,
     ConsistentHashRing,
@@ -75,6 +78,13 @@ class ScriptedStorage(Protocol):
                               found=item is not None, item=item,
                               origin=self.host.node_id),
                 )
+        elif isinstance(message, BatchReadRequest):
+            if self.answer_reads:
+                held = [self.stored[key] for key in message.keys if key in self.stored]
+                self.host.send(message.reply_to, "soft", BatchReadReply(
+                    message.read_id, tuple(held),
+                    tuple(key for key in message.keys if key not in self.stored),
+                    origin=self.host.node_id))
         elif isinstance(message, EpidemicRead):
             self.floods.append(message)
             if self.answer_reads:
@@ -450,6 +460,39 @@ class TestHedgedReads:
         # ...and its delay outlasts every round trip of an all-up network.
         assert dd.metrics.counter_value("soft.hedged_reads") == 0
         assert dd.metrics.counter_value("soft.epidemic_reads") == 0
+
+
+class TestMultiGetUnavailable:
+    """A multi_get keeps the get rule: a key with a stored version that
+    comes back with nothing fails the whole reply ``unavailable``; only a
+    key no storage node is known to hold reads as absent."""
+
+    @staticmethod
+    def multi_get(rig, request_id: str, keys) -> ClientReply:
+        send_from_client(rig, ClientMultiGet(request_id, tuple(keys)))
+        rig.sim.run_for(10.0)
+        return next(r for r in rig.client.replies if r.request_id == request_id)
+
+    def test_all_holders_up_reads_every_key(self):
+        rig = make_replica_rig()
+        rig.hold("a", holders=[0, 1], hinted=[0])
+        rig.hold("b", holders=[2, 3], hinted=[])
+        reply = self.multi_get(rig, "m1", ["a", "b", "ghost"])
+        assert reply.ok and reply.value == {"a": {"v": 1}, "b": {"v": 1}, "ghost": None}
+
+    @pytest.mark.parametrize("hinted", [[0], []], ids=["deadline", "fallback-read"])
+    def test_a_stored_key_whose_holders_are_all_down_is_unavailable(self, hinted):
+        # Hinted, its batch read goes to a crashed node and the key is
+        # still pending at the deadline; unhinted, its per-key read
+        # floods the up nodes and ends with nothing.
+        rig = make_replica_rig()
+        rig.hold("up", holders=[2, 3], hinted=[2])
+        rig.hold("down", holders=[0, 1], hinted=hinted)
+        for node in rig.storage_nodes[:2]:
+            node.crash()
+        reply = self.multi_get(rig, "m1", ["up", "down", "ghost"])
+        assert not reply.ok and reply.error == "unavailable"
+        assert rig.coordinator.host.metrics.counter_value("soft.read_unavailable") == 1
 
 
 class TestRouting:
