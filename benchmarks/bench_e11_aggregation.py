@@ -55,7 +55,7 @@ def _build(seed):
 
 KINDS = ("count", "sum", "avg", "max", "min")
 #: One seed is a lottery: count/sum carry the size estimator's k=64
-#: variance plus census variance (the parent read sum errors of 0.02 to
+#: variance plus range-count variance (the parent read sum errors of 0.02 to
 #: 0.47 over these six), so the gate is on the median over the seeds.
 SEEDS = (1100, 1101, 1102, 1103, 1104, 1105)
 
@@ -124,7 +124,7 @@ def test_e11_aggregate_accuracy(benchmark):
     by_kind = {r[0]: r for r in rows}
     # avg is duplicate-insensitive and tight
     assert by_kind["avg"][1] < 0.2
-    # count/sum carry size-estimator + census variance but stay usable
+    # count/sum carry size-estimator + range-count variance but stay usable
     assert by_kind["count"][1] < 0.4
     assert by_kind["sum"][1] < 0.4
     # Under churn: avg and the monotone extremes stay accurate; count and

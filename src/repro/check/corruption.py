@@ -5,9 +5,8 @@ The corruption nemeses (:mod:`repro.check.nemesis`, kinds in
 vectors, bucket summaries, sieve ranges, routing-table exceptions —
 without touching the network or killing nodes. A self-stabilising
 substrate must (a) *detect* the divergence through its own protocols
-(anti-entropy digests, the periodic state audit, census position
-echoes, SWIM refutation) and (b) *heal* it within a bounded number of
-anti-entropy rounds.
+(anti-entropy digests, the periodic state audit, SWIM refutation) and
+(b) *heal* it within a bounded number of anti-entropy rounds.
 
 :class:`ConvergenceMonitor` rides along with the nemesis driver
 (``nemesis.monitor = monitor``): each injection is recorded into
@@ -35,8 +34,7 @@ from repro.sieve.keyspace import node_position
 
 #: Detection counters per corruption kind: the injection snapshots their
 #: values; any later increase means the protocols *noticed* (digests
-#: mismatched, an audit repaired, a census echo failed, a refutation was
-#: originated).
+#: mismatched, an audit repaired, a refutation was originated).
 DETECTION_COUNTERS: Dict[str, Tuple[str, ...]] = {
     "flip_version": (
         "antientropy.buckets_diverged",
@@ -47,10 +45,7 @@ DETECTION_COUNTERS: Dict[str, Tuple[str, ...]] = {
         "storage.summary_audit_repairs",
         "antientropy.buckets_diverged",
     ),
-    "desync_sieve": (
-        "storage.sieve_audit_repairs",
-        "redundancy.sieve_desync_detected",
-    ),
+    "desync_sieve": ("storage.sieve_audit_repairs",),
     "scramble_routing": (
         "onehop.table_audit_repairs",
         "onehop.refutations",

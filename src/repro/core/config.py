@@ -74,16 +74,16 @@ class DataDropletsConfig:
     # redundancy maintenance
     repair: RepairPolicy = field(default_factory=RepairPolicy)
     # same-range anti-entropy period; adaptive mode scales it by the
-    # policy's cadence factor, as it does the census period
+    # policy's cadence factor, as it does the check period
     repair_period: float = 10.0
-    # master switch for *active* redundancy repair (census still runs —
-    # aggregates need it — but re-dissemination and same-range
+    # master switch for *active* redundancy repair (the range count still
+    # runs — aggregates need it — but re-dissemination and same-range
     # reconciliation are disabled). Ablation knob for experiment E6.
     repair_enabled: bool = True
     # "static": the RepairPolicy above verbatim. "adaptive": session
     # lifetimes are estimated online from node lifecycle events and a
     # shared AdaptiveRepairPolicy derives per-range replica targets,
-    # census cadence and grace from predicted survival over the recovery
+    # check cadence and grace from predicted survival over the recovery
     # window (claim C5; the E6 adaptive-vs-static ablation).
     redundancy_mode: str = "static"
     adaptive_min_deaths: int = 8  # completed sessions before the fit engages

@@ -31,7 +31,6 @@ from repro.estimation.histogram import DistributionEstimate, bin_of
 from repro.estimation.pushsum import PushSumProtocol
 from repro.membership.cyclon import CyclonProtocol
 from repro.overlay.tman import TManProtocol
-from repro.randomwalk.walker import RandomWalkProtocol
 from repro.redundancy.manager import RedundancyManager
 from repro.redundancy.repair import RangeRepair
 from repro.sieve.adaptive import DistributionAwareSieve
@@ -159,7 +158,10 @@ class StorageNodeProtocol(Protocol):
         self.host.metrics.counter("storage.writes_applied").inc()
         self._note_index_buckets(item)
         stored = self.memtable.get_any(item.key)
-        if payload.reply_to is not None and stored is not None and stored.version >= item.version:
+        # Ack what this node holds: this write, or a newer version. An
+        # equal version with another value is a different write.
+        if payload.reply_to is not None and stored is not None and (
+                stored.version > item.version or stored == item):
             self.host.send(
                 payload.reply_to,
                 "soft",
@@ -273,8 +275,12 @@ class StorageNodeProtocol(Protocol):
 
     def _inject_write(self, message: StoreWrite) -> None:
         item = message.item
+        # A retry needs its own gossip id: under the first dispatch's it
+        # would die as a duplicate wherever that one reached, and a
+        # holder whose ack was lost would never ack again.
+        retry = f":{message.attempt}" if message.attempt else ""
         self._gossip().broadcast(  # type: ignore[attr-defined]
-            f"w:{item.key}:{item.version.packed()}",
+            f"w:{item.key}:{item.version.packed()}{retry}",
             WritePayload(item, message.reply_to),
         )
 
@@ -492,7 +498,7 @@ class StorageNodeProtocol(Protocol):
         the memtable.
 
         ``count``, ``sum:<a>`` and ``cnt:<a>`` take the node's
-        primary-range items divided by the census population of that
+        primary-range items divided by the counted population of that
         range (each of the ~p replicas contributes 1/p); ``bins:<a>`` is
         the naive histogram — one count per replica held (C7; E8 shows
         what that costs under skewed duplication)."""
@@ -634,7 +640,7 @@ def make_storage_stack(
             :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`)
             overriding the static repair targets/cadence.
         liveness: optional shared ``node value -> bool`` oracle letting
-            the census drop peers known dead.
+            the range count drop peers known dead.
     """
 
     def factory(node: Node) -> List[Protocol]:
@@ -696,8 +702,6 @@ def make_storage_stack(
         protocols.append(EagerGossip(fanout=size_estimator.fanout_fn(FANOUT_C)))
 
         # --- redundancy ------------------------------------------------------
-        walker = RandomWalkProtocol()
-        protocols.append(walker)
         manager = RedundancyManager(
             memtable=memtable,
             sieve=primary,
@@ -718,14 +722,15 @@ def make_storage_stack(
                 memtable=memtable,
                 sieve=primary,
                 # With repair disabled the reconciler gets no partners —
-                # the census still runs for aggregate corrections.
+                # the range count still runs for aggregate corrections.
                 peer_source=manager.same_range_peers if config.repair_enabled else (lambda: []),
                 period=config.repair_period,
                 max_failures=MAX_PEER_FAILURES,
                 on_peer_failed=manager.note_peer_failed,
-                # Adaptive mode reconciles on the census cadence: once
-                # the census is one per range, repair rounds are the
-                # other half of what a calm population can save.
+                on_peer_heard=manager.note_peer_heard,
+                # Adaptive mode reconciles on the check cadence: with the
+                # range count free, repair rounds are what a calm
+                # population can save.
                 period_scale=(policy_provider.cadence_factor
                               if policy_provider is not None else None),
             )

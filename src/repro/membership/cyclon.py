@@ -11,7 +11,7 @@ reproduction depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.common.ids import NodeId
 from repro.common.messages import Message, message_type
@@ -28,6 +28,15 @@ class ShuffleRequest(Message):
 @dataclass(frozen=True)
 class ShuffleReply(Message):
     entries: Tuple[NodeDescriptor, ...] = field(default_factory=tuple)
+
+
+#: Age of an id re-added from the address cache, in rounds: nobody vouches
+#: for it, so it is older than any descriptor a live peer hands out. The
+#: shuffle tries it first, and nobody who receives it counts it as up.
+CACHED_AGE = 1 << 20
+
+#: Sees every shuffle this node receives: its sender and its descriptors.
+ShuffleObserver = Callable[[NodeId, Tuple[NodeDescriptor, ...]], None]
 
 
 class CyclonProtocol(PeerSampler):
@@ -52,6 +61,7 @@ class CyclonProtocol(PeerSampler):
         self.view: PartialView = None  # type: ignore[assignment]
         self._timer = None
         self._pending: List[Tuple[NodeId, List[NodeId]]] = []
+        self.observer: Optional[ShuffleObserver] = None
 
     # -- lifecycle -------------------------------------------------------
     def bind(self, host) -> None:
@@ -65,8 +75,7 @@ class CyclonProtocol(PeerSampler):
         # Re-join after a reboot from the durable address cache (every
         # real deployment persists last-known peers; without this a
         # recovering node has an empty view and nobody to shuffle with).
-        for peer in self.host.durable.get("membership:address-cache", []):
-            self.view.add(NodeDescriptor(peer, 0))
+        self._rejoin()
         self._timer = self.every(self.period, self._shuffle)
 
     def on_stop(self) -> None:
@@ -76,6 +85,16 @@ class CyclonProtocol(PeerSampler):
     def seed(self, peers: Iterable[NodeId]) -> None:
         for peer in peers:
             self.view.add(NodeDescriptor(peer, 0))
+
+    def set_observer(self, observer: ShuffleObserver) -> None:
+        """Hand every received shuffle to ``observer`` too: the ids that
+        reach a node this way, with their ages, are a fresh sample of who
+        is up, which the redundancy manager counts its range from."""
+        self.observer = observer
+
+    def _rejoin(self) -> None:
+        for peer in self.host.durable.get("membership:address-cache", []):
+            self.view.add(NodeDescriptor(peer, CACHED_AGE))
 
     # -- PeerSampler -------------------------------------------------------
     def sample_peers(self, count: int) -> List[NodeId]:
@@ -102,8 +121,7 @@ class CyclonProtocol(PeerSampler):
             # otherwise the node stays disconnected forever even after
             # the network heals, since shuffles are view-driven and the
             # rest of the overlay has long since aged this node out.
-            for peer in self.host.durable.get("membership:address-cache", []):
-                self.view.add(NodeDescriptor(peer, 0))
+            self._rejoin()
             target = self.view.oldest()
         if target is None:
             return
@@ -122,6 +140,8 @@ class CyclonProtocol(PeerSampler):
         self._c_shuffles.inc()
 
     def on_message(self, sender: NodeId, message: Message) -> None:
+        if self.observer is not None and isinstance(message, (ShuffleRequest, ShuffleReply)):
+            self.observer(sender, message.entries)
         if isinstance(message, ShuffleRequest):
             reply = self.view.random_descriptors(self.shuffle_size, self.host.rng, exclude=sender)
             self.send(sender, ShuffleReply(tuple(reply)))

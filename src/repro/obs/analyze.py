@@ -207,9 +207,6 @@ _PHASE_BY_MSG = (
     ("OneHopPing", "route-probe"),
     ("OneHopPong", "route-probe"),
     ("Table", "route-antientropy"),
-    # redundancy census random walks (the audit machinery's probes).
-    ("WalkStep", "census"),
-    ("WalkResult", "census"),
     # background membership / estimation / overlay maintenance.
     ("SoftHeartbeat", "membership"),
     ("ShuffleRequest", "membership"),
@@ -231,7 +228,6 @@ _PHASE_BY_PROTO = {
     "anti-entropy": "antientropy",
     "range-repair": "repair-exchange",
     "redundancy": "repair-control",
-    "random-walk": "census",
     "onehop": "route-gossip",
     "membership": "membership",
     "soft-membership": "membership",
@@ -269,7 +265,6 @@ PHASE_GROUPS = {
     "route-antientropy": "route",
     "route-redirect": "route",
     "baseline": "route",
-    "census": "audit",
     "audit": "audit",
 }
 

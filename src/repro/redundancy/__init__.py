@@ -1,4 +1,4 @@
-"""Redundancy maintenance: census, grace window, direct range repair."""
+"""Redundancy maintenance: range count, grace window, direct range repair."""
 
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
 from repro.redundancy.manager import RedundancyManager, RepairPolicy

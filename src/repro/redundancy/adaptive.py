@@ -2,7 +2,7 @@
 
 Static redundancy spends repair bandwidth as if every departure were
 permanent. :class:`AdaptiveRepairPolicy` instead derives the replica
-target, census cadence and repair grace from the *measured* session
+target, check cadence and repair grace from the *measured* session
 survival of the population (a :class:`~repro.estimation.lifetimes.
 LifetimeEstimator` fed by the membership event stream):
 
@@ -13,9 +13,9 @@ LifetimeEstimator` fed by the membership event stream):
   ``[r_min, r_max]``; long-lived sessions (the common deployed case)
   pull r down toward ``r_min``, churn storms push it up.
 * **maintenance cadence** — scaled inversely with the predicted
-  per-window death probability: a calm population is censused and
+  per-window death probability: a calm population is counted and
   reconciled less often, a churning one more urgently. One factor,
-  clamped to ``period_bounds``, multiplies both the census period and
+  clamped to ``period_bounds``, multiplies both the check period and
   the :class:`~repro.redundancy.repair.RangeRepair` period.
 * **grace window** — stretched when survival is high (departures are
   reboots: wait for them) and shrunk toward eager repair when it is low.
@@ -69,11 +69,11 @@ class AdaptiveRepairPolicy:
         loss_tolerance: acceptable probability that a whole range's
             replicas die within one recovery window.
         recovery_window: seconds within which repair is expected to act;
-            defaults to grace window + two census periods (detect, wait
+            defaults to grace window + two check periods (detect, wait
             out the grace, repair).
         lower_rounds: consecutive computations of a lower target before
             it is published (raises are immediate).
-        period_bounds: (min, max) multipliers on the base census period.
+        period_bounds: (min, max) multipliers on the base check period.
     """
 
     def __init__(
@@ -180,7 +180,7 @@ class AdaptiveRepairPolicy:
         return min(max(factor, lo), hi)
 
     def check_period(self, now: float) -> float:
-        """Census period: the base period times :meth:`cadence_factor`."""
+        """Check period: the base period times :meth:`cadence_factor`."""
         return self.base.check_period * self.cadence_factor(now)
 
     def grace_window(self, now: float) -> float:

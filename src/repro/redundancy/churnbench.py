@@ -4,32 +4,60 @@ Builds two identical DataDroplets deployments — one with the static
 :class:`~repro.redundancy.manager.RepairPolicy`, one with
 ``redundancy_mode="adaptive"`` — replays the *same* deterministic churn
 trace against both, and measures what each spends on redundancy
-maintenance (gossip re-dissemination + range-repair + census walks and
-tallies) and
-what durability it ends with. The claim under test (C5): when session
+maintenance (gossip re-dissemination + range-repair), how far each
+node's count of its range is from the truth, and what durability it
+ends with. The claim under test (C5): when session
 lifetimes are long relative to the recovery window, the lifetime-aware
 policy maintains fewer replicas and spends markedly less maintenance
 traffic at equal post-heal durability.
 
 Used by ``repro bench e06`` (:func:`run` / :func:`render`) and the E6
-benchmark suite.
+benchmark suite, which also prints E6c's arithmetic (:func:`walks_needed`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from typing import Any, Dict, List, Optional
 
+from repro.sieve.coverage import range_population
 from repro.sim.churn import ChurnAction, TraceChurn
 from repro.sim.cluster import Cluster
 
 #: Protocol streams that constitute redundancy *maintenance* traffic:
-#: census random walks and the tallies that share their result,
-#: targeted same-range repair, and the gossip fallback
-#: re-dissemination. Client writes also ride "gossip", which is why byte
-#: counts are snapshotted after the preload.
-MAINTENANCE_PROTOCOLS = ("gossip", "range-repair", "random-walk", "redundancy")
+#: targeted same-range repair and the gossip fallback re-dissemination
+#: (the range count itself sends nothing). Client writes also ride
+#: "gossip", which is why byte counts are snapshotted after the preload.
+MAINTENANCE_PROTOCOLS = ("gossip", "range-repair")
+
+
+def walks_needed(n_estimate: float, range_population: float, rel_error: float = 0.5,
+                 confidence_z: float = 1.96) -> int:
+    """Walk samples a census needs to resolve ``range_population``
+    within ``rel_error`` relative error at the given z (E6c's arithmetic
+    of claim C4). Shows why per-range counting is drastically cheaper
+    than per-tuple: the cost depends on the *range* population (≈ r),
+    not on the number of tuples."""
+    if range_population <= 0 or n_estimate <= 0:
+        raise ValueError("populations must be positive")
+    p = min(1.0, range_population / n_estimate)
+    if p >= 1.0:
+        return 1
+    # n >= z^2 (1-p) / (p * e^2) from the binomial proportion CI.
+    return max(1, math.ceil(confidence_z**2 * (1 - p) / (p * rel_error**2)))
+
+
+def count_errors(dd) -> List[float]:
+    """|counted − true| range members, one per up storage node that has
+    counted: the node's ``last_population`` plus itself against
+    :func:`~repro.sieve.coverage.range_population` over the up nodes'
+    sieves, computed here and not by any node."""
+    managers = [node.protocol("redundancy") for node in dd.storage_nodes if node.is_up]
+    truth = range_population([manager.sieve for manager in managers])
+    return [abs(manager.last_population + 1.0 - truth[manager.sieve.range_key()])
+            for manager in managers if manager.last_population is not None]
 
 
 def session_trace(
@@ -120,12 +148,12 @@ def measure_redundancy_modes(
     """Run the same churn trace under static and adaptive redundancy.
 
     Returns ``{mode: metrics}`` where metrics include ``maintenance_bytes``
-    (gossip, range-repair, random-walk and tally bytes spent after the
-    preload),
+    (gossip and range-repair bytes spent after the preload),
     ``lost_keys`` (acked writes with no surviving UP replica post-heal),
     ``min_replicas``/``mean_replicas`` post-heal, repair activity
-    counters, censuses run and tallies heard by the nodes up at the end,
-    and — for the adaptive mode — the policy's view of the
+    counters, ``count_error`` (mean of :func:`count_errors` sampled every
+    check period from the churn's start to the end of the heal), and —
+    for the adaptive mode — the policy's view of the
     estimated survival and published target.
     """
     from repro.core.config import DataDropletsConfig
@@ -141,7 +169,7 @@ def measure_redundancy_modes(
             replication=replication,
             redundancy_mode=mode,
             adaptive_min_deaths=6,
-            repair=RepairPolicy(check_period=5.0, walks_per_check=32, grace_window=15.0),
+            repair=RepairPolicy(check_period=5.0, grace_window=15.0),
         )
         dd = DataDroplets(config).start(warmup=15.0)
         for i in range(keys):
@@ -165,7 +193,11 @@ def measure_redundancy_modes(
             rng_stream=f"churnbench:{mode}",
         )
         TraceChurn(dd.sim, view, actions)
-        dd.run_for(churn_duration + heal_duration)
+        errors: List[float] = []
+        end = dd.sim.now + churn_duration + heal_duration
+        while dd.sim.now < end:
+            dd.sim.run_until(min(end, dd.sim.now + config.repair.check_period))
+            errors += count_errors(dd)
 
         counts_after = _replica_counts(dd, keys)
         entered = [i for i in range(keys) if counts_before[i] > 0]
@@ -182,10 +214,7 @@ def measure_redundancy_modes(
             "repair_bytes": dd.metrics.counter_value("redundancy.repair_bytes"),
             "peers_evicted": dd.metrics.counter_value("redundancy.peers_evicted"),
         }
-        managers = [node.protocol("redundancy") for node in dd.storage_nodes
-                    if node.is_up and node.has_protocol("redundancy")]
-        row["censuses_run"] = float(sum(m.censuses_run for m in managers))
-        row["tallies_heard"] = float(sum(m.tallies_heard for m in managers))
+        row["count_error"] = statistics.fmean(errors) if errors else float("nan")
         if dd.repair_provider is not None:
             for key, value in dd.repair_provider.describe(dd.sim.now).items():
                 row[f"adaptive_{key}"] = value
@@ -218,8 +247,8 @@ def run(*, nodes: int = 48, seed: int = 7, churn_duration: float = 240.0,
     ``nodes`` storage nodes, ``churn_duration`` virtual seconds of
     session churn (mean session ``mean_lifetime`` s) then
     ``heal_duration`` s of healing. One row per mode: maintenance bytes
-    after the preload (census walks and tallies, targeted range repair,
-    gossip fallback), post-heal replica floor/mean, acked writes lost, repair
+    after the preload (targeted range repair, gossip fallback), the mean
+    |counted − true| members of each node's range, post-heal replica floor/mean, acked writes lost, repair
     activity. Gates: the lifetime-aware policy spends >= 30 % fewer
     maintenance bytes than static-r, with no lost acked write and a
     replica floor >= 2 in both modes.
@@ -255,13 +284,12 @@ def render(doc: Dict[str, Any]) -> str:
                      f"repairs {row['repairs']:.0f} "
                      f"({row['targeted_repairs']:.0f} targeted, "
                      f"{row['repair_fallbacks']:.0f} fallback)  "
-                     f"censuses {row['censuses_run']:,.0f} run / "
-                     f"{row['tallies_heard']:,.0f} heard")
+                     f"count error {row['count_error']:.2f} nodes")
     adaptive = metrics["modes"]["adaptive"]
     if adaptive.get("adaptive_survival") is not None:
         lines.append(f"  adaptive view: survival/window "
                      f"{adaptive['adaptive_survival']:.3f}, raw target "
-                     f"{adaptive['adaptive_raw_target']:.0f}, census period "
+                     f"{adaptive['adaptive_raw_target']:.0f}, check period "
                      f"{adaptive['adaptive_check_period']:.1f}s, "
                      f"{adaptive['adaptive_completed_sessions']:.0f} completed sessions")
     ratio = metrics["byte_ratio"]

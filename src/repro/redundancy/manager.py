@@ -1,42 +1,45 @@
 """Redundancy maintenance (paper §III-A, claims C4/C5).
 
-Periodically each sieve range runs one *census*: a few short sampling
-walks whose every node past the mixing hops reports which sieve range
-it covers. From the hit fraction and the epidemic size estimate the
-range learns how many nodes currently share it — one cheap estimate
-covering *every tuple in the range at once*, instead of a random walk
-per tuple. A walk that dies takes its remaining samples with it, so
-each census asks for as many more samples as the previous one lost (at
-most twice), and a census with no usable report is inconclusive: it
-neither starts nor ends a deficiency.
+Each storage node counts the up members of its own sieve range from the
+peer ids the peer-sampling service already hands it. A node's primary
+range is a pure function of its id and the bucket count
+(:func:`~repro.sieve.keyspace.position_bucket` of its
+:func:`~repro.sieve.keyspace.node_position`), so every Cyclon shuffle a
+node receives says, at no extra message, which of the peers it names
+share the receiver's range. The shuffle's sender is up now, and a peer
+named by a descriptor of age *a* was up *a* shuffle rounds ago (the age
+counts the rounds since the peer itself handed it out). A peer counts
+while it was last known up within the *count window*: two check periods,
+or longer when the cluster is so large that the shuffle stream needs
+more rounds to name every one of the N̂ (size estimate) nodes. A crashed
+peer thus drops out one window after its crash. The ids a rebooting node
+re-adds from its address cache carry an age older than any window, so
+they are never counted, here or at the peers they are shipped to. One
+count covers every tuple in the range at once, which is claim C4's
+point; the census by random walks that used to take it survives only as
+E6c's arithmetic (:func:`repro.redundancy.churnbench.walks_needed`).
 
-The members of a range take turns. A node walks only in its own slot
-among the members it knows (itself and its same-range peers, sorted by
-id; slot = census period number plus rank, modulo the member count), or
-when it knows no peer, while its range is deficient, or when the
-freshest census it holds is older than two periods — so a dead member
-whose turn it is delays the range by at most one period. A conclusive
-census is pushed as a :class:`CensusTally` to every known peer, and
-each member whose range matches applies it as if it had run the census
-itself.
+At every check tick the node takes its count:
 
-Outcomes:
-
-* discovered same-range peers feed :class:`RangeRepair` (direct
-  reconciliation), and
+* the peers last counted in its range feed :class:`RangeRepair`
+  (direct reconciliation); they stay partners after the count has lost
+  sight of them, since they hold the range's copies, until repair
+  exchanges with them fail, the liveness oracle calls them dead or a
+  re-cut of the grid puts them in another range, and
 * if the range population stays below the replication target for longer
   than the *grace window* (the paper's churn-relaxation: most nodes
-  come back after a reboot, so don't panic-repair), the node repairs
-  (a tally starts the clock; the node's own censuses confirm it) —
+  come back after a reboot, so don't panic-repair), timed from when the
+  range fell short (the last sighting of the member whose absence put
+  it below target), the node repairs —
   first by *targeted* bucketed reconciliation with known same-range
   peers (bytes proportional to what actually diverged), falling back to
   gossip re-dissemination of the whole range only when no live peer is
   known.
 
-The replication target, census cadence and grace window are either the
+The replication target, check cadence and grace window are either the
 deployment's r and the static :class:`RepairPolicy` values or, when a
 *policy provider* (see :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`)
-is plugged in, recomputed every census from the measured churn of the
+is plugged in, recomputed every check from the measured churn of the
 population; the provider's cadence factor then paces :class:`RangeRepair` too.
 """
 
@@ -44,31 +47,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId
-from repro.common.messages import Message, message_type, walked_size
-from repro.randomwalk.sampling import (
-    collect_peer_ids,
-    estimate_range_population,
-    recommended_walk_ttl,
-)
-from repro.randomwalk.walker import RandomWalkProtocol
+from repro.common.messages import walked_size
+from repro.membership.views import NodeDescriptor
 from repro.sieve.base import Sieve
-from repro.sieve.keyspace import node_position
+from repro.sieve.keyspace import node_position, position_bucket
 from repro.sim.node import Protocol
 from repro.store.memtable import Memtable
 
 
-#: Cap on remembered same-range peers.
+#: Cap on remembered same-range peers (repair partners).
 MAX_KNOWN_PEERS = 8
 #: Max items re-broadcast per fallback repair.
 REDISSEMINATE_BATCH = 200
 #: Same-range peers targeted per repair action.
 REPAIR_FANOUT = 3
-#: Census rounds (run here or heard as tallies) a known peer may go
-#: unseen before it is presumed gone and evicted.
-PEER_TTL_CENSUSES = 8
 
 
 @dataclass(frozen=True)
@@ -78,47 +73,44 @@ class RepairPolicy:
     sieve (``RedundancyManager(replication=)``).
 
     Attributes:
-        check_period: seconds between census ticks; a range runs about
-            one census per period, whichever member's turn it is.
-        walks_per_check: samples per census (binomial resolution); the
-            walker draws them from ceil(samples / ttl) walks of
-            ~log2(N)+4 mixing hops each.
+        check_period: seconds between checks of the range population; a
+            peer counts for at least two periods after it was last known
+            up.
         grace_window: seconds a deficiency must persist before active
             repair (0 = eager repair; the E6 ablation knob).
     """
 
     check_period: float = 10.0
-    walks_per_check: int = 32
     grace_window: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.check_period <= 0 or self.walks_per_check <= 0:
-            raise ValueError("check_period and walks_per_check must be positive")
+        if self.check_period <= 0:
+            raise ValueError("check_period must be positive")
         if self.grace_window < 0:
             raise ValueError("grace_window must be non-negative")
 
 
-@message_type
-@dataclass(frozen=True)
-class CensusTally(Message):
-    """One conclusive census of ``range_key``, pushed by the member that
-    ran it to the members it knows. ``peers`` are the range members the
-    census found, the sender included."""
+def _bucket_grid(range_key: Any) -> Optional[Tuple[int, int]]:
+    """``(buckets, index)`` of a bucket-style range key (a plain or a
+    tagged :class:`~repro.sieve.keyspace.BucketSieve`), else None."""
+    if isinstance(range_key, tuple) and len(range_key) >= 3 and range_key[-3] == "bucket":
+        return range_key[-2], range_key[-1]
+    return None
 
-    range_key: Any
-    population: float
-    peers: Tuple[int, ...]
 
 
 class RedundancyManager(Protocol):
-    """Runs the census loop and triggers repair actions.
+    """Counts this node's range from the shuffles it receives and
+    triggers repair actions.
 
     Collaborators are sibling protocols found by name on the same node:
-    the random-walk engine, the gossip dissemination channel, the
-    range-repair anti-entropy instance (targeted repair), and the size
-    estimator (through ``size_estimate_fn``).
+    the peer-sampling service (which hands it every shuffle), the gossip
+    dissemination channel and the range-repair anti-entropy instance
+    (targeted repair).
 
     Args:
+        size_estimate_fn: the node's cluster-size estimate N̂, which sets
+            how many shuffle rounds the count window spans.
         replication: the replica target (the paper's r, as given to the
             sieve).
         policy_provider: optional churn-adaptive override supplying
@@ -140,12 +132,11 @@ class RedundancyManager(Protocol):
         self,
         memtable: Memtable,
         sieve: Sieve,
-        size_estimate_fn,
+        size_estimate_fn: Callable[[], float],
         policy: RepairPolicy = RepairPolicy(),
         *,
         replication: int,
         gossip: str = "gossip",
-        walker: str = "random-walk",
         active: bool = True,
         policy_provider: Optional[Any] = None,
         liveness: Optional[Callable[[int], bool]] = None,
@@ -163,47 +154,34 @@ class RedundancyManager(Protocol):
         self.liveness = liveness
         self.repair_wrap = repair_wrap
         self.gossip_name = gossip
-        self.walker_name = walker
         self.repair_peer_name = repair_peer
         self.known_peers: List[NodeId] = []
         self.last_population: Optional[float] = None
         self._deficient_since: Optional[float] = None
-        #: returned / requested samples of the previous census, in [½, 1].
-        self._census_yield = 1.0
         self._timer = None
-        #: a census launched here has not completed yet (walks still out).
-        self._census_pending = False
-        #: (range key, time) of the freshest conclusive census applied.
-        self._last_tally: Optional[Tuple[Hashable, float]] = None
-        #: peer value -> census round at which the peer was last seen.
-        self._peer_seen: Dict[int, int] = {}
-        #: census rounds observed (own or heard): the peer-ageing clock.
-        self.censuses = 0
-        self.censuses_run = 0
-        self.tallies_heard = 0
+        #: peer value -> latest virtual time it is known to have been up.
+        self._seen: Dict[int, float] = {}
+        #: repair partner value -> when it was last counted as a range mate.
+        self._partners: Dict[int, float] = {}
+        #: the sampler's round (s) and the ids a node receives per round
+        #: (its reply and, on average, one request); read at start.
+        self._shuffle_period = 1.0
+        self._ids_per_round = 16.0
         self.repairs_triggered = 0
 
     # ------------------------------------------------------------------
-    def bind(self, host) -> None:
-        super().bind(host)
-        metrics = host.metrics
-        self._c_skipped = metrics.counter("redundancy.census_skipped")
-        self._c_tallies, self._c_foreign = metrics.counter_pair(
-            "redundancy.tallies_received", "redundancy.tallies_foreign")
-
     def on_start(self) -> None:
-        walker = self._walker()
-        walker.set_reporter(self._report)
-        # The provider may change the period between censuses, so each
+        sampler = self.host.protocol("membership")
+        self._shuffle_period = sampler.period  # type: ignore[attr-defined]
+        self._ids_per_round = 2.0 * sampler.shuffle_size  # type: ignore[attr-defined]
+        sampler.set_observer(self.observe)  # type: ignore[attr-defined]
+        # The provider may change the period between checks, so each
         # delay is read again at scheduling time.
-        self._timer = self.every(self.current_check_period, self._census_tick)
+        self._timer = self.every(self.current_check_period, self.check)
 
     def on_stop(self) -> None:
         if self._timer is not None:
             self._timer.stop()
-
-    def _walker(self) -> RandomWalkProtocol:
-        return self.host.protocol(self.walker_name)  # type: ignore[return-value]
 
     # -- adaptive knobs --------------------------------------------------
     def current_check_period(self) -> float:
@@ -221,198 +199,104 @@ class RedundancyManager(Protocol):
             return self.policy_provider.grace_window(self.host.now)
         return self.policy.grace_window
 
-    def _census_tick(self) -> None:
-        if not self._census_pending and self._my_turn():
-            self.run_census()
-        else:
-            self._c_skipped.inc()
-
-    def _my_turn(self) -> bool:
-        """Should this node walk at this tick?
-
-        Always when it knows no peer (bootstrap), while its range is
-        deficient (every member censuses a thin range each period), or
-        when its freshest census is older than two periods
-        (the member whose turn it was is gone). Otherwise in its own
-        slot among the members it knows, unless a census was heard since
-        the slot began; a tick jittered past its slot makes it up in the
-        next one."""
-        if not self.known_peers or self._deficient_since is not None:
-            return True
-        now = self.host.now
-        period = self.current_check_period()
-        last = self._last_tally
-        if last is None or last[0] != self.sieve.range_key() or now - last[1] > 2.0 * period:
-            return True
-        me = self.host.node_id.value
-        members = sorted([me] + [p.value for p in self.known_peers])
-        slot = int(now // period)
-        mine = slot - (slot + members.index(me)) % len(members)
-        return slot - mine <= 1 and last[1] < mine * period
-
-    def _report(self, probe: Dict[str, Any]) -> Dict[str, Any]:
-        """Endpoint report for incoming walks: who am I, which range do
-        I cover, and do I hold the probed key (per-item ablation path)."""
-        info: Dict[str, Any] = {
-            "node": self.host.node_id.value,
-            "range_key": self.sieve.range_key(),
-        }
-        probed = probe.get("key")
-        if probed is not None:
-            info["holds"] = probed in self.memtable
-        return info
+    def count_window(self) -> float:
+        """Seconds a peer counts after it was last known up: two check
+        periods, or the shuffle rounds the stream needs to name each of
+        N̂ nodes with high probability (N̂ ln N̂ ids, coupon collector),
+        whichever is longer."""
+        n = max(1.0, float(self.size_estimate_fn()))
+        rounds = n * math.log(n) / self._ids_per_round
+        return max(2.0 * self.current_check_period(), rounds * self._shuffle_period)
 
     # ------------------------------------------------------------------
+    def observe(self, sender: NodeId, entries: Tuple[NodeDescriptor, ...]) -> None:
+        """Note whom a received shuffle shows up, and since when: its
+        sender now, each peer it names ``age`` rounds ago."""
+        now = self.host.now
+        seen = self._seen
+        seen[sender.value] = now
+        me = self.host.node_id.value
+        period = self._shuffle_period
+        for descriptor in entries:
+            value = descriptor.node_id.value
+            at = now - descriptor.age * period
+            if value != me and at > seen.get(value, -math.inf):
+                seen[value] = at
+
+    def note_peer_heard(self, peer: NodeId) -> None:
+        """A repair partner sent something, so it is up now (wired to
+        RangeRepair's ``on_peer_heard``): partners vouch for each other
+        between the shuffles that name them."""
+        self._seen[peer.value] = self.host.now
+
     def same_range_peers(self) -> List[NodeId]:
-        """Census-discovered peers sharing this node's range (the
-        RangeRepair peer source)."""
+        """Peers last known to share this node's range (the RangeRepair
+        peer source)."""
         return list(self.known_peers)
 
     def note_peer_failed(self, peer: NodeId) -> None:
         """Evict a peer that stopped answering repair exchanges (wired
-        to RangeRepair's ``on_peer_failed``)."""
-        before = len(self.known_peers)
-        self.known_peers = [p for p in self.known_peers if p.value != peer.value]
-        self._peer_seen.pop(peer.value, None)
-        if len(self.known_peers) != before:
+        to RangeRepair's ``on_peer_failed``); it counts again once a
+        shuffle shows it up."""
+        self._seen.pop(peer.value, None)
+        if self._partners.pop(peer.value, None) is not None:
+            self.known_peers = [p for p in self.known_peers if p.value != peer.value]
             self.host.metrics.counter("redundancy.peers_evicted").inc()
 
-    def run_census(self) -> None:
-        """One census round (also callable directly by tests/benchmarks)."""
+    def check(self) -> None:
+        """Count this node's range and act on the count (the periodic
+        tick; also callable directly by tests)."""
         range_key = self.sieve.range_key()
-        if range_key is None:
+        grid = _bucket_grid(range_key)
+        if grid is None:
             self.host.metrics.counter("redundancy.no_range").inc()
             return
-        n_estimate = max(1.0, float(self.size_estimate_fn()))
-        ttl = recommended_walk_ttl(n_estimate)
-        self.censuses_run += 1
-        self._census_pending = True
-        requested = math.ceil(self.policy.walks_per_check / self._census_yield)
-        self._walker().start_walks(
-            requested,
-            ttl,
-            lambda reports: self._census_done(reports, range_key, n_estimate, requested),
-        )
-
-    def _position_echo_ok(self, report: Dict[str, Any]) -> bool:
-        """Verify a census report's sieve fingerprint against the
-        reporter's identity.
-
-        A bucket-style ``range_key`` is a pure function of the
-        reporter's node id (ring position) and its claimed bucket count,
-        so the receiver can recompute the expected bucket index — a
-        node whose cached sieve position was corrupted *claims a range
-        it does not actually cover*, which would otherwise inflate our
-        population estimate and poison the peer list. Non-bucket range
-        keys (static arcs, per-item ablation) carry no verifiable echo
-        and pass through."""
-        value = report.get("node")
-        range_key = report.get("range_key")
-        if value is None or not (
-            isinstance(range_key, tuple) and len(range_key) >= 3 and range_key[-3] == "bucket"
-        ):
-            return True
-        buckets, index = range_key[-2], range_key[-1]
-        if not (isinstance(buckets, int) and isinstance(index, int) and buckets > 0):
-            return True
-        expected = min(buckets - 1, int(node_position(NodeId(value)) * buckets))
-        if index == expected:
-            return True
-        self.host.metrics.counter("redundancy.sieve_desync_detected").inc()
-        return False
-
-    def _census_done(self, reports: List[Dict[str, Any]], range_key, n_estimate: float,
-                     requested: int) -> None:
-        self._census_pending = False
-        self._census_yield = min(1.0, max(0.5, len(reports) / requested))
-        if self.sieve.range_key() != range_key:
-            return  # our range moved (size estimate shifted) — stale census
-        reports = [r for r in reports if self._position_echo_ok(r)]
-        self.host.metrics.histogram("redundancy.census_samples").observe(len(reports))
-        self.censuses += 1
-        if not reports:
-            # No evidence either way: age the peer list, leave the
-            # deficiency clock and the last estimate alone.
-            self.host.metrics.counter("redundancy.census_inconclusive").inc()
-            self._absorb_peers([])
-            return
-        estimate = estimate_range_population(reports, range_key, n_estimate)
-        me = self.host.node_id.value
-        found = collect_peer_ids(reports, range_key, exclude=me)
-        self._apply_census(range_key, estimate.population, found, own=True)
-        tally = CensusTally(range_key, estimate.population, tuple(sorted(found + [me])))
-        for peer in self.known_peers:
-            self.send(peer, tally)
-
-    def on_message(self, sender: NodeId, message: Message) -> None:
-        if not isinstance(message, CensusTally):
-            return
-        range_key = message.range_key
-        if range_key != self.sieve.range_key():
-            self._c_foreign.inc()
-            return
-        if not self._position_echo_ok({"node": sender.value, "range_key": range_key}):
-            return
-        self._c_tallies.inc()
-        self.tallies_heard += 1
-        self.censuses += 1
-        me = self.host.node_id.value
-        self._apply_census(range_key, message.population,
-                           [value for value in message.peers if value != me], own=False)
-
-    def _apply_census(self, range_key, population: float, peer_values: List[int],
-                      own: bool) -> None:
-        """Act on one conclusive census of this node's range, run here
-        or heard as a member's tally."""
-        self._last_tally = (range_key, self.host.now)
+        buckets, index = grid
+        now = self.host.now
+        dead = [value for value in self._seen if not self._is_live(value)]
+        dead += [value for value in self._partners
+                 if value not in self._seen and not self._is_live(value)]
+        for value in dead:
+            self._seen.pop(value, None)
+            self._partners.pop(value, None)
+        if dead:
+            self.host.metrics.counter("redundancy.peers_evicted").inc(len(dead))
+        # Range mates, freshest first, with those that lapsed since the
+        # last check: they date when the range fell short.
+        mates = sorted(((at, value) for value, at in self._seen.items()
+                        if position_bucket(node_position(NodeId(value)), buckets) == index),
+                       reverse=True)
+        horizon = now - self.count_window()
+        self._seen = {value: at for value, at in self._seen.items() if at >= horizon}
+        peers = [value for at, value in mates if at >= horizon]
+        # Partners outlive the window but not a re-cut of the grid.
+        partners = {value: at for value, at in self._partners.items()
+                    if position_bucket(node_position(NodeId(value)), buckets) == index}
+        partners.update((value, at) for at, value in mates if at >= horizon)
+        if len(partners) > MAX_KNOWN_PEERS:
+            freshest = sorted(partners.items(), key=lambda entry: (-entry[1], entry[0]))
+            partners = dict(freshest[:MAX_KNOWN_PEERS])
+        self._partners = partners
+        self.known_peers = [NodeId(value) for value in sorted(partners)]
+        population = float(len(peers))
         self.last_population = population
         self.host.metrics.histogram("redundancy.population").observe(population)
-        self._absorb_peers(peer_values)
         target = self.current_target(range_key)
         self.host.metrics.gauge("redundancy.target").set(target)
-        # A tally raises the alarm at every member it reaches; each
-        # member then walks every tick, and its own censuses confirm the
-        # deficiency into a repair or call it off. One noisy census thus
-        # neither calls off every member's repair nor makes them all act.
         if population + 1 < target:  # +1: we cover it ourselves
             if self._deficient_since is None:
-                self._deficient_since = self.host.now
-            elif own and self.host.now - self._deficient_since >= self.current_grace_window():
+                # Short since the (target - 1)-th freshest mate was last seen.
+                short = target - 2
+                self._deficient_since = mates[short][0] if short < len(mates) else now
+            if now - self._deficient_since >= self.current_grace_window():
                 if self.active:
                     self._repair()
-                self._deficient_since = self.host.now  # back off one window
-        elif own:
+                self._deficient_since = now  # back off one window
+        else:
             self._deficient_since = None
 
     def _is_live(self, value: int) -> bool:
         return self.liveness is None or self.liveness(value)
-
-    def _absorb_peers(self, peer_values: List[int]) -> None:
-        census = self.censuses
-        for value in peer_values:
-            self._peer_seen[value] = census
-        merged = {p.value: p for p in self.known_peers}
-        for value in peer_values:
-            merged.setdefault(value, NodeId(value))
-        evicted = 0
-        peers = []
-        for peer in merged.values():
-            last_seen = self._peer_seen.get(peer.value, census)
-            if not self._is_live(peer.value):
-                self._peer_seen.pop(peer.value, None)
-                evicted += 1
-            elif census - last_seen >= PEER_TTL_CENSUSES:
-                # Unseen by this many whole censuses: presumed gone.
-                self._peer_seen.pop(peer.value, None)
-                evicted += 1
-            else:
-                peers.append(peer)
-        if evicted:
-            self.host.metrics.counter("redundancy.peers_evicted").inc(evicted)
-        peers.sort(key=lambda p: p.value)
-        if len(peers) > MAX_KNOWN_PEERS:
-            peers = self.host.rng.sample(peers, MAX_KNOWN_PEERS)
-        self.known_peers = peers
 
     # ------------------------------------------------------------------
     def _repair(self) -> None:

@@ -6,7 +6,7 @@ restore redundancy as necessary."
 
 :class:`RangeRepair` is an anti-entropy instance whose digests are
 *scoped to the node's own sieve range* and whose partner is drawn from
-the same-range peers the census discovered — so the exchanged digests
+the same-range peers the range count found — so the exchanged digests
 are small (one range, not the whole store) and every exchange is with a
 node that actually shares responsibility.
 
@@ -32,7 +32,7 @@ from repro.sieve.base import Sieve
 from repro.store.memtable import Memtable
 from repro.store.tuples import Version, VersionedTuple
 
-#: Supplies the current same-range peer candidates (census discoveries).
+#: Supplies the current same-range peer candidates (the range count's).
 PeerSource = Callable[[], List[NodeId]]
 
 
@@ -149,19 +149,20 @@ class RangeScopedStore(AntiEntropyStore):
 
 
 class RangeRepair(AntiEntropy):
-    """Anti-entropy over the scoped store, partnered by the census.
+    """Anti-entropy over the scoped store, partnered by the range count.
 
     Runs opportunistically: with no discovered same-range peer the round
-    is a no-op (the census will eventually discover peers, or conclude
+    is a no-op (the range count will eventually find peers, or conclude
     the range is under-populated and trigger re-dissemination instead).
 
     Every initiated exchange is tracked against ``exchange_timeout``:
     clean rounds are positively acked (``ack_clean``), so a peer that
     never answers anything is distinguishable from one with nothing to
     say. After ``max_failures`` consecutive silent exchanges the peer is
-    reported through ``on_peer_failed`` — the census manager uses this to
+    reported through ``on_peer_failed`` — the redundancy manager uses this to
     evict crashed nodes from ``known_peers`` instead of burning rounds on
-    them forever.
+    them forever. Every message a peer sends is reported through
+    ``on_peer_heard``: the manager counts it as seen up.
 
     ``period_scale`` (a function of the current time) multiplies
     ``period`` at every round; the adaptive redundancy policy passes its
@@ -180,6 +181,7 @@ class RangeRepair(AntiEntropy):
         exchange_timeout: float = 4.0,
         max_failures: int = 2,
         on_peer_failed: Optional[Callable[[NodeId], None]] = None,
+        on_peer_heard: Optional[Callable[[NodeId], None]] = None,
         period_scale: Optional[Callable[[float], float]] = None,
     ):
         super().__init__(
@@ -196,6 +198,7 @@ class RangeRepair(AntiEntropy):
         self.exchange_timeout = exchange_timeout
         self.max_failures = max_failures
         self.on_peer_failed = on_peer_failed
+        self.on_peer_heard = on_peer_heard
         self.period_scale = period_scale
         #: peer value -> deadline of the oldest unanswered exchange.
         self._outstanding: Dict[int, float] = {}
@@ -221,7 +224,7 @@ class RangeRepair(AntiEntropy):
     # -- targeted repair -------------------------------------------------
     def repair_with(self, peer: NodeId) -> None:
         """Direct one reconciliation round at a specific peer (used by
-        the census manager's targeted repair path)."""
+        the redundancy manager's targeted repair path)."""
         self.initiate_exchange(peer)
 
     # -- exchange liveness tracking --------------------------------------
@@ -236,6 +239,8 @@ class RangeRepair(AntiEntropy):
     def _on_peer_response(self, sender: NodeId) -> None:
         self._outstanding.pop(sender.value, None)
         self._failures.pop(sender.value, None)
+        if self.on_peer_heard is not None:
+            self.on_peer_heard(sender)
 
     def _check_deadline(self, value: int, deadline: float) -> None:
         if self._outstanding.get(value) != deadline:

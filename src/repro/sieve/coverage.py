@@ -80,7 +80,8 @@ def coverage_report(sieves: Sequence[Sieve], items: Sequence[Tuple[str, Record]]
 def range_population(sieves: Sequence[Sieve]) -> Dict[object, int]:
     """How many nodes cover each sieve range (None-keyed sieves skipped).
 
-    The ground truth that random-walk range counting (E6/E7) estimates.
+    The ground truth that each node's range count
+    (:class:`~repro.redundancy.manager.RedundancyManager`) estimates.
     """
     population: Dict[object, int] = {}
     for sieve in sieves:

@@ -49,6 +49,13 @@ def node_position(node_id: NodeId) -> float:
     return key_hash(f"node-position:{node_id.value}") / KEYSPACE_SIZE
 
 
+def position_bucket(position: float, buckets: int) -> int:
+    """Index of the bucket, of ``buckets`` equal ones, that ``position``
+    falls in: a node's primary range is this of its
+    :func:`node_position`, so any node can place any peer id."""
+    return min(buckets - 1, int(position * buckets))
+
+
 class BucketSieve(Sieve):
     """Own the power-of-two ring bucket containing this node's position.
 
@@ -93,7 +100,7 @@ class BucketSieve(Sieve):
         return self._count
 
     def bucket_index(self) -> int:
-        return min(self.bucket_count() - 1, int(self.position * self.bucket_count()))
+        return position_bucket(self.position, self.bucket_count())
 
     def admits(self, item_id: str, record: Record) -> bool:
         return self.item_bucket(item_id, record) == int(self.position * self.bucket_count())

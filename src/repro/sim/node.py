@@ -263,9 +263,6 @@ class Node(Host):
         except KeyError:
             raise KeyError(f"node {self._node_id} has no protocol {name!r}") from None
 
-    def has_protocol(self, name: str) -> bool:
-        return name in self._protocols
-
     # -- lifecycle -------------------------------------------------------
     @property
     def is_up(self) -> bool:

@@ -388,7 +388,8 @@ class SoftStateProtocol(Protocol):
         if entry is None:
             self._write_failed(state)
             return
-        self._to_storage(entry, StoreWrite(state.item, reply_to=self.host.node_id))
+        attempt = WRITE_RETRIES - state.retries_left
+        self._to_storage(entry, StoreWrite(state.item, self.host.node_id, attempt))
         key = state.item.key
         packed = state.item.version.packed()
         self.host.set_timer(self.config.ack_timeout, lambda: self._write_deadline(key, packed))

@@ -98,10 +98,14 @@ class WritePayload:
 @message_type
 @dataclass(frozen=True)
 class StoreWrite(Message):
-    """Coordinator → storage entry point: inject a write into gossip."""
+    """Coordinator → storage entry point: inject a write into gossip.
+    ``attempt`` numbers the coordinator's dispatches of one put, so a
+    retry is a new gossip item that reaches, and is acked again by,
+    holders the first dispatch already reached."""
 
     item: VersionedTuple
     reply_to: Optional[NodeId] = None
+    attempt: int = 0
 
 
 @message_type

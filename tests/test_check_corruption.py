@@ -36,7 +36,7 @@ def _deploy(seed: int = 11, *, redundancy_mode: str = "static",
         n_storage=5,
         n_soft=2,
         replication=3,
-        repair=RepairPolicy(check_period=ROUND, walks_per_check=16, grace_window=4.0),
+        repair=RepairPolicy(check_period=ROUND, grace_window=4.0),
         repair_period=ROUND,
         redundancy_mode=redundancy_mode,
         adaptive_min_deaths=4,

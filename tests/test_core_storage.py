@@ -37,12 +37,12 @@ class TestStorageProtocolWiring:
         # One push-sum and one size estimator, whatever the number of
         # indexes (max/min ride the estimator's table): a further index
         # costs one T-Man and no gossip estimator.
-        for attributes, size in (((), 8), (("v",), 9), (("v", "w"), 10)):
+        for attributes, size in (((), 7), (("v",), 8), (("v", "w"), 9)):
             dd = DataDroplets(DataDropletsConfig(
                 seed=66, n_storage=6, n_soft=1, replication=2,
                 indexes=tuple(IndexSpec(a, lo=0, hi=100) for a in attributes),
             )).start(warmup=1.0)
-            expected = ["membership", "size-estimator", "gossip", "random-walk",
+            expected = ["membership", "size-estimator", "gossip",
                         "redundancy", "range-repair"]
             expected += [f"tman:{a}" for a in attributes] + ["push-sum:agg"]
             names = list(dd.storage_nodes[0]._protocols)
@@ -79,7 +79,7 @@ class TestCorrectedContributions:
             for node in settled.storage_nodes if node.is_up
             for item in node.durable["memtable"].items()
         })
-        # census-corrected contributions approximate the distinct count
+        # count-corrected contributions approximate the distinct count
         assert abs(total - distinct) / distinct < 0.6
 
     def test_corrected_sum_scales_with_values(self, settled):

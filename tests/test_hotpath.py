@@ -34,7 +34,6 @@ import repro.estimation.histogram  # noqa: F401
 import repro.estimation.pushsum  # noqa: F401
 import repro.membership.cyclon  # noqa: F401
 import repro.overlay.tman  # noqa: F401
-import repro.randomwalk.walker  # noqa: F401
 import repro.softstate.coordinator  # noqa: F401
 import repro.softstate.messages  # noqa: F401
 from repro.common.ids import NodeId
@@ -455,7 +454,7 @@ class TestGoldenFingerprint:
             dd.get(f"k{i}")
         dd.run_for(10.0)
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
-                dd.metrics.counter_value("net.bytes.total")) == (7279, 5689.0, 1335849.0)
+                dd.metrics.counter_value("net.bytes.total")) == (5641, 4047.0, 1192343.0)
 
     def test_onehop_run_with_a_soft_crash_repeats_the_recorded_counts(self):
         """The same deployment under onehop routing, with one soft node
@@ -479,4 +478,4 @@ class TestGoldenFingerprint:
         dd.run_for(10.0)
         assert dd.metrics.counter_value("onehop.suspicions") >= 1
         assert (dd.sim.events_processed, dd.metrics.counter_value("net.sent.total"),
-                dd.metrics.counter_value("net.bytes.total")) == (12937, 9492.0, 2472242.0)
+                dd.metrics.counter_value("net.bytes.total")) == (10577, 7138.0, 2272703.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import DataDroplets, DataDropletsConfig, IndexSpec, TimeoutError_, UnavailableError
+from repro.softstate.messages import StoreAck
 
 
 def build(seed, **overrides):
@@ -33,6 +34,26 @@ class TestWriteUnavailable:
         version = dd.put("orphan", {"v": 7})
         assert version["sequence"] == 2  # the failed put's version is not reused
         assert dd.get("orphan") == {"v": 7}
+
+    def test_a_retry_is_acked_by_the_holders_the_first_dispatch_reached(self):
+        """Every ack of the first dispatch is lost: the retry must reach
+        the holders that already applied the put and draw a fresh ack,
+        not die as a duplicate of the first broadcast."""
+        dd = build(45)
+        lost = []
+
+        def drop_first_acks(src, dst, protocol, message):
+            if isinstance(message, StoreAck) and not dd.metrics.counter_value("soft.write_retries"):
+                lost.append(src)
+                return True
+            return False
+
+        dd.cluster.network.set_drop_filter(drop_first_acks)
+        version = dd.put("lossy", {"v": 1})
+        assert lost, "the first dispatch reached no holder"
+        assert version["sequence"] == 1
+        assert dd.metrics.counter_value("soft.write_retries") == 1
+        assert dd.metrics.counter_value("soft.write_unavailable") == 0
 
 
 class TestReadPaths:
@@ -133,7 +154,7 @@ class TestCatastrophicStorageEvents:
 
         config = DataDropletsConfig(seed=48, n_storage=40, n_soft=2, replication=5)
         config = replace(config, repair=replace(
-            config.repair, check_period=4.0, walks_per_check=32, grace_window=5.0,
+            config.repair, check_period=4.0, grace_window=5.0,
         ))
         dd = DataDroplets(config).start(warmup=15.0)
         for i in range(15):

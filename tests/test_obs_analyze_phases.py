@@ -48,9 +48,6 @@ class TestPhaseOf:
         ("range-repair", "DigestRequest", "repair-exchange", "repair"),
         ("range-repair", "ItemsPush", "repair-exchange", "repair"),
         ("redundancy", "ProbeRequest", "repair-control", "repair"),
-        # state audits / census walks -> audit
-        ("random-walk", "WalkStep", "census", "audit"),
-        ("random-walk", "WalkResult", "census", "audit"),
         # the rest of the protocol families stay classified
         ("gossip", "Infect", "gossip-hop", "disseminate"),
         ("anti-entropy", "DigestRequest", "antientropy", "repair"),

@@ -177,3 +177,24 @@ def test_a_flipped_copy_heals_after_an_epoch_turn():
     it ("flip_version#1@6 detected at 36.7 but never healed")."""
     result = explorer.run_case(13, quick=True, nemesis_mode="corruption")
     assert not result.violations, [v.to_dict() for v in result.violations]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: a delete's tombstone copies are never collected")
+def test_a_deletes_tombstones_are_gone_ten_recovery_windows_later():
+    """Ten keys put and deleted on 32 storage nodes: ten recovery
+    windows (grace window plus two check periods, 50 virtual s each)
+    later, every storage node still holds the tombstones it applied
+    (about 100 copies)."""
+    dd = DataDroplets(DataDropletsConfig(
+        seed=1, n_storage=32, n_soft=2, replication=4, estimator_epoch=None)).start()
+    keys = [f"gone{i}" for i in range(10)]
+    for key in keys:
+        dd.put(key, {"v": 1})
+    for key in keys:
+        dd.delete(key)
+    repair = dd.config.repair
+    dd.run_for(10 * (repair.grace_window + 2 * repair.check_period))
+    held = [(node.node_id.value, key) for node in dd.storage_nodes for key in keys
+            if node.durable["memtable"].get_any(key) is not None]
+    assert not held, f"{len(held)} tombstone copies still held"

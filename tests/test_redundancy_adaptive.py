@@ -3,8 +3,8 @@
 Covers the AdaptiveRepairPolicy provider (targets monotone in churn,
 clamps, hysteresis, cadence bounds) and the three peer-eviction paths
 that keep ``known_peers`` from accumulating crashed nodes forever:
-liveness-oracle filtering, census-TTL ageing, and repair-exchange
-timeouts.
+liveness-oracle filtering, ageing out two check periods after a peer
+was last seen, and repair-exchange timeouts.
 """
 
 import math
@@ -18,9 +18,10 @@ from repro.common.ids import NodeId
 from repro.estimation.lifetimes import LifetimeEstimator
 from repro.membership import CyclonProtocol
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
-from repro.redundancy.manager import PEER_TTL_CENSUSES, RedundancyManager, RepairPolicy
+from repro.redundancy.manager import RedundancyManager, RepairPolicy
 from repro.redundancy.repair import RangeRepair
 from repro.sieve import BucketSieve
+from repro.sieve.keyspace import node_position, position_bucket
 from repro.sim import Cluster, Simulation, UniformLatency
 from repro.sim.metrics import Metrics
 from repro.store import Memtable
@@ -131,7 +132,7 @@ class TestCadenceAndValidation:
 
     def test_range_repair_follows_the_cadence_factor(self):
         """Adaptive mode paces same-range reconciliation by the factor
-        that paces the census: a 4x calmer population reconciles 4x
+        that paces the range count: a 4x calmer population reconciles 4x
         less often."""
         base = RepairPolicy(check_period=10.0)
         calm = _policy(_estimator(1e6), base=base, period_bounds=(0.5, 4.0))
@@ -213,33 +214,65 @@ def _manager(policy=None, liveness=None) -> RedundancyManager:
     return manager
 
 
+def _range_mates(manager, count):
+    """The first ``count`` peer ids that share the manager's range."""
+    buckets, index = manager.sieve.range_key()[-2:]
+    mates = (value for value in range(1, 10_000)
+             if position_bucket(node_position(NodeId(value)), buckets) == index)
+    return [next(mates) for _ in range(count)]
+
+
 class TestPeerEviction:
-    def test_absorb_evicts_dead_by_liveness_oracle(self):
-        manager = _manager(liveness=lambda value: value != 7)
-        manager.known_peers = [NodeId(5), NodeId(7)]
-        manager._peer_seen = {5: 0, 7: 0}
-        manager.censuses = 1
-        manager._absorb_peers([5])
-        assert [p.value for p in manager.known_peers] == [5]
+    def test_count_drops_peers_dead_by_liveness_oracle(self):
+        alive, dead = _range_mates(_manager(), 2)
+        manager = _manager(liveness=lambda value: value != dead)
+        manager.observe(NodeId(alive), ())
+        manager.observe(NodeId(dead), ())
+        manager.check()
+        assert [p.value for p in manager.known_peers] == [alive]
+        assert manager.last_population == 1.0
         assert manager.host.metrics.counter_value("redundancy.peers_evicted") == 1
 
-    def test_absorb_evicts_peers_unseen_for_ttl_censuses(self):
-        manager = _manager()
-        manager.known_peers = [NodeId(5), NodeId(9)]
-        manager._peer_seen = {5: 0, 9: 0}
-        manager.censuses = PEER_TTL_CENSUSES  # peer 9 unseen for that many censuses
-        manager._absorb_peers([5])  # 5 is re-sighted, 9 is not
-        assert [p.value for p in manager.known_peers] == [5]
+    def test_peers_unseen_for_two_check_periods_stop_counting(self):
+        manager = _manager(RepairPolicy(check_period=10.0))
+        kept, gone = _range_mates(manager, 2)
+        manager.observe(NodeId(kept), ())
+        manager.observe(NodeId(gone), ())
+        manager.host.now = 15.0
+        manager.observe(NodeId(kept), ())  # kept is seen again, gone is not
+        manager.host.now = 20.0  # gone was last seen two periods ago: still counts
+        manager.check()
+        assert manager.last_population == 2.0
+        manager.host.now = 20.5
+        manager.check()
+        assert manager.last_population == 1.0
+        # It stays a repair partner until exchanges with it fail.
+        assert [p.value for p in manager.known_peers] == [kept, gone]
+
+    def test_a_partner_heard_from_counts(self):
+        """A message from a repair partner shows it up, between the
+        shuffles that name it."""
+        manager = _manager(RepairPolicy(check_period=10.0))
+        mate, = _range_mates(manager, 1)
+        manager.note_peer_heard(NodeId(mate))
+        manager.host.now = 20.0
+        manager.check()
+        assert manager.last_population == 1.0
+        manager.host.now = 20.5
+        manager.check()
+        assert manager.last_population == 0.0
 
     def test_note_peer_failed_evicts(self):
         manager = _manager()
-        manager.known_peers = [NodeId(5), NodeId(7)]
-        manager._peer_seen = {5: 0, 7: 0}
-        manager.note_peer_failed(NodeId(7))
-        assert [p.value for p in manager.known_peers] == [5]
-        assert 7 not in manager._peer_seen
+        five, seven = _range_mates(manager, 2)
+        manager.observe(NodeId(five), ())
+        manager.observe(NodeId(seven), ())
+        manager.check()
+        manager.note_peer_failed(NodeId(seven))
+        assert [p.value for p in manager.known_peers] == [five]
+        assert seven not in manager._seen
         # idempotent: evicting an unknown peer is a no-op
-        manager.note_peer_failed(NodeId(7))
+        manager.note_peer_failed(NodeId(seven))
         assert manager.host.metrics.counter_value("redundancy.peers_evicted") == 1
 
     def test_repair_skips_dead_peers(self):
@@ -355,7 +388,7 @@ class TestPeerEviction:
 
     def test_crashed_peer_leaves_known_peers_end_to_end(self):
         """Full deployment: a permanently killed storage node disappears
-        from every survivor's known_peers within a few censuses."""
+        from every survivor's known_peers within a few check periods."""
         from dataclasses import replace
 
         from repro.core.config import DataDropletsConfig
@@ -365,12 +398,12 @@ class TestPeerEviction:
                                     replication=4, redundancy_mode="adaptive")
         config = replace(
             config,
-            repair=replace(config.repair, check_period=3.0, walks_per_check=24),
+            repair=replace(config.repair, check_period=3.0),
         )
         dd = DataDroplets(config).start(warmup=15.0)
         for i in range(12):
             dd.put(f"k{i}", {"v": i})
-        dd.run_for(20.0)  # censuses discover same-range peers
+        dd.run_for(20.0)  # the range counts find same-range peers
         victim = dd.storage_nodes[0]
         victim.crash(permanent=True)
         dd.run_for(30.0)

@@ -63,5 +63,6 @@ class TestIntegratedFailureDetection:
             dd = DataDroplets(DataDropletsConfig(
                 seed=144, n_storage=10, n_soft=2, routing_mode=mode,
             )).start(warmup=5.0)
-            assert not dd.soft_nodes[0].has_protocol("soft-membership")
+            with pytest.raises(KeyError):
+                dd.soft_nodes[0].protocol("soft-membership")
             assert dd.metrics.counter_value("softmembership.heartbeats") == 0
