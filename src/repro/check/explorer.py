@@ -34,6 +34,7 @@ from repro.check.history import HistoryRecorder
 from repro.check.nemesis import Nemesis, NemesisEvent, NemesisSchedule
 from repro.core.config import DataDropletsConfig, IndexSpec
 from repro.core.datadroplets import DataDroplets
+from repro.redundancy.churnbench import adaptive_view
 from repro.redundancy.manager import RepairPolicy
 from repro.workloads.generators import (
     MixRatios,
@@ -238,11 +239,8 @@ def run_case(
     }
     if monitor is not None:
         stats["corruption"] = monitor.summary()
-    if dd.repair_provider is not None:
-        stats["adaptive"] = {
-            k: v for k, v in dd.repair_provider.describe(dd.sim.now).items()
-            if v is not None
-        }
+    if redundancy_mode == "adaptive":
+        stats["adaptive"] = {k: v for k, v in adaptive_view(dd).items() if v is not None}
     return CaseResult(seed=seed, schedule=schedule,
                       violations=violations, stats=stats)
 

@@ -80,11 +80,12 @@ class DataDropletsConfig:
     # runs — aggregates need it — but re-dissemination and same-range
     # reconciliation are disabled). Ablation knob for experiment E6.
     repair_enabled: bool = True
-    # "static": the RepairPolicy above verbatim. "adaptive": session
-    # lifetimes are estimated online from node lifecycle events and a
-    # shared AdaptiveRepairPolicy derives per-range replica targets,
-    # check cadence and grace from predicted survival over the recovery
-    # window (claim C5; the E6 adaptive-vs-static ablation).
+    # "static": the RepairPolicy above verbatim. "adaptive": each storage
+    # node fits its own session-lifetime estimate from the peers it sees
+    # (a session opens at its first sighting and closes at its last) and
+    # its own AdaptiveRepairPolicy derives the replica target, check
+    # cadence and grace from predicted survival over the recovery window
+    # (claim C5; the E6 adaptive-vs-static ablation).
     redundancy_mode: str = "static"
     adaptive_min_deaths: int = 8  # completed sessions before the fit engages
 

@@ -28,11 +28,9 @@ from repro.common.ids import NodeId
 from repro.common.messages import Message
 from repro.core.config import DataDropletsConfig
 from repro.core.storage import VIEW_SIZE, make_storage_stack
-from repro.estimation.lifetimes import LifetimeEstimator
 from repro.obs.overload import AdmissionGate
 from repro.obs.slo import DEFAULT_TENANT
 from repro.obs.trace import Tracer
-from repro.redundancy.adaptive import AdaptiveRepairPolicy
 from repro.sim.churn import PoissonChurn
 from repro.sim.cluster import Cluster
 from repro.sim.metrics import Metrics
@@ -142,34 +140,12 @@ class DataDroplets:
                                           buckets=table_buckets(self.config.n_soft))
         self._request_seq = itertools.count()
 
-        # Churn-adaptive redundancy (claim C5): one shared lifetime
-        # estimator + policy provider so every storage node publishes
-        # consistent replica targets from the same survival estimate.
-        self.lifetimes: Optional[LifetimeEstimator] = None
-        self.repair_provider: Optional[AdaptiveRepairPolicy] = None
-        liveness = None
-        if self.config.redundancy_mode == "adaptive":
-            self.lifetimes = LifetimeEstimator(min_deaths=self.config.adaptive_min_deaths)
-            self.repair_provider = AdaptiveRepairPolicy(
-                base=self.config.repair,
-                lifetimes=self.lifetimes,
-                replication=self.config.replication,
-            )
-            liveness = self.lifetimes.is_alive
-
         self.storage_nodes: List[Node] = self.cluster.add_nodes(
             self.config.n_storage,
-            make_storage_stack(
-                self.config,
-                policy_provider=self.repair_provider,
-                liveness=liveness,
-            ),
+            make_storage_stack(self.config),
             label_prefix="storage-",
             boot=False,
         )
-        if self.lifetimes is not None:
-            for node in self.storage_nodes:
-                node.add_lifecycle_observer(self._on_storage_lifecycle)
         self.soft_nodes: List[Node] = self.cluster.add_nodes(
             self.config.n_soft, self._soft_stack, label_prefix="soft-", boot=False
         )
@@ -183,15 +159,6 @@ class DataDroplets:
         self.admission: Optional[AdmissionGate] = None
         if self.config.admission is not None:
             self.admission = AdmissionGate(self.config.admission, self.metrics)
-
-    def _on_storage_lifecycle(self, node: Node, event: str) -> None:
-        """Feed the shared lifetime estimator from node transitions: a
-        boot opens a session, any kind of departure closes it."""
-        assert self.lifetimes is not None
-        if event == "boot":
-            self.lifetimes.note_join(node.node_id.value, self.sim.now)
-        else:  # "crash", "shutdown" or "dead"
-            self.lifetimes.note_death(node.node_id.value, self.sim.now)
 
     def set_op_observer(self, observer: Optional[Callable[[OpTrace], None]]) -> None:
         """Install (or clear) a per-operation telemetry hook.

@@ -28,16 +28,18 @@ from repro.core.config import DataDropletsConfig, IndexSpec
 from repro.epidemic.eager import EagerGossip
 from repro.estimation.extrema import ExtremaSizeEstimator
 from repro.estimation.histogram import DistributionEstimate, bin_of
+from repro.estimation.lifetimes import LifetimeEstimator
 from repro.estimation.pushsum import PushSumProtocol
 from repro.membership.cyclon import CyclonProtocol
 from repro.overlay.tman import TManProtocol
-from repro.redundancy.manager import RedundancyManager
+from repro.redundancy.adaptive import AdaptiveRepairPolicy
+from repro.redundancy.manager import RedundancyManager, StaticRepairPolicy
 from repro.redundancy.repair import RangeRepair
 from repro.sieve.adaptive import DistributionAwareSieve
 from repro.sieve.base import Sieve, UnionSieve
 from repro.sieve.correlation import TagSieve, field_tag, prefix_tag
 from repro.sieve.keyspace import BucketSieve
-from repro.sim.node import Node, Protocol
+from repro.sim.node import Host, Protocol
 from repro.softstate.coordinator import EpidemicRead, InjectRebuild
 from repro.softstate.messages import (
     AggregateReply,
@@ -628,22 +630,17 @@ class StorageNodeProtocol(Protocol):
         raise ValueError(f"unknown corruption kind {kind!r}")
 
 
-def make_storage_stack(
-    config: DataDropletsConfig,
-    policy_provider=None,
-    liveness=None,
-):
+def make_storage_stack(config: DataDropletsConfig):
     """StackFactory building the full persistent-layer node stack.
 
-    Args:
-        policy_provider: optional shared churn-adaptive policy (see
-            :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`)
-            overriding the static repair targets/cadence.
-        liveness: optional shared ``node value -> bool`` oracle letting
-            the range count drop peers known dead.
+    Under ``redundancy_mode="adaptive"`` each node gets its own
+    :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy` over its own
+    :class:`~repro.estimation.lifetimes.LifetimeEstimator`, which its
+    redundancy manager feeds from the peers it sees; the same factory
+    thus builds the same node on the simulator and on a UDP host.
     """
 
-    def factory(node: Node) -> List[Protocol]:
+    def factory(node: Host) -> List[Protocol]:
         memtable = node.durable.get("memtable")
         if memtable is None:
             memtable = Memtable(
@@ -702,15 +699,20 @@ def make_storage_stack(
         protocols.append(EagerGossip(fanout=size_estimator.fanout_fn(FANOUT_C)))
 
         # --- redundancy ------------------------------------------------------
+        if config.redundancy_mode == "adaptive":
+            policy: StaticRepairPolicy = AdaptiveRepairPolicy(
+                base=config.repair,
+                lifetimes=LifetimeEstimator(min_deaths=config.adaptive_min_deaths),
+                replication=config.replication,
+            )
+        else:
+            policy = StaticRepairPolicy(config.repair, config.replication)
         manager = RedundancyManager(
             memtable=memtable,
             sieve=primary,
             size_estimate_fn=size_fn,
-            policy=config.repair,
-            replication=config.replication,
+            policy=policy,
             active=config.repair_enabled,
-            policy_provider=policy_provider,
-            liveness=liveness,
             # Wrap fallback re-dissemination so receiving storage nodes
             # recognise the payload (a bare item would be dropped as
             # storage.unknown_gossip_payload).
@@ -724,15 +726,13 @@ def make_storage_stack(
                 # With repair disabled the reconciler gets no partners —
                 # the range count still runs for aggregate corrections.
                 peer_source=manager.same_range_peers if config.repair_enabled else (lambda: []),
-                period=config.repair_period,
-                max_failures=MAX_PEER_FAILURES,
-                on_peer_failed=manager.note_peer_failed,
-                on_peer_heard=manager.note_peer_heard,
                 # Adaptive mode reconciles on the check cadence: with the
                 # range count free, repair rounds are what a calm
                 # population can save.
-                period_scale=(policy_provider.cadence_factor
-                              if policy_provider is not None else None),
+                period=lambda: config.repair_period * policy.cadence_factor(node.now),
+                max_failures=MAX_PEER_FAILURES,
+                on_peer_failed=manager.note_peer_failed,
+                on_peer_heard=manager.note_peer_heard,
             )
         )
 

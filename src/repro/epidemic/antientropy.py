@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.ids import NodeId
 from repro.common.messages import Message, mask_indices, message_type, pack_mask
@@ -157,7 +157,8 @@ class AntiEntropy(Protocol):
 
     Args:
         store: versioned store adapter.
-        period: seconds between reconciliation rounds.
+        period: seconds between reconciliation rounds, or a function
+            read again at every round.
         membership: sibling PeerSampler protocol name.
         max_digest: cap on digest entries shipped per round (bandwidth
             guard for huge stores; a random cover is sent each round).
@@ -173,7 +174,7 @@ class AntiEntropy(Protocol):
     def __init__(
         self,
         store: AntiEntropyStore,
-        period: float = 5.0,
+        period: Union[float, Callable[[], float]] = 5.0,
         membership: str = "membership",
         max_digest: Optional[int] = None,
         ack_clean: bool = False,

@@ -1,10 +1,12 @@
-"""Online session-lifetime estimation from membership events (claim C5).
+"""Online session-lifetime estimation from sightings of peers (claim C5).
 
 The paper's churn argument (§III-A) is that transient crash/reboot
 departures vastly outnumber permanent failures, so redundancy
 constraints can be relaxed within a *recovery window* — but only if the
-system actually knows how long sessions live. This module turns the
-membership event stream (join / alive / dead) into that knowledge:
+system actually knows how long sessions live. This module turns a
+stream of session boundaries into that knowledge; each storage node's
+redundancy manager feeds its own estimator, opening a peer's session at
+its first sighting and closing it at its last:
 
 * :class:`LifetimeEstimator` ingests per-member session boundaries and
   keeps sums over completed lifetimes plus the start times of
@@ -107,11 +109,12 @@ def _log_likelihood(shape: float, scale: float,
 class LifetimeEstimator:
     """Streaming censored estimator of member session lifetimes.
 
-    Feed it the membership event stream — :meth:`note_join` when a
-    member comes up, :meth:`note_death` when it goes down (crash,
-    shutdown or permanent death all end the *session*; a reboot later
-    starts a new one). Sessions still open at query time enter the fits
-    as right-censored exposure.
+    Feed it session boundaries — :meth:`note_join` when a member is
+    first seen up, :meth:`note_death` with the time it was last seen up
+    once it has gone (a redundancy manager calls both from its
+    sightings; a member seen again later starts a new session).
+    Sessions still open at query time enter the fits as right-censored
+    exposure.
 
     Args:
         min_deaths: completed sessions required before :meth:`fit`
@@ -155,9 +158,6 @@ class LifetimeEstimator:
         self._samples.append(lifetime)
 
     # -- streaming state -----------------------------------------------
-    def is_alive(self, member: int) -> bool:
-        return member in self._alive
-
     @property
     def completed_count(self) -> int:
         return self._completed

@@ -3,8 +3,12 @@
 Static redundancy spends repair bandwidth as if every departure were
 permanent. :class:`AdaptiveRepairPolicy` instead derives the replica
 target, check cadence and repair grace from the *measured* session
-survival of the population (a :class:`~repro.estimation.lifetimes.
-LifetimeEstimator` fed by the membership event stream):
+survival of the peers one node sees (a :class:`~repro.estimation.lifetimes.
+LifetimeEstimator` that the node's
+:class:`~repro.redundancy.manager.RedundancyManager` feeds from the
+peer-sampling stream: a peer's session opens at its first sighting and
+closes at its last, once the peer lapses out of the count window or
+repair exchanges with it fail):
 
 * **replica target** — the smallest r for which the probability that
   *all* r replicas of a range die within one recovery window stays
@@ -25,10 +29,10 @@ them: *raises* apply immediately (safety never waits), *lowers* only
 after the lower value has been recomputed ``lower_rounds`` consecutive
 times for that range.
 
-One provider instance is shared by every node of a deployment (see
-``DataDropletsConfig(redundancy_mode="adaptive")``), so all replicas of
-a sieve range publish the same target and per-range hysteresis state is
-kept exactly once.
+Each storage node builds its own policy over its own estimator (see
+``DataDropletsConfig(redundancy_mode="adaptive")``): nothing is shared
+and no input comes from outside the node's own messages, so the replicas
+of a range publish targets from their own, similar, views of the churn.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.estimation.lifetimes import LifetimeEstimator
-from repro.redundancy.manager import RepairPolicy
+from repro.redundancy.manager import RepairPolicy, StaticRepairPolicy
 
 
 @dataclass
@@ -50,19 +54,20 @@ class _RangeState:
     streak: int
 
 
-class AdaptiveRepairPolicy:
-    """Policy provider mapping survival estimates to repair urgency.
+class AdaptiveRepairPolicy(StaticRepairPolicy):
+    """Repair policy mapping survival estimates to repair urgency.
 
-    Implements the provider seam of
-    :class:`~repro.redundancy.manager.RedundancyManager`:
-    ``target_for(now, range_key)``, ``check_period(now)`` and
-    ``grace_window(now)``. Until the estimator has seen ``min_deaths``
-    completed sessions every answer equals the static ``base`` policy
-    and ``replication``.
+    Answers the calls of :class:`~repro.redundancy.manager.
+    StaticRepairPolicy` (``target_for(now, range_key)``,
+    ``check_period(now)``, ``grace_window(now)``,
+    ``cadence_factor(now)``) from ``lifetimes``. Until the estimator has
+    seen ``min_deaths`` completed sessions every answer equals the
+    static ``base`` policy and ``replication``.
 
     Args:
         base: the static policy supplying fallbacks and base cadence.
-        lifetimes: shared lifetime estimator (membership-event fed).
+        lifetimes: the node's session estimator, which its redundancy
+            manager feeds from its sightings.
         replication: the deployment's r, the target before the fit
             engages.
         r_min / r_max: hard clamps on the published replica target.
@@ -108,9 +113,8 @@ class AdaptiveRepairPolicy:
             raise ValueError("period_bounds must satisfy 0 < min <= max")
         if not 0.0 < reference_death_probability < 1.0:
             raise ValueError("reference_death_probability must be in (0, 1)")
-        self.base = base
+        super().__init__(base, replication)
         self.lifetimes = lifetimes
-        self.replication = replication
         self.r_min = r_min
         self.r_max = r_max
         self.loss_tolerance = loss_tolerance

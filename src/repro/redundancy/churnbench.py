@@ -115,6 +115,14 @@ def session_trace(
     return actions
 
 
+def adaptive_view(dd) -> Dict[str, Optional[float]]:
+    """The adaptive policy's knobs as the up storage node with the most
+    completed sessions sees them (each node fits its own estimate)."""
+    node = max((n for n in dd.storage_nodes if n.is_up),
+               key=lambda n: n.protocol("redundancy").policy.lifetimes.completed_count)
+    return node.protocol("redundancy").policy.describe(dd.sim.now)
+
+
 def _replica_counts(dd, keys: int) -> List[int]:
     """UP-node durable replica count per preloaded key."""
     counts = []
@@ -153,8 +161,7 @@ def measure_redundancy_modes(
     ``min_replicas``/``mean_replicas`` post-heal, repair activity
     counters, ``count_error`` (mean of :func:`count_errors` sampled every
     check period from the churn's start to the end of the heal), and —
-    for the adaptive mode — the policy's view of the
-    estimated survival and published target.
+    for the adaptive mode — :func:`adaptive_view`.
     """
     from repro.core.config import DataDropletsConfig
     from repro.core.datadroplets import DataDroplets
@@ -215,8 +222,8 @@ def measure_redundancy_modes(
             "peers_evicted": dd.metrics.counter_value("redundancy.peers_evicted"),
         }
         row["count_error"] = statistics.fmean(errors) if errors else float("nan")
-        if dd.repair_provider is not None:
-            for key, value in dd.repair_provider.describe(dd.sim.now).items():
+        if mode == "adaptive":
+            for key, value in adaptive_view(dd).items():
                 row[f"adaptive_{key}"] = value
         results[mode] = row
     return results

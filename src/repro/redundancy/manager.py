@@ -24,8 +24,8 @@ At every check tick the node takes its count:
 * the peers last counted in its range feed :class:`RangeRepair`
   (direct reconciliation); they stay partners after the count has lost
   sight of them, since they hold the range's copies, until repair
-  exchanges with them fail, the liveness oracle calls them dead or a
-  re-cut of the grid puts them in another range, and
+  exchanges with them fail or a re-cut of the grid puts them in another
+  range, and
 * if the range population stays below the replication target for longer
   than the *grace window* (the paper's churn-relaxation: most nodes
   come back after a reboot, so don't panic-repair), timed from when the
@@ -36,21 +36,26 @@ At every check tick the node takes its count:
   gossip re-dissemination of the whole range only when no live peer is
   known.
 
-The replication target, check cadence and grace window are either the
-deployment's r and the static :class:`RepairPolicy` values or, when a
-*policy provider* (see :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`)
-is plugged in, recomputed every check from the measured churn of the
-population; the provider's cadence factor then paces :class:`RangeRepair` too.
+The replication target, check cadence and grace window come from the
+node's policy: :class:`StaticRepairPolicy` answers with the deployment's
+r and the :class:`RepairPolicy` periods, while
+:class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy` recomputes them
+every check from a survival estimate this node fits from its own
+sightings. A peer's session opens at its first sighting inside the count
+window and closes at its last sighting, once the peer lapses out of the
+window or repair exchanges with it fail, so a reboot shorter than the
+window stays one session: the transient departure C5 relaxes for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.ids import NodeId
 from repro.common.messages import walked_size
+from repro.estimation.lifetimes import LifetimeEstimator
 from repro.membership.views import NodeDescriptor
 from repro.sieve.base import Sieve
 from repro.sieve.keyspace import node_position, position_bucket
@@ -70,7 +75,7 @@ REPAIR_FANOUT = 3
 class RepairPolicy:
     """Tunables of redundancy maintenance. The replication target is
     not one of them: it is the deployment's r, the same that sizes the
-    sieve (``RedundancyManager(replication=)``).
+    sieve (``StaticRepairPolicy(replication=)``).
 
     Attributes:
         check_period: seconds between checks of the range population; a
@@ -88,6 +93,39 @@ class RepairPolicy:
             raise ValueError("check_period must be positive")
         if self.grace_window < 0:
             raise ValueError("grace_window must be non-negative")
+
+
+class StaticRepairPolicy:
+    """The static arm of claim C5: the deployment's r and the
+    :class:`RepairPolicy` periods, whatever the churn. The adaptive arm
+    (:class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`) answers
+    the same calls from a survival estimate that the node's
+    :class:`RedundancyManager` feeds into ``lifetimes``.
+
+    Args:
+        base: the check period and grace window.
+        replication: the deployment's r, as given to the sieve.
+    """
+
+    #: The session estimator the manager feeds; the static arm has none.
+    lifetimes: Optional[LifetimeEstimator] = None
+
+    def __init__(self, base: RepairPolicy, replication: int):
+        self.base = base
+        self.replication = replication
+
+    def target_for(self, now: float, range_key: Hashable = None) -> int:
+        return self.replication
+
+    def check_period(self, now: float) -> float:
+        return self.base.check_period
+
+    def grace_window(self, now: float) -> float:
+        return self.base.grace_window
+
+    def cadence_factor(self, now: float) -> float:
+        """Multiplier on the range-repair period."""
+        return 1.0
 
 
 def _bucket_grid(range_key: Any) -> Optional[Tuple[int, int]]:
@@ -111,13 +149,9 @@ class RedundancyManager(Protocol):
     Args:
         size_estimate_fn: the node's cluster-size estimate N̂, which sets
             how many shuffle rounds the count window spans.
-        replication: the replica target (the paper's r, as given to the
-            sieve).
-        policy_provider: optional churn-adaptive override supplying
-            ``target_for(now, range_key)``, ``check_period(now)`` and
-            ``grace_window(now)``; None keeps the static ``policy``.
-        liveness: optional oracle ``value -> bool`` (e.g. the lifetime
-            estimator's ``is_alive``) used to drop peers known dead.
+        policy: the replica target, check period and grace window
+            (:class:`StaticRepairPolicy` or an adaptive one, whose
+            ``lifetimes`` the manager feeds from its sightings).
         repair_wrap: wraps an item before gossip re-dissemination so the
             receiving stack recognises the payload (the storage stack
             passes a ``WritePayload`` constructor; the default broadcasts
@@ -133,25 +167,20 @@ class RedundancyManager(Protocol):
         memtable: Memtable,
         sieve: Sieve,
         size_estimate_fn: Callable[[], float],
-        policy: RepairPolicy = RepairPolicy(),
+        policy: StaticRepairPolicy,
         *,
-        replication: int,
         gossip: str = "gossip",
         active: bool = True,
-        policy_provider: Optional[Any] = None,
-        liveness: Optional[Callable[[int], bool]] = None,
         repair_wrap: Optional[Callable[[Any], Any]] = None,
         repair_peer: str = "range-repair",
     ):
         super().__init__()
         self.active = active
-        self.replication = replication
         self.memtable = memtable
         self.sieve = sieve
         self.size_estimate_fn = size_estimate_fn
         self.policy = policy
-        self.policy_provider = policy_provider
-        self.liveness = liveness
+        self.lifetimes = policy.lifetimes
         self.repair_wrap = repair_wrap
         self.gossip_name = gossip
         self.repair_peer_name = repair_peer
@@ -167,6 +196,9 @@ class RedundancyManager(Protocol):
         #: (its reply and, on average, one request); read at start.
         self._shuffle_period = 1.0
         self._ids_per_round = 16.0
+        #: the count window at the last check (sightings older than it
+        #: open no session); its floor until the first check.
+        self._window = 2.0 * policy.base.check_period
         self.repairs_triggered = 0
 
     # ------------------------------------------------------------------
@@ -175,7 +207,7 @@ class RedundancyManager(Protocol):
         self._shuffle_period = sampler.period  # type: ignore[attr-defined]
         self._ids_per_round = 2.0 * sampler.shuffle_size  # type: ignore[attr-defined]
         sampler.set_observer(self.observe)  # type: ignore[attr-defined]
-        # The provider may change the period between checks, so each
+        # The policy may change the period between checks, so each
         # delay is read again at scheduling time.
         self._timer = self.every(self.current_check_period, self.check)
 
@@ -183,21 +215,8 @@ class RedundancyManager(Protocol):
         if self._timer is not None:
             self._timer.stop()
 
-    # -- adaptive knobs --------------------------------------------------
     def current_check_period(self) -> float:
-        if self.policy_provider is not None:
-            return self.policy_provider.check_period(self.host.now)
-        return self.policy.check_period
-
-    def current_target(self, range_key) -> int:
-        if self.policy_provider is not None:
-            return self.policy_provider.target_for(self.host.now, range_key)
-        return self.replication
-
-    def current_grace_window(self) -> float:
-        if self.policy_provider is not None:
-            return self.policy_provider.grace_window(self.host.now)
-        return self.policy.grace_window
+        return self.policy.check_period(self.host.now)
 
     def count_window(self) -> float:
         """Seconds a peer counts after it was last known up: two check
@@ -215,6 +234,10 @@ class RedundancyManager(Protocol):
         now = self.host.now
         seen = self._seen
         seen[sender.value] = now
+        sessions = self.lifetimes
+        if sessions is not None:
+            sessions.note_join(sender.value, now)
+        opened_after = now - self._window
         me = self.host.node_id.value
         period = self._shuffle_period
         for descriptor in entries:
@@ -222,12 +245,16 @@ class RedundancyManager(Protocol):
             at = now - descriptor.age * period
             if value != me and at > seen.get(value, -math.inf):
                 seen[value] = at
+                if sessions is not None and at >= opened_after:
+                    sessions.note_join(value, at)
 
     def note_peer_heard(self, peer: NodeId) -> None:
         """A repair partner sent something, so it is up now (wired to
         RangeRepair's ``on_peer_heard``): partners vouch for each other
         between the shuffles that name them."""
         self._seen[peer.value] = self.host.now
+        if self.lifetimes is not None:
+            self.lifetimes.note_join(peer.value, self.host.now)
 
     def same_range_peers(self) -> List[NodeId]:
         """Peers last known to share this node's range (the RangeRepair
@@ -236,9 +263,11 @@ class RedundancyManager(Protocol):
 
     def note_peer_failed(self, peer: NodeId) -> None:
         """Evict a peer that stopped answering repair exchanges (wired
-        to RangeRepair's ``on_peer_failed``); it counts again once a
-        shuffle shows it up."""
-        self._seen.pop(peer.value, None)
+        to RangeRepair's ``on_peer_failed``), closing its session at its
+        last sighting; it counts again once a shuffle shows it up."""
+        last = self._seen.pop(peer.value, None)
+        if self.lifetimes is not None and last is not None:
+            self.lifetimes.note_death(peer.value, last)
         if self._partners.pop(peer.value, None) is not None:
             self.known_peers = [p for p in self.known_peers if p.value != peer.value]
             self.host.metrics.counter("redundancy.peers_evicted").inc()
@@ -253,20 +282,17 @@ class RedundancyManager(Protocol):
             return
         buckets, index = grid
         now = self.host.now
-        dead = [value for value in self._seen if not self._is_live(value)]
-        dead += [value for value in self._partners
-                 if value not in self._seen and not self._is_live(value)]
-        for value in dead:
-            self._seen.pop(value, None)
-            self._partners.pop(value, None)
-        if dead:
-            self.host.metrics.counter("redundancy.peers_evicted").inc(len(dead))
         # Range mates, freshest first, with those that lapsed since the
         # last check: they date when the range fell short.
         mates = sorted(((at, value) for value, at in self._seen.items()
                         if position_bucket(node_position(NodeId(value)), buckets) == index),
                        reverse=True)
-        horizon = now - self.count_window()
+        self._window = self.count_window()
+        horizon = now - self._window
+        if self.lifetimes is not None:
+            for value, at in self._seen.items():
+                if at < horizon:  # lapsed: its session ended when last seen
+                    self.lifetimes.note_death(value, at)
         self._seen = {value: at for value, at in self._seen.items() if at >= horizon}
         peers = [value for at, value in mates if at >= horizon]
         # Partners outlive the window but not a re-cut of the grid.
@@ -281,40 +307,34 @@ class RedundancyManager(Protocol):
         population = float(len(peers))
         self.last_population = population
         self.host.metrics.histogram("redundancy.population").observe(population)
-        target = self.current_target(range_key)
+        target = self.policy.target_for(now, range_key)
         self.host.metrics.gauge("redundancy.target").set(target)
         if population + 1 < target:  # +1: we cover it ourselves
             if self._deficient_since is None:
                 # Short since the (target - 1)-th freshest mate was last seen.
                 short = target - 2
                 self._deficient_since = mates[short][0] if short < len(mates) else now
-            if now - self._deficient_since >= self.current_grace_window():
+            if now - self._deficient_since >= self.policy.grace_window(now):
                 if self.active:
                     self._repair()
                 self._deficient_since = now  # back off one window
         else:
             self._deficient_since = None
 
-    def _is_live(self, value: int) -> bool:
-        return self.liveness is None or self.liveness(value)
-
     # ------------------------------------------------------------------
     def _repair(self) -> None:
         """Restore range redundancy: targeted bucketed reconciliation
-        with live known peers, gossip re-dissemination as last resort."""
+        with known peers, gossip re-dissemination as last resort."""
         self.host.metrics.counter("redundancy.repairs").inc()
         repair = None
         try:
             repair = self.host.protocol(self.repair_peer_name)
         except KeyError:
             pass
-        live_peers = sorted(
-            (p for p in self.known_peers if self._is_live(p.value)),
-            key=lambda p: p.value,
-        )
-        if repair is not None and live_peers:
-            count = min(REPAIR_FANOUT, len(live_peers))
-            for peer in self.host.rng.sample(live_peers, count):
+        peers = self.known_peers
+        if repair is not None and peers:
+            count = min(REPAIR_FANOUT, len(peers))
+            for peer in self.host.rng.sample(peers, count):
                 repair.repair_with(peer)  # type: ignore[attr-defined]
             self.repairs_triggered += 1
             self.host.metrics.counter("redundancy.targeted_repairs").inc(count)
@@ -324,7 +344,7 @@ class RedundancyManager(Protocol):
     def _redisseminate(self) -> None:
         """Fallback: re-broadcast own-range items so the current
         population re-places them (new/widened sieves admit them on
-        arrival). Only reached when no live same-range peer is known."""
+        arrival). Only reached when no same-range peer is known."""
         gossip = self.host.protocol(self.gossip_name)
         batch = 0
         repair_bytes = 0

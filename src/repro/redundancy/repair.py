@@ -19,7 +19,7 @@ few writes re-evaluates only the dirtied buckets. A sieve-range change
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.ids import NodeId
 from repro.epidemic.antientropy import (
@@ -164,9 +164,9 @@ class RangeRepair(AntiEntropy):
     them forever. Every message a peer sends is reported through
     ``on_peer_heard``: the manager counts it as seen up.
 
-    ``period_scale`` (a function of the current time) multiplies
-    ``period`` at every round; the adaptive redundancy policy passes its
-    cadence factor, so a calm population reconciles less often.
+    ``period`` may be a function, read again at every round: the storage
+    stack passes the repair period times its policy's cadence factor, so
+    under the adaptive policy a calm population reconciles less often.
     """
 
     name = "range-repair"
@@ -176,13 +176,12 @@ class RangeRepair(AntiEntropy):
         memtable: Memtable,
         sieve: Sieve,
         peer_source: PeerSource,
-        period: float = 10.0,
+        period: Union[float, Callable[[], float]] = 10.0,
         max_digest: Optional[int] = None,
         exchange_timeout: float = 4.0,
         max_failures: int = 2,
         on_peer_failed: Optional[Callable[[NodeId], None]] = None,
         on_peer_heard: Optional[Callable[[NodeId], None]] = None,
-        period_scale: Optional[Callable[[float], float]] = None,
     ):
         super().__init__(
             store=RangeScopedStore(memtable, sieve),
@@ -199,7 +198,6 @@ class RangeRepair(AntiEntropy):
         self.max_failures = max_failures
         self.on_peer_failed = on_peer_failed
         self.on_peer_heard = on_peer_heard
-        self.period_scale = period_scale
         #: peer value -> deadline of the oldest unanswered exchange.
         self._outstanding: Dict[int, float] = {}
         self._failures: Dict[int, int] = {}
@@ -207,13 +205,6 @@ class RangeRepair(AntiEntropy):
     def bind(self, host) -> None:
         super().bind(host)
         self._c_timeouts = host.metrics.counter("range_repair.exchange_timeouts")
-
-    def on_start(self) -> None:
-        scale = self.period_scale
-        if scale is None:
-            super().on_start()
-        else:
-            self._timer = self.every(lambda: self.period * scale(self.host.now), self.run_round)
 
     def select_peer(self) -> Optional[NodeId]:
         peers = self.peer_source()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, ClassVar, Dict, Optional, Sequence, Union
 
 from repro.common.errors import NodeDownError
 from repro.common.ids import NodeId
@@ -213,9 +213,6 @@ class Node(Host):
         self._epoch = 0
         self._rng = sim.rng(f"node:{node_id.value}")
         self.boot_count = 0
-        #: Survives crashes (unlike protocol stacks): observers watch the
-        #: node from outside, e.g. to feed session-lifetime estimators.
-        self._lifecycle_observers: List[Callable[["Node", str], None]] = []
         network.register(self)
 
     # -- Host interface --------------------------------------------------
@@ -268,19 +265,6 @@ class Node(Host):
     def is_up(self) -> bool:
         return self.state is NodeState.UP
 
-    def add_lifecycle_observer(self, observer: Callable[["Node", str], None]) -> None:
-        """Register ``observer(node, event)`` for lifecycle transitions.
-
-        Events: ``"boot"``, ``"crash"`` (transient), ``"shutdown"``
-        (graceful), ``"dead"`` (permanent). Observers are notified after
-        the state change and persist across crashes and reboots.
-        """
-        self._lifecycle_observers.append(observer)
-
-    def _notify_lifecycle(self, event: str) -> None:
-        for observer in self._lifecycle_observers:
-            observer(self, event)
-
     def boot(self) -> None:
         """Start (or restart) the node with a fresh protocol stack."""
         if self.state is NodeState.DEAD:
@@ -300,23 +284,19 @@ class Node(Host):
         # resolve sibling protocols.
         for proto in self._protocols.values():
             proto.on_start()
-        self._notify_lifecycle("boot")
 
     def crash(self, permanent: bool = False) -> None:
         """Fail abruptly: timers die, soft state is lost, no on_stop."""
         if self.state is not NodeState.UP:
             if permanent and self.state is not NodeState.DEAD:
                 self._become_dead()
-                self._notify_lifecycle("dead")
             return
         self._epoch += 1
         self._protocols = {}
         if permanent:
             self._become_dead()
-            self._notify_lifecycle("dead")
         else:
             self.state = NodeState.DOWN
-            self._notify_lifecycle("crash")
 
     def shutdown(self) -> None:
         """Stop gracefully (protocols get on_stop), keeping durable state."""
@@ -327,7 +307,6 @@ class Node(Host):
         self._epoch += 1
         self._protocols = {}
         self.state = NodeState.DOWN
-        self._notify_lifecycle("shutdown")
 
     def _become_dead(self) -> None:
         self.state = NodeState.DEAD

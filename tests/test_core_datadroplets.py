@@ -20,6 +20,7 @@ from repro.core.config import IndexSpec as CoreIndexSpec
 from repro.core.storage import make_storage_stack
 from repro.common.errors import ConfigurationError
 from repro.epidemic import EagerGossip
+from repro.redundancy import AdaptiveRepairPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.simulator import Simulation
 from repro.softstate.coordinator import SoftStateConfig
@@ -177,7 +178,27 @@ class TestConfigValidation:
             for node in (standalone, facade):
                 manager = node.protocol("redundancy")
                 assert manager.sieve.replication == r
-                assert manager.current_target(manager.sieve.range_key()) == r
+                assert manager.policy.target_for(0.0, manager.sieve.range_key()) == r
+
+    def test_a_standalone_adaptive_stack_runs_the_adaptive_policy(self):
+        """A stack that ``make_storage_stack`` builds on a bare cluster,
+        as the UDP hosts build theirs, runs the policy its config names:
+        under ``"adaptive"`` each node fits its own survival estimate
+        from the peers it sees, with no facade feeding it."""
+        config = DataDropletsConfig(n_storage=12, n_soft=1, replication=3,
+                                    redundancy_mode="adaptive", adaptive_min_deaths=2)
+        sim = Simulation(seed=5)
+        cluster = Cluster(sim)
+        nodes = cluster.add_nodes(12, make_storage_stack(config))
+        cluster.seed_views("membership", 8)
+        sim.run_for(20.0)
+        for node in nodes[:3]:
+            node.crash()
+        sim.run_for(60.0)
+        policy = nodes[-1].protocol("redundancy").policy
+        assert isinstance(policy, AdaptiveRepairPolicy)
+        assert policy.lifetimes.completed_count >= 3
+        assert policy.survival_over_window(sim.now) is not None
 
 
 class TestDefaultsAreTheMeasuredPath:

@@ -43,12 +43,12 @@ class TestEventIngestion:
         assert est.completed_count == 0
         assert est.censored_ages(40.0) == []
 
-    def test_is_alive_tracks_open_sessions(self):
+    def test_open_sessions_are_the_censored_ones(self):
         est = LifetimeEstimator()
         est.note_join(1, 0.0)
-        assert est.is_alive(1)
+        assert est.censored_ages(2.0) == [2.0]
         est.note_death(1, 5.0)
-        assert not est.is_alive(1)
+        assert est.censored_ages(6.0) == []
 
     def test_reboot_opens_a_new_session(self):
         est = LifetimeEstimator(min_deaths=1)
@@ -209,8 +209,10 @@ class TestTraceChurnSessions:
         assert fit.mean_lifetime == pytest.approx(mean_lifetime, rel=0.35)
 
     def test_simulated_cluster_feeds_estimator(self):
-        """End-to-end: DataDroplets in adaptive mode wires lifecycle
-        events into its shared estimator."""
+        """End-to-end: in adaptive mode each storage node's redundancy
+        manager feeds its own estimator from the peers it sees — a
+        session opens at a peer's first sighting and closes at its last,
+        once the peer lapses out of the count window."""
         from dataclasses import replace
 
         from repro.core.config import DataDropletsConfig
@@ -220,12 +222,14 @@ class TestTraceChurnSessions:
                                     replication=3, redundancy_mode="adaptive")
         config = replace(config, adaptive_min_deaths=2)
         dd = DataDroplets(config).start(warmup=10.0)
-        assert dd.lifetimes is not None
-        assert len(dd.lifetimes.censored_ages(dd.sim.now)) == 12
+        observer = dd.storage_nodes[-1].protocol("redundancy")
+        sessions = observer.policy.lifetimes
+        assert sessions is observer.lifetimes
+        assert len(sessions.censored_ages(dd.sim.now)) == 11  # every peer, once
+        assert sessions.completed_count == 0
         dd.storage_nodes[0].crash()
         dd.storage_nodes[1].crash(permanent=True)
-        dd.run_for(5.0)
-        assert dd.lifetimes.completed_count == 2
-        assert not dd.lifetimes.is_alive(dd.storage_nodes[0].node_id.value)
-        dd.storage_nodes[0].boot()
-        assert dd.lifetimes.is_alive(dd.storage_nodes[0].node_id.value)
+        dd.run_for(observer.count_window() + 2 * config.repair.check_period)
+        assert sessions.completed_count == 2
+        assert len(sessions.censored_ages(dd.sim.now)) == 9
+        assert observer.policy.survival_over_window(dd.sim.now) is not None

@@ -198,3 +198,49 @@ def test_a_deletes_tombstones_are_gone_ten_recovery_windows_later():
     held = [(node.node_id.value, key) for node in dd.storage_nodes for key in keys
             if node.durable["memtable"].get_any(key) is not None]
     assert not held, f"{len(held)} tombstone copies still held"
+
+
+def _split(dd, side_a):
+    """Cut every link between ``side_a`` and the rest of the cluster."""
+    dd.cluster.network.set_partition(lambda src, dst: (src in side_a) == (dst in side_a))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8(a): coordinators pick write entry points from "
+                          "the simulator's list of up storage nodes, reachable or not")
+def test_a_coordinator_cut_from_half_the_storage_layer_still_writes():
+    """The coordinator, the client and half of the 16 storage nodes on
+    one side of a split: every storage node on its side is up and
+    reachable, yet 4 of 40 puts fail ``unavailable``, since each of
+    their three dispatches went to a node across the split."""
+    dd = DataDroplets(DataDropletsConfig(
+        seed=1, n_storage=16, n_soft=1, replication=4)).start()
+    _split(dd, {node.node_id for node in dd.storage_nodes[:8]}
+           | {dd.soft_nodes[0].node_id, dd.client_node.node_id})
+    versions = put_each(dd, ((f"k{i}", {"v": i}) for i in range(40)))
+    unavailable = [key for key, version in versions.items() if version is None]
+    assert not unavailable, f"{len(unavailable)} puts failed unavailable: {unavailable}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="membership/cyclon.py: an overlay a partition split never re-merges")
+def test_a_split_overlay_re_merges_after_the_heal():
+    """E14's cluster (seed 1400, 40 storage nodes) split in halves for
+    30 virtual s: 60 s after the heal no storage node's Cyclon view
+    names a peer on the other side (330 such entries before the split),
+    because a shuffle target that does not answer is dropped and the
+    address cache is rewritten from the current view every round."""
+    n = 40
+    dd = DataDroplets(DataDropletsConfig(
+        seed=1400, n_storage=n, n_soft=2, replication=4)).start(warmup=15.0)
+    dd.run_for(20.0)
+    side_a = {node.node_id for node in dd.storage_nodes[: n // 2]}
+    side_a |= {dd.soft_nodes[0].node_id, dd.client_node.node_id}
+    _split(dd, side_a)
+    dd.run_for(30.0)
+    dd.cluster.network.set_partition(None)
+    dd.run_for(60.0)
+    across = sum(1 for node in dd.storage_nodes
+                 for peer in node.protocol("membership").view.peers()
+                 if (peer in side_a) != (node.node_id in side_a))
+    assert across > 0

@@ -17,7 +17,7 @@ from repro.core.storage import SHUFFLE_SIZE, VIEW_SIZE
 from repro.epidemic import EagerGossip
 from repro.estimation import ExtremaSizeEstimator
 from repro.membership import CyclonProtocol
-from repro.redundancy import RangeRepair, RedundancyManager, RepairPolicy
+from repro.redundancy import RangeRepair, RedundancyManager, RepairPolicy, StaticRepairPolicy
 from repro.redundancy.churnbench import count_errors, walks_needed
 from repro.sieve import BucketSieve
 from repro.sieve.coverage import range_population
@@ -51,8 +51,8 @@ def _storage_stack_for_redundancy(policy, replication=6, n_estimate=None, target
         size_fn = (lambda: n_estimate) if n_estimate else size_est.estimate
         sieve = BucketSieve(node.node_id, replication, size_fn)
         gossip = EagerGossip(fanout=8)
-        manager = RedundancyManager(memtable, sieve, size_fn, policy,
-                                    replication=target or replication)
+        manager = RedundancyManager(memtable, sieve, size_fn,
+                                    StaticRepairPolicy(policy, target or replication))
         repair = RangeRepair(memtable, sieve, manager.same_range_peers, period=2.0,
                              on_peer_failed=manager.note_peer_failed,
                              on_peer_heard=manager.note_peer_heard)

@@ -1,10 +1,11 @@
 """Churn-adaptive redundancy: policy maths, hysteresis, peer eviction.
 
-Covers the AdaptiveRepairPolicy provider (targets monotone in churn,
-clamps, hysteresis, cadence bounds) and the three peer-eviction paths
+Covers the AdaptiveRepairPolicy (targets monotone in churn, clamps,
+hysteresis, cadence bounds), the sessions a redundancy manager feeds its
+policy's estimator from its own sightings, and the peer-eviction paths
 that keep ``known_peers`` from accumulating crashed nodes forever:
-liveness-oracle filtering, ageing out two check periods after a peer
-was last seen, and repair-exchange timeouts.
+ageing out two check periods after a peer was last seen, and
+repair-exchange timeouts.
 """
 
 import math
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 from repro.common.ids import NodeId
 from repro.estimation.lifetimes import LifetimeEstimator
 from repro.membership import CyclonProtocol
+from repro.membership.cyclon import CACHED_AGE
+from repro.membership.views import NodeDescriptor
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
-from repro.redundancy.manager import RedundancyManager, RepairPolicy
+from repro.redundancy.manager import RedundancyManager, RepairPolicy, StaticRepairPolicy
 from repro.redundancy.repair import RangeRepair
 from repro.sieve import BucketSieve
 from repro.sieve.keyspace import node_position, position_bucket
@@ -139,7 +142,7 @@ class TestCadenceAndValidation:
         assert calm.cadence_factor(200.0) == pytest.approx(4.0)
         assert calm.check_period(200.0) == base.check_period * calm.cadence_factor(200.0)
 
-        def rounds(period_scale):
+        def rounds(scale):
             sim = Simulation(seed=29)
             cluster = Cluster(sim, latency=UniformLatency(0.005, 0.02))
             ids = []
@@ -152,15 +155,16 @@ class TestCadenceAndValidation:
                     return [i for i in ids if i != node.node_id]
 
                 return [CyclonProtocol(view_size=4, shuffle_size=2, period=1.0),
-                        RangeRepair(memtable, sieve, peer_source=others, period=1.0,
-                                    period_scale=period_scale)]
+                        RangeRepair(memtable, sieve, peer_source=others,
+                                    period=lambda: 1.0 * scale(node.now))]
 
             ids += [node.node_id for node in cluster.add_nodes(2, factory)]
             cluster.seed_views("membership", 1)
             sim.run_for(80.0)
             return cluster.metrics.counter_value("antientropy.rounds")
 
-        static, adaptive = rounds(None), rounds(lambda now: calm.cadence_factor(now + 200.0))
+        steady = StaticRepairPolicy(base, replication=4)
+        static, adaptive = rounds(steady.cadence_factor), rounds(calm.cadence_factor)
         assert static == pytest.approx(160, rel=0.1)
         assert adaptive == pytest.approx(static / 4, rel=0.15)
 
@@ -205,11 +209,11 @@ class _StubHost:
         self.node_id = NodeId(0)
 
 
-def _manager(policy=None, liveness=None) -> RedundancyManager:
+def _manager(base=None, policy=None) -> RedundancyManager:
     memtable = Memtable()
     sieve = BucketSieve(NodeId(0), 3, lambda: 16)
-    manager = RedundancyManager(memtable, sieve, lambda: 16, policy or RepairPolicy(),
-                                replication=3, liveness=liveness)
+    manager = RedundancyManager(memtable, sieve, lambda: 16,
+                                policy or StaticRepairPolicy(base or RepairPolicy(), replication=3))
     manager.host = _StubHost()
     return manager
 
@@ -222,17 +226,60 @@ def _range_mates(manager, count):
     return [next(mates) for _ in range(count)]
 
 
-class TestPeerEviction:
-    def test_count_drops_peers_dead_by_liveness_oracle(self):
-        alive, dead = _range_mates(_manager(), 2)
-        manager = _manager(liveness=lambda value: value != dead)
-        manager.observe(NodeId(alive), ())
-        manager.observe(NodeId(dead), ())
-        manager.check()
-        assert [p.value for p in manager.known_peers] == [alive]
-        assert manager.last_population == 1.0
-        assert manager.host.metrics.counter_value("redundancy.peers_evicted") == 1
+class TestSightingSessions:
+    """The adaptive policy's estimator is fed by the node's own manager:
+    a peer's session opens at its first sighting and closes at its last,
+    once the peer lapses out of the count window or fails."""
 
+    def _adaptive(self):
+        return _manager(policy=AdaptiveRepairPolicy(RepairPolicy(check_period=10.0),
+                                                    LifetimeEstimator(), replication=3))
+
+    def test_sightings_open_and_close_sessions(self):
+        manager = self._adaptive()
+        sessions = manager.lifetimes
+        manager.observe(NodeId(5), (NodeDescriptor(NodeId(6), age=3),))
+        assert sorted(sessions.censored_ages(1.0)) == [1.0, 4.0]  # 6 was up 3 rounds ago
+        manager.host.now = 15.0
+        manager.observe(NodeId(5), (NodeDescriptor(NodeId(6), age=12),))  # 6 was up at 3
+        manager.host.now = 40.0  # both lapse: each session ends at its last sighting
+        manager.check()
+        assert sessions.completed_count == 2
+        assert sorted(sessions._samples) == [6.0, 15.0]
+        assert sessions.censored_ages(40.0) == []
+
+    def test_a_reboot_inside_the_window_stays_one_session(self):
+        manager = self._adaptive()
+        manager.observe(NodeId(5), ())
+        manager.host.now = 12.0  # 5 rebooted unseen and is seen again in the window
+        manager.check()
+        manager.observe(NodeId(5), ())
+        manager.host.now = 24.0
+        manager.check()
+        assert manager.lifetimes.completed_count == 0
+        assert manager.lifetimes.censored_ages(24.0) == [24.0]
+
+    def test_a_failed_partner_closes_its_session(self):
+        manager = self._adaptive()
+        manager.observe(NodeId(5), ())
+        manager.host.now = 7.0
+        manager.note_peer_heard(NodeId(5))
+        manager.host.now = 9.0
+        manager.note_peer_failed(NodeId(5))
+        assert list(manager.lifetimes._samples) == [7.0]
+        manager.note_peer_heard(NodeId(5))  # heard again: a new session
+        assert manager.lifetimes.censored_ages(10.0) == [1.0]
+
+    def test_a_stale_sighting_opens_no_session(self):
+        """An id from a rebooted node's address cache (age far beyond
+        the count window) is no evidence that the peer is up."""
+        manager = self._adaptive()
+        manager.host.now = 100.0
+        manager.observe(NodeId(5), (NodeDescriptor(NodeId(6), age=CACHED_AGE),))
+        assert manager.lifetimes.censored_ages(101.0) == [1.0]  # the sender only
+
+
+class TestPeerEviction:
     def test_peers_unseen_for_two_check_periods_stop_counting(self):
         manager = _manager(RepairPolicy(check_period=10.0))
         kept, gone = _range_mates(manager, 2)
@@ -275,17 +322,16 @@ class TestPeerEviction:
         manager.note_peer_failed(NodeId(seven))
         assert manager.host.metrics.counter_value("redundancy.peers_evicted") == 1
 
-    def test_repair_skips_dead_peers(self):
-        """_repair must not target peers the liveness oracle calls dead —
-        with none alive it falls back to gossip re-dissemination."""
+    def test_repair_without_partners_falls_back(self):
+        """With no known same-range peer, _repair falls back to gossip
+        re-dissemination."""
         calls = []
 
         class _FakeGossip:
             def broadcast(self, item_id, payload):
                 calls.append(item_id)
 
-        manager = _manager(liveness=lambda value: False)
-        manager.known_peers = [NodeId(5)]
+        manager = _manager()
         host = manager.host
         host.protocol = lambda name: {"gossip": _FakeGossip()}[name]
         manager._repair()
@@ -387,15 +433,18 @@ class TestPeerEviction:
         assert failed == []
 
     def test_crashed_peer_leaves_known_peers_end_to_end(self):
-        """Full deployment: a permanently killed storage node disappears
-        from every survivor's known_peers within a few check periods."""
+        """Full deployment: a permanently killed storage node leaves
+        every survivor's known_peers through RangeRepair's failure path
+        (its exchanges time out ``max_failures`` times in a row); no
+        oracle tells the survivors it died."""
         from dataclasses import replace
 
         from repro.core.config import DataDropletsConfig
         from repro.core.datadroplets import DataDroplets
 
         config = DataDropletsConfig(seed=11, n_storage=16, n_soft=2,
-                                    replication=4, redundancy_mode="adaptive")
+                                    replication=4, redundancy_mode="adaptive",
+                                    repair_period=2.0)
         config = replace(
             config,
             repair=replace(config.repair, check_period=3.0),
@@ -405,11 +454,15 @@ class TestPeerEviction:
             dd.put(f"k{i}", {"v": i})
         dd.run_for(20.0)  # the range counts find same-range peers
         victim = dd.storage_nodes[0]
+        partnered = [n for n in dd.storage_nodes
+                     if victim.node_id in n.protocol("redundancy").known_peers]
+        assert partnered
         victim.crash(permanent=True)
-        dd.run_for(30.0)
+        dd.run_for(40.0)
         survivors = [n for n in dd.storage_nodes if n.is_up]
         holders = [
             n for n in survivors
             if victim.node_id in n.protocol("redundancy").known_peers
         ]
         assert holders == []
+        assert dd.metrics.counter_value("redundancy.peers_evicted") >= len(partnered)
