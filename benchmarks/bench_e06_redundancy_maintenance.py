@@ -167,11 +167,11 @@ def test_e06_adaptive_vs_static_redundancy(benchmark):
 
     The same deterministic churn trace (exponential session lifetimes
     long relative to the recovery window, plus two permanent kills) runs
-    against both redundancy modes; adaptive must spend markedly fewer
+    against both policies; adaptive must spend markedly fewer
     maintenance bytes at equal-or-better post-heal durability."""
 
     def experiment():
-        results = churnbench.measure_redundancy_modes(
+        results = churnbench.measure_policies(
             seed=608, n_storage=32, keys=24,
             churn_duration=150.0, heal_duration=50.0,
         )

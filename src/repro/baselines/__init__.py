@@ -10,8 +10,8 @@ Comparison arms the live system superseded or never assembled are
 modules here too, imported by their experiment only:
 :mod:`~repro.baselines.fulldigest` (E15), :mod:`~repro.baselines.jsonwire`
 (E16), :mod:`~repro.baselines.heartbeat` (E5b),
-:mod:`~repro.baselines.lazy` (E2) and :mod:`~repro.baselines.multiattr`
-(E10).
+:mod:`~repro.baselines.lazy` (E2), :mod:`~repro.baselines.multiattr`
+(E10) and :mod:`~repro.baselines.staticrepair` (E6d).
 """
 
 from repro.baselines.chord import ChordProtocol, chord_id, in_half_open, in_open_interval

@@ -68,20 +68,19 @@ class CaseResult:
 # ----------------------------------------------------------------------
 def case_config(seed: int, quick: bool = False,
                 break_repair: bool = False,
-                redundancy_mode: str = "static",
                 break_audit: bool = False) -> DataDropletsConfig:
     """Deployment profile for checking campaigns.
 
     Small enough to run dozens of cases, with repair cranked fast so the
     heal window actually converges. ``break_repair`` disables active
     redundancy maintenance (the E6 ablation knob) — the positive
-    control that must produce violations. ``redundancy_mode="adaptive"``
-    runs the campaign with lifetime-aware replica targets (claim C5) —
-    the checkers then prove the *adaptive* policy loses no acked write
-    either. ``break_audit`` disables the periodic state audit — the
-    corruption tier's own positive control: a poisoned summary whose
-    per-key versions still agree then has no heal path, so the
-    convergence checker *must* fire."""
+    control that must produce violations. Every storage node runs the
+    lifetime-aware replica targets (claim C5), so the checkers prove
+    that the adaptive policy loses no acked write. ``break_audit``
+    disables the periodic state audit — the corruption tier's own
+    positive control: a poisoned summary whose per-key versions still
+    agree then has no heal path, so the convergence checker *must*
+    fire."""
     return DataDropletsConfig(
         seed=seed,
         n_storage=16 if quick else 24,
@@ -91,7 +90,6 @@ def case_config(seed: int, quick: bool = False,
         repair=RepairPolicy(check_period=4.0, grace_window=4.0),
         repair_period=4.0,
         repair_enabled=not break_repair,
-        redundancy_mode=redundancy_mode,
         # small campaigns see few completed sessions — engage the fit early
         adaptive_min_deaths=4,
         audit_enabled=not break_audit,
@@ -153,7 +151,6 @@ def run_case(
     floor: int = 1,
     heal_window: Optional[float] = None,
     settle: float = 10.0,
-    redundancy_mode: str = "static",
     nemesis_mode: str = "stock",
     break_audit: bool = False,
     bound_rounds: int = 8,
@@ -167,7 +164,6 @@ def run_case(
         else:
             schedule = stock_schedule(seed, quick)
     config = case_config(seed, quick=quick, break_repair=break_repair,
-                         redundancy_mode=redundancy_mode,
                          break_audit=break_audit)
     dd = DataDroplets(config).start(warmup=10.0)
     recorder = HistoryRecorder()
@@ -235,12 +231,10 @@ def run_case(
         "extinct_keys": len(history.extinct_keys),
         "permanent_kills": nemesis.kills,
         "virtual_time": round(dd.sim.now, 2),
-        "redundancy_mode": redundancy_mode,
+        "adaptive": {k: v for k, v in adaptive_view(dd).items() if v is not None},
     }
     if monitor is not None:
         stats["corruption"] = monitor.summary()
-    if redundancy_mode == "adaptive":
-        stats["adaptive"] = {k: v for k, v in adaptive_view(dd).items() if v is not None}
     return CaseResult(seed=seed, schedule=schedule,
                       violations=violations, stats=stats)
 
@@ -293,7 +287,6 @@ def explore(
     shrink: bool = True,
     max_shrink_runs: int = 24,
     progress: Optional[Callable[[str], None]] = None,
-    redundancy_mode: str = "static",
     nemesis_mode: str = "stock",
     break_audit: bool = False,
     bound_rounds: int = 8,
@@ -307,7 +300,6 @@ def explore(
         "quick": quick,
         "break_repair": break_repair,
         "floor": floor,
-        "redundancy_mode": redundancy_mode,
         "nemesis": nemesis_mode,
         "break_audit": break_audit,
         "bound_rounds": bound_rounds,
@@ -316,9 +308,8 @@ def explore(
     }
     for seed in range(seed_base, seed_base + seeds):
         result = run_case(seed, quick=quick, break_repair=break_repair,
-                          floor=floor, redundancy_mode=redundancy_mode,
-                          nemesis_mode=nemesis_mode, break_audit=break_audit,
-                          bound_rounds=bound_rounds)
+                          floor=floor, nemesis_mode=nemesis_mode,
+                          break_audit=break_audit, bound_rounds=bound_rounds)
         report["seeds"].append({
             "seed": seed,
             "ok": result.ok,
@@ -331,7 +322,6 @@ def explore(
         say(f"seed {seed}: {len(result.violations)} violation(s), confirming")
         rerun = run_case(seed, schedule=result.schedule, quick=quick,
                          break_repair=break_repair, floor=floor,
-                         redundancy_mode=redundancy_mode,
                          nemesis_mode=nemesis_mode, break_audit=break_audit,
                          bound_rounds=bound_rounds)
         confirmed = rerun.signature() == result.signature()
@@ -346,7 +336,6 @@ def explore(
             def still_fails(candidate: NemesisSchedule) -> bool:
                 return not run_case(seed, schedule=candidate, quick=quick,
                                     break_repair=break_repair, floor=floor,
-                                    redundancy_mode=redundancy_mode,
                                     nemesis_mode=nemesis_mode,
                                     break_audit=break_audit,
                                     bound_rounds=bound_rounds).ok
@@ -371,7 +360,6 @@ def replay(artifact: Dict[str, Any],
     quick = artifact.get("quick", False)
     break_repair = artifact.get("break_repair", False)
     floor = artifact.get("floor", 1)
-    redundancy_mode = artifact.get("redundancy_mode", "static")
     nemesis_mode = artifact.get("nemesis", "stock")
     break_audit = artifact.get("break_audit", False)
     bound_rounds = artifact.get("bound_rounds", 8)
@@ -381,7 +369,6 @@ def replay(artifact: Dict[str, Any],
             failure.get("shrunk_schedule") or failure["schedule"])
         result = run_case(failure["seed"], schedule=schedule, quick=quick,
                           break_repair=break_repair, floor=floor,
-                          redundancy_mode=redundancy_mode,
                           nemesis_mode=nemesis_mode, break_audit=break_audit,
                           bound_rounds=bound_rounds)
         reproduced = not result.ok

@@ -242,7 +242,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         floor=args.floor,
         shrink=not args.no_shrink,
         progress=print,
-        redundancy_mode=args.redundancy_mode,
         nemesis_mode=args.nemesis,
         break_audit=args.break_audit,
         bound_rounds=args.bound_rounds,
@@ -365,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--expect-violation", action="store_true",
                        help="exit non-zero unless at least one case FAILS "
                             "(used with --break-repair)")
-    check.add_argument("--redundancy-mode", choices=("static", "adaptive"),
-                       default="static",
-                       help="redundancy maintenance mode for the campaign "
-                            "deployments (adaptive = lifetime-aware targets)")
     check.add_argument("--nemesis", choices=("stock", "corruption"),
                        default="stock",
                        help="fault tier to fuzz: 'stock' recoverable faults, "

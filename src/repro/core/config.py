@@ -52,7 +52,7 @@ class DataDropletsConfig:
     replication: int = 4
 
     # placement
-    collocation: Optional[str] = None  # None | "prefix" | "field:<name>"
+    collocation: Optional[str] = None  # None | "prefix"
     indexes: Tuple[IndexSpec, ...] = ()
 
     # network model
@@ -73,21 +73,20 @@ class DataDropletsConfig:
 
     # redundancy maintenance
     repair: RepairPolicy = field(default_factory=RepairPolicy)
-    # same-range anti-entropy period; adaptive mode scales it by the
-    # policy's cadence factor, as it does the check period
+    # same-range anti-entropy period; the policy's cadence factor scales
+    # it, as it does the check period
     repair_period: float = 10.0
     # master switch for *active* redundancy repair (the range count still
     # runs — aggregates need it — but re-dissemination and same-range
     # reconciliation are disabled). Ablation knob for experiment E6.
     repair_enabled: bool = True
-    # "static": the RepairPolicy above verbatim. "adaptive": each storage
-    # node fits its own session-lifetime estimate from the peers it sees
-    # (a session opens at its first sighting and closes at its last) and
-    # its own AdaptiveRepairPolicy derives the replica target, check
-    # cadence and grace from predicted survival over the recovery window
-    # (claim C5; the E6 adaptive-vs-static ablation).
-    redundancy_mode: str = "static"
-    adaptive_min_deaths: int = 8  # completed sessions before the fit engages
+    # Each storage node fits its own session-lifetime estimate from the
+    # peers it sees (a session opens at its first sighting and closes at
+    # its last) and its own AdaptiveRepairPolicy derives the replica
+    # target, check cadence and grace from predicted survival over the
+    # recovery window (claim C5); until this many sessions have closed
+    # it answers replication and the RepairPolicy periods above.
+    adaptive_min_deaths: int = 8
 
     # storage
     memtable_capacity: Optional[int] = None
@@ -132,16 +131,10 @@ class DataDropletsConfig:
             raise ConfigurationError("n_soft and n_storage must be positive")
         if self.replication <= 0:
             raise ConfigurationError("replication must be positive")
-        if self.collocation is not None:
-            kind, _, field_name = self.collocation.partition(":")
-            if self.collocation != "prefix" and not (kind == "field" and field_name):
-                raise ConfigurationError(
-                    "collocation must be None, 'prefix' or 'field:<name>'"
-                )
+        if self.collocation not in (None, "prefix"):
+            raise ConfigurationError("collocation must be None or 'prefix'")
         if self.routing_mode not in ("legacy", "onehop"):
             raise ConfigurationError(f"unknown routing_mode {self.routing_mode!r}")
-        if self.redundancy_mode not in ("static", "adaptive"):
-            raise ConfigurationError(f"unknown redundancy_mode {self.redundancy_mode!r}")
         if self.adaptive_min_deaths <= 0:
             raise ConfigurationError("adaptive_min_deaths must be positive")
         if self.onehop_quarantine_window < 0:

@@ -19,7 +19,7 @@ from a :class:`~repro.core.config.DataDropletsConfig`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.hashing import Arc, key_hash
 from repro.common.ids import NodeId
@@ -33,11 +33,11 @@ from repro.estimation.pushsum import PushSumProtocol
 from repro.membership.cyclon import CyclonProtocol
 from repro.overlay.tman import TManProtocol
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
-from repro.redundancy.manager import RedundancyManager, StaticRepairPolicy
+from repro.redundancy.manager import RedundancyManager
 from repro.redundancy.repair import RangeRepair
 from repro.sieve.adaptive import DistributionAwareSieve
 from repro.sieve.base import Sieve, UnionSieve
-from repro.sieve.correlation import TagSieve, field_tag, prefix_tag
+from repro.sieve.correlation import TagSieve, prefix_tag
 from repro.sieve.keyspace import BucketSieve
 from repro.sim.node import Host, Protocol
 from repro.softstate.coordinator import EpidemicRead, InjectRebuild
@@ -630,14 +630,18 @@ class StorageNodeProtocol(Protocol):
         raise ValueError(f"unknown corruption kind {kind!r}")
 
 
-def make_storage_stack(config: DataDropletsConfig):
+def make_storage_stack(config: DataDropletsConfig,
+                       policy: Callable[..., Any] = AdaptiveRepairPolicy):
     """StackFactory building the full persistent-layer node stack.
 
-    Under ``redundancy_mode="adaptive"`` each node gets its own
-    :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy` over its own
+    Each node gets its own redundancy policy (``policy(base=,
+    lifetimes=, replication=)``: C5's
+    :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`; E6d passes
+    its static arm) over its own
     :class:`~repro.estimation.lifetimes.LifetimeEstimator`, which its
-    redundancy manager feeds from the peers it sees; the same factory
-    thus builds the same node on the simulator and on a UDP host.
+    redundancy manager feeds from the peers it sees (per boot: a reboot
+    starts the estimate afresh); the same factory thus builds the same
+    node on the simulator and on a UDP host.
     """
 
     def factory(node: Host) -> List[Protocol]:
@@ -671,11 +675,8 @@ def make_storage_stack(config: DataDropletsConfig):
         # --- placement sieves ------------------------------------------------
         if config.collocation is None:
             primary: Sieve = BucketSieve(node.node_id, config.replication, size_fn)
-        elif config.collocation == "prefix":
+        else:  # "prefix"
             primary = TagSieve(node.node_id, config.replication, size_fn, prefix_tag())
-        else:  # "field:<name>"
-            field_name = config.collocation.split(":", 1)[1]
-            primary = TagSieve(node.node_id, config.replication, size_fn, field_tag(field_name))
 
         # The sieves read the distribution through the storage protocol,
         # which is assembled last (it needs the sieves).
@@ -699,19 +700,16 @@ def make_storage_stack(config: DataDropletsConfig):
         protocols.append(EagerGossip(fanout=size_estimator.fanout_fn(FANOUT_C)))
 
         # --- redundancy ------------------------------------------------------
-        if config.redundancy_mode == "adaptive":
-            policy: StaticRepairPolicy = AdaptiveRepairPolicy(
-                base=config.repair,
-                lifetimes=LifetimeEstimator(min_deaths=config.adaptive_min_deaths),
-                replication=config.replication,
-            )
-        else:
-            policy = StaticRepairPolicy(config.repair, config.replication)
+        repair_policy = policy(
+            base=config.repair,
+            lifetimes=LifetimeEstimator(min_deaths=config.adaptive_min_deaths),
+            replication=config.replication,
+        )
         manager = RedundancyManager(
             memtable=memtable,
             sieve=primary,
             size_estimate_fn=size_fn,
-            policy=policy,
+            policy=repair_policy,
             active=config.repair_enabled,
             # Wrap fallback re-dissemination so receiving storage nodes
             # recognise the payload (a bare item would be dropped as
@@ -726,10 +724,9 @@ def make_storage_stack(config: DataDropletsConfig):
                 # With repair disabled the reconciler gets no partners —
                 # the range count still runs for aggregate corrections.
                 peer_source=manager.same_range_peers if config.repair_enabled else (lambda: []),
-                # Adaptive mode reconciles on the check cadence: with the
-                # range count free, repair rounds are what a calm
-                # population can save.
-                period=lambda: config.repair_period * policy.cadence_factor(node.now),
+                # Reconciles on the check cadence: with the range count
+                # free, repair rounds are what a calm population can save.
+                period=lambda: config.repair_period * repair_policy.cadence_factor(node.now),
                 max_failures=MAX_PEER_FAILURES,
                 on_peer_failed=manager.note_peer_failed,
                 on_peer_heard=manager.note_peer_heard,

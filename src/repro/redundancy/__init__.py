@@ -1,7 +1,7 @@
 """Redundancy maintenance: range count, grace window, direct range repair."""
 
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
-from repro.redundancy.manager import RedundancyManager, RepairPolicy, StaticRepairPolicy
+from repro.redundancy.manager import RedundancyManager, RepairPolicy
 from repro.redundancy.repair import PeerSource, RangeRepair, RangeScopedStore
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "RangeScopedStore",
     "RedundancyManager",
     "RepairPolicy",
-    "StaticRepairPolicy",
 ]

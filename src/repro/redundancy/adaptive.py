@@ -29,10 +29,12 @@ them: *raises* apply immediately (safety never waits), *lowers* only
 after the lower value has been recomputed ``lower_rounds`` consecutive
 times for that range.
 
-Each storage node builds its own policy over its own estimator (see
-``DataDropletsConfig(redundancy_mode="adaptive")``): nothing is shared
-and no input comes from outside the node's own messages, so the replicas
-of a range publish targets from their own, similar, views of the churn.
+Each storage node's stack (:func:`~repro.core.storage.make_storage_stack`)
+builds its own policy over its own estimator: nothing is shared and no
+input comes from outside the node's own messages, so the replicas of a
+range publish targets from their own, similar, views of the churn. The
+static-r arm it is measured against (E6d) is
+:class:`~repro.baselines.staticrepair.StaticRepairPolicy`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.estimation.lifetimes import LifetimeEstimator
-from repro.redundancy.manager import RepairPolicy, StaticRepairPolicy
+from repro.redundancy.manager import RepairPolicy
 
 
 @dataclass
@@ -54,23 +56,27 @@ class _RangeState:
     streak: int
 
 
-class AdaptiveRepairPolicy(StaticRepairPolicy):
+class AdaptiveRepairPolicy:
     """Repair policy mapping survival estimates to repair urgency.
 
-    Answers the calls of :class:`~repro.redundancy.manager.
-    StaticRepairPolicy` (``target_for(now, range_key)``,
-    ``check_period(now)``, ``grace_window(now)``,
-    ``cadence_factor(now)``) from ``lifetimes``. Until the estimator has
-    seen ``min_deaths`` completed sessions every answer equals the
-    static ``base`` policy and ``replication``.
+    Answers the calls a :class:`~repro.redundancy.manager.RedundancyManager`
+    makes (``target_for(now, range_key)``, ``check_period(now)``,
+    ``grace_window(now)``, ``cadence_factor(now)``) from ``lifetimes``.
+    Until the estimator has seen ``min_deaths`` completed sessions it
+    answers the deployment's ``replication``, the ``base`` periods and a
+    cadence factor of 1. Each answer is O(1): one fit from the
+    estimator's running sums.
 
     Args:
-        base: the static policy supplying fallbacks and base cadence.
+        base: the check period and grace window before the fit engages,
+            which the fitted answers scale.
         lifetimes: the node's session estimator, which its redundancy
             manager feeds from its sightings.
         replication: the deployment's r, the target before the fit
             engages.
-        r_min / r_max: hard clamps on the published replica target.
+        r_min / r_max: hard clamps on the published replica target
+            (by default 2, or r if it is smaller, and the larger of r
+            and ``2 * r_min``).
         loss_tolerance: acceptable probability that a whole range's
             replicas die within one recovery window.
         recovery_window: seconds within which repair is expected to act;
@@ -86,7 +92,7 @@ class AdaptiveRepairPolicy(StaticRepairPolicy):
         base: RepairPolicy,
         lifetimes: LifetimeEstimator,
         replication: int,
-        r_min: int = 2,
+        r_min: Optional[int] = None,
         r_max: Optional[int] = None,
         loss_tolerance: float = 1e-2,
         recovery_window: Optional[float] = None,
@@ -94,6 +100,8 @@ class AdaptiveRepairPolicy(StaticRepairPolicy):
         period_bounds: Tuple[float, float] = (0.5, 4.0),
         reference_death_probability: float = 0.2,
     ):
+        if r_min is None:
+            r_min = min(2, replication)
         if r_min <= 0:
             raise ValueError("r_min must be positive")
         if r_max is None:
@@ -113,7 +121,8 @@ class AdaptiveRepairPolicy(StaticRepairPolicy):
             raise ValueError("period_bounds must satisfy 0 < min <= max")
         if not 0.0 < reference_death_probability < 1.0:
             raise ValueError("reference_death_probability must be in (0, 1)")
-        super().__init__(base, replication)
+        self.base = base
+        self.replication = replication
         self.lifetimes = lifetimes
         self.r_min = r_min
         self.r_max = r_max
@@ -126,15 +135,11 @@ class AdaptiveRepairPolicy(StaticRepairPolicy):
 
     # -- survival --------------------------------------------------------
     def survival_over_window(self, now: float) -> Optional[float]:
-        """P(a typical live replica survives the next recovery window),
-        conditioning on the mean age of currently-open sessions; None
-        until the estimator has enough completed sessions."""
-        return self.lifetimes.survival_probability(
-            age=self.lifetimes.mean_alive_age(now),
-            window=self.recovery_window,
-            now=now,
-            default=None,
-        )
+        """P(a live replica survives the next recovery window), whatever
+        its age (the fit is memoryless); None until the estimator has
+        enough completed sessions."""
+        fit = self.lifetimes.fit(now)
+        return None if fit is None else fit.survival(self.recovery_window)
 
     # -- replica target --------------------------------------------------
     def raw_target(self, now: float) -> int:
@@ -207,6 +212,6 @@ class AdaptiveRepairPolicy(StaticRepairPolicy):
             "grace_window": self.grace_window(now),
             "recovery_window": self.recovery_window,
             "mean_lifetime": fit.mean_lifetime if fit is not None else None,
-            "fit_shape": fit.shape if fit is not None else None,
             "completed_sessions": float(self.lifetimes.completed_count),
+            "open_sessions": float(self.lifetimes.open_count),
         }

@@ -1,8 +1,9 @@
 """Adaptive-vs-static redundancy under session churn (experiment E6d).
 
-Builds two identical DataDroplets deployments — one with the static
-:class:`~repro.redundancy.manager.RepairPolicy`, one with
-``redundancy_mode="adaptive"`` — replays the *same* deterministic churn
+Builds two identical DataDroplets deployments — one whose storage nodes
+run the static-r arm (:class:`~repro.baselines.staticrepair.
+StaticRepairPolicy`, installed as their stack before ``start()``), one
+with the stock adaptive policy — replays the *same* deterministic churn
 trace against both, and measures what each spends on redundancy
 maintenance (gossip re-dissemination + range-repair), how far each
 node's count of its range is from the truth, and what durability it
@@ -141,7 +142,7 @@ def _maintenance_bytes(dd) -> float:
     )
 
 
-def measure_redundancy_modes(
+def measure_policies(
     seed: int = 608,
     n_storage: int = 48,
     replication: int = 5,
@@ -151,9 +152,8 @@ def measure_redundancy_modes(
     mean_lifetime: float = 150.0,
     mean_downtime: float = 20.0,
     kills: int = 2,
-    modes: Optional[List[str]] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Run the same churn trace under static and adaptive redundancy.
+    """Run the same churn trace under the static and the adaptive policy.
 
     Returns ``{mode: metrics}`` where metrics include ``maintenance_bytes``
     (gossip and range-repair bytes spent after the preload),
@@ -163,22 +163,28 @@ def measure_redundancy_modes(
     check period from the churn's start to the end of the heal), and —
     for the adaptive mode — :func:`adaptive_view`.
     """
+    from repro.baselines.staticrepair import StaticRepairPolicy
     from repro.core.config import DataDropletsConfig
     from repro.core.datadroplets import DataDroplets
+    from repro.core.storage import make_storage_stack
     from repro.redundancy.manager import RepairPolicy
 
+    config = DataDropletsConfig(
+        seed=seed,
+        n_storage=n_storage,
+        n_soft=2,
+        replication=replication,
+        adaptive_min_deaths=6,
+        repair=RepairPolicy(check_period=5.0, grace_window=15.0),
+    )
     results: Dict[str, Dict[str, float]] = {}
-    for mode in modes or ["static", "adaptive"]:
-        config = DataDropletsConfig(
-            seed=seed,
-            n_storage=n_storage,
-            n_soft=2,
-            replication=replication,
-            redundancy_mode=mode,
-            adaptive_min_deaths=6,
-            repair=RepairPolicy(check_period=5.0, grace_window=15.0),
-        )
-        dd = DataDroplets(config).start(warmup=15.0)
+    for mode in ("static", "adaptive"):
+        dd = DataDroplets(config)
+        if mode == "static":
+            stack = make_storage_stack(config, policy=StaticRepairPolicy)
+            for node in dd.storage_nodes:
+                node.stack_factory = stack
+        dd.start(warmup=15.0)
         for i in range(keys):
             dd.put(f"k{i}", {"v": i})
         dd.run_for(20.0)
@@ -236,7 +242,7 @@ def byte_ratio(results: Dict[str, Dict[str, float]]) -> float:
 
 
 def gates(results: Dict[str, Dict[str, float]]) -> Dict[str, bool]:
-    """The e06 gates over :func:`measure_redundancy_modes`' rows."""
+    """The e06 gates over :func:`measure_policies`' rows."""
     static, adaptive = results["static"], results["adaptive"]
     return {
         "adaptive_saves_30pct": byte_ratio(results) <= 0.7,
@@ -260,7 +266,7 @@ def run(*, nodes: int = 48, seed: int = 7, churn_duration: float = 240.0,
     maintenance bytes than static-r, with no lost acked write and a
     replica floor >= 2 in both modes.
     """
-    results = measure_redundancy_modes(
+    results = measure_policies(
         seed=seed, n_storage=nodes, churn_duration=churn_duration,
         heal_duration=heal_duration, mean_lifetime=mean_lifetime)
     checks = gates(results)

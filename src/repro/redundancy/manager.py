@@ -37,30 +37,31 @@ At every check tick the node takes its count:
   known.
 
 The replication target, check cadence and grace window come from the
-node's policy: :class:`StaticRepairPolicy` answers with the deployment's
-r and the :class:`RepairPolicy` periods, while
-:class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy` recomputes them
-every check from a survival estimate this node fits from its own
-sightings. A peer's session opens at its first sighting inside the count
-window and closes at its last sighting, once the peer lapses out of the
-window or repair exchanges with it fail, so a reboot shorter than the
-window stays one session: the transient departure C5 relaxes for.
+node's policy, :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`,
+which recomputes them every check from a survival estimate this node
+fits from its own sightings. A peer's session opens at its first
+sighting inside the count window and closes at its last sighting, once
+the peer lapses out of the window or repair exchanges with it fail, so a
+reboot shorter than the window stays one session: the transient
+departure C5 relaxes for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId
 from repro.common.messages import walked_size
-from repro.estimation.lifetimes import LifetimeEstimator
 from repro.membership.views import NodeDescriptor
 from repro.sieve.base import Sieve
 from repro.sieve.keyspace import node_position, position_bucket
 from repro.sim.node import Protocol
 from repro.store.memtable import Memtable
+
+if TYPE_CHECKING:
+    from repro.redundancy.adaptive import AdaptiveRepairPolicy
 
 
 #: Cap on remembered same-range peers (repair partners).
@@ -74,8 +75,8 @@ REPAIR_FANOUT = 3
 @dataclass(frozen=True)
 class RepairPolicy:
     """Tunables of redundancy maintenance. The replication target is
-    not one of them: it is the deployment's r, the same that sizes the
-    sieve (``StaticRepairPolicy(replication=)``).
+    not one of them: the policy starts from the deployment's r, the
+    same that sizes the sieve (``AdaptiveRepairPolicy(replication=)``).
 
     Attributes:
         check_period: seconds between checks of the range population; a
@@ -93,39 +94,6 @@ class RepairPolicy:
             raise ValueError("check_period must be positive")
         if self.grace_window < 0:
             raise ValueError("grace_window must be non-negative")
-
-
-class StaticRepairPolicy:
-    """The static arm of claim C5: the deployment's r and the
-    :class:`RepairPolicy` periods, whatever the churn. The adaptive arm
-    (:class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`) answers
-    the same calls from a survival estimate that the node's
-    :class:`RedundancyManager` feeds into ``lifetimes``.
-
-    Args:
-        base: the check period and grace window.
-        replication: the deployment's r, as given to the sieve.
-    """
-
-    #: The session estimator the manager feeds; the static arm has none.
-    lifetimes: Optional[LifetimeEstimator] = None
-
-    def __init__(self, base: RepairPolicy, replication: int):
-        self.base = base
-        self.replication = replication
-
-    def target_for(self, now: float, range_key: Hashable = None) -> int:
-        return self.replication
-
-    def check_period(self, now: float) -> float:
-        return self.base.check_period
-
-    def grace_window(self, now: float) -> float:
-        return self.base.grace_window
-
-    def cadence_factor(self, now: float) -> float:
-        """Multiplier on the range-repair period."""
-        return 1.0
 
 
 def _bucket_grid(range_key: Any) -> Optional[Tuple[int, int]]:
@@ -150,8 +118,9 @@ class RedundancyManager(Protocol):
         size_estimate_fn: the node's cluster-size estimate N̂, which sets
             how many shuffle rounds the count window spans.
         policy: the replica target, check period and grace window
-            (:class:`StaticRepairPolicy` or an adaptive one, whose
-            ``lifetimes`` the manager feeds from its sightings).
+            (an :class:`~repro.redundancy.adaptive.AdaptiveRepairPolicy`,
+            or a comparison arm with the same calls), whose
+            ``lifetimes`` estimator the manager feeds from its sightings.
         repair_wrap: wraps an item before gossip re-dissemination so the
             receiving stack recognises the payload (the storage stack
             passes a ``WritePayload`` constructor; the default broadcasts
@@ -167,7 +136,7 @@ class RedundancyManager(Protocol):
         memtable: Memtable,
         sieve: Sieve,
         size_estimate_fn: Callable[[], float],
-        policy: StaticRepairPolicy,
+        policy: "AdaptiveRepairPolicy",
         *,
         gossip: str = "gossip",
         active: bool = True,
@@ -235,8 +204,7 @@ class RedundancyManager(Protocol):
         seen = self._seen
         seen[sender.value] = now
         sessions = self.lifetimes
-        if sessions is not None:
-            sessions.note_join(sender.value, now)
+        sessions.note_join(sender.value, now)
         opened_after = now - self._window
         me = self.host.node_id.value
         period = self._shuffle_period
@@ -245,7 +213,7 @@ class RedundancyManager(Protocol):
             at = now - descriptor.age * period
             if value != me and at > seen.get(value, -math.inf):
                 seen[value] = at
-                if sessions is not None and at >= opened_after:
+                if at >= opened_after:
                     sessions.note_join(value, at)
 
     def note_peer_heard(self, peer: NodeId) -> None:
@@ -253,8 +221,7 @@ class RedundancyManager(Protocol):
         RangeRepair's ``on_peer_heard``): partners vouch for each other
         between the shuffles that name them."""
         self._seen[peer.value] = self.host.now
-        if self.lifetimes is not None:
-            self.lifetimes.note_join(peer.value, self.host.now)
+        self.lifetimes.note_join(peer.value, self.host.now)
 
     def same_range_peers(self) -> List[NodeId]:
         """Peers last known to share this node's range (the RangeRepair
@@ -266,7 +233,7 @@ class RedundancyManager(Protocol):
         to RangeRepair's ``on_peer_failed``), closing its session at its
         last sighting; it counts again once a shuffle shows it up."""
         last = self._seen.pop(peer.value, None)
-        if self.lifetimes is not None and last is not None:
+        if last is not None:
             self.lifetimes.note_death(peer.value, last)
         if self._partners.pop(peer.value, None) is not None:
             self.known_peers = [p for p in self.known_peers if p.value != peer.value]
@@ -289,10 +256,9 @@ class RedundancyManager(Protocol):
                        reverse=True)
         self._window = self.count_window()
         horizon = now - self._window
-        if self.lifetimes is not None:
-            for value, at in self._seen.items():
-                if at < horizon:  # lapsed: its session ended when last seen
-                    self.lifetimes.note_death(value, at)
+        for value, at in self._seen.items():
+            if at < horizon:  # lapsed: its session ended when last seen
+                self.lifetimes.note_death(value, at)
         self._seen = {value: at for value, at in self._seen.items() if at >= horizon}
         peers = [value for at, value in mates if at >= horizon]
         # Partners outlive the window but not a re-cut of the grid.

@@ -18,7 +18,7 @@ correctness requirement over sieve populations.
 
 from repro.sieve.adaptive import DistributionAwareSieve
 from repro.sieve.base import Record, Sieve, UnionSieve
-from repro.sieve.correlation import TagFn, TagSieve, field_tag, prefix_tag
+from repro.sieve.correlation import TagFn, TagSieve, prefix_tag
 from repro.sieve.coverage import CoverageReport, coverage_report, range_population
 from repro.sieve.keyspace import (
     BucketSieve,
@@ -41,7 +41,6 @@ __all__ = [
     "UnionSieve",
     "bucket_count_for",
     "coverage_report",
-    "field_tag",
     "node_position",
     "prefix_tag",
     "range_population",

@@ -27,16 +27,6 @@ from repro.sieve.keyspace import BucketSieve
 TagFn = Callable[[str, Record], Optional[str]]
 
 
-def field_tag(field: str) -> TagFn:
-    """Tag extractor reading a single record field."""
-
-    def _extract(item_id: str, record: Record) -> Optional[str]:
-        value = record.get(field)
-        return None if value is None else str(value)
-
-    return _extract
-
-
 def prefix_tag(separator: str = ":") -> TagFn:
     """Tag extractor using the item id's prefix (``"user42:post:7"`` →
     ``"user42"``) — the zero-schema convention many stores use."""

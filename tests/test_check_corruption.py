@@ -20,6 +20,7 @@ from repro.check.history import History
 from repro.check.nemesis import CORRUPTION_KINDS, Nemesis, NemesisEvent, NemesisSchedule
 from repro.core.config import DataDropletsConfig
 from repro.core.datadroplets import DataDroplets
+from repro.redundancy.adaptive import AdaptiveRepairPolicy
 from repro.redundancy.manager import RepairPolicy
 
 pytestmark = pytest.mark.slow
@@ -28,8 +29,7 @@ ROUND = 4.0
 BOUND = 8
 
 
-def _deploy(seed: int = 11, *, redundancy_mode: str = "static",
-            routing_mode: str = "legacy",
+def _deploy(seed: int = 11, *, routing_mode: str = "legacy",
             audit_enabled: bool = True) -> DataDroplets:
     config = DataDropletsConfig(
         seed=seed,
@@ -38,7 +38,6 @@ def _deploy(seed: int = 11, *, redundancy_mode: str = "static",
         replication=3,
         repair=RepairPolicy(check_period=ROUND, grace_window=4.0),
         repair_period=ROUND,
-        redundancy_mode=redundancy_mode,
         adaptive_min_deaths=4,
         routing_mode=routing_mode,
         audit_enabled=audit_enabled,
@@ -104,10 +103,13 @@ class TestPrimitivesHeal:
         _assert_healed(history, "scramble_routing")
 
     def test_adaptive_redundancy_mode_also_heals(self):
-        # The PR-8 adaptive replica targets must not regress
-        # self-stabilisation: same contract, lifetime-aware repair.
-        history = _inject_and_converge(_deploy(redundancy_mode="adaptive"),
-                                       "flip_version", {"count": 2})
+        # Every storage node runs the adaptive replica targets; the
+        # lifetime-aware repair must not regress self-stabilisation.
+        dd = _deploy()
+        assert all(isinstance(node.protocol("redundancy").policy,
+                              AdaptiveRepairPolicy)
+                   for node in dd.storage_nodes)
+        history = _inject_and_converge(dd, "flip_version", {"count": 2})
         _assert_healed(history, "flip_version")
 
 

@@ -22,8 +22,8 @@ FIELDS = {
         "adaptive_min_deaths", "admission", "audit_enabled", "audit_period",
         "client_timeout", "collocation", "estimator_epoch", "indexes", "latency_high",
         "latency_low", "loss_rate", "membership_period", "memtable_capacity", "n_soft",
-        "n_storage", "onehop_quarantine_window", "pushsum_period", "redundancy_mode",
-        "repair", "repair_enabled", "repair_period", "replication", "routing_mode", "seed",
+        "n_storage", "onehop_quarantine_window", "pushsum_period", "repair",
+        "repair_enabled", "repair_period", "replication", "routing_mode", "seed",
         "size_estimator_period", "soft", "tman_period", "trace_capacity", "tracing",
         "virtual_nodes",
     ],
@@ -34,11 +34,13 @@ FIELDS = {
 }
 
 #: Knobs that had one value in use; each is now a constant of its reader.
+#: ``redundancy_mode`` had two: the adaptive one is the only policy, and
+#: the static arm is ``repro.baselines.staticrepair``.
 DELETED = [
     (DataDropletsConfig, "fanout_c"), (DataDropletsConfig, "view_size"),
     (DataDropletsConfig, "shuffle_size"), (DataDropletsConfig, "size_estimator_k"),
     (DataDropletsConfig, "tman_view"), (DataDropletsConfig, "client_retries"),
-    (DataDropletsConfig, "trace_sample_rate"),
+    (DataDropletsConfig, "trace_sample_rate"), (DataDropletsConfig, "redundancy_mode"),
     (RepairPolicy, "target_replication"), (RepairPolicy, "walk_ttl"),
     (RepairPolicy, "max_known_peers"), (RepairPolicy, "redisseminate_batch"),
     (RepairPolicy, "repair_fanout"), (RepairPolicy, "peer_ttl_censuses"),
@@ -52,7 +54,7 @@ DELETED = [
 def test_field_names_are_pinned():
     for cls, names in FIELDS.items():
         assert sorted(f.name for f in dataclasses.fields(cls)) == names, cls.__name__
-    assert sum(len(names) for names in FIELDS.values()) == 43
+    assert sum(len(names) for names in FIELDS.values()) == 42
 
 
 @pytest.mark.parametrize("cls,name", DELETED, ids=lambda v: getattr(v, "__name__", v))

@@ -165,7 +165,12 @@ class TestConfigValidation:
 
     def test_edge_values_still_construct(self):
         DataDropletsConfig(estimator_epoch=None, loss_rate=0.0, latency_low=0.0,
-                           latency_high=0.0, memtable_capacity=1, collocation="field:x")
+                           latency_high=0.0, memtable_capacity=1, collocation="prefix")
+
+    def test_field_collocation_is_gone(self):
+        for value in ("field:x", "field:user"):
+            with pytest.raises(ConfigurationError):
+                DataDropletsConfig(collocation=value)
 
     def test_repair_target_follows_replication(self):
         """One r: a stack built outside the facade, as the UDP hosts
@@ -182,11 +187,11 @@ class TestConfigValidation:
 
     def test_a_standalone_adaptive_stack_runs_the_adaptive_policy(self):
         """A stack that ``make_storage_stack`` builds on a bare cluster,
-        as the UDP hosts build theirs, runs the policy its config names:
-        under ``"adaptive"`` each node fits its own survival estimate
-        from the peers it sees, with no facade feeding it."""
+        as the UDP hosts build theirs, runs the adaptive policy: each
+        node fits its own survival estimate from the peers it sees, with
+        no facade feeding it."""
         config = DataDropletsConfig(n_storage=12, n_soft=1, replication=3,
-                                    redundancy_mode="adaptive", adaptive_min_deaths=2)
+                                    adaptive_min_deaths=2)
         sim = Simulation(seed=5)
         cluster = Cluster(sim)
         nodes = cluster.add_nodes(12, make_storage_stack(config))
@@ -199,6 +204,19 @@ class TestConfigValidation:
         assert isinstance(policy, AdaptiveRepairPolicy)
         assert policy.lifetimes.completed_count >= 3
         assert policy.survival_over_window(sim.now) is not None
+
+    def test_every_storage_stack_runs_its_own_adaptive_policy(self):
+        """The facade's default stack and one built on a bare cluster
+        give each storage manager an AdaptiveRepairPolicy over an
+        estimator that no other node shares."""
+        config = DataDropletsConfig(n_storage=6, n_soft=1)
+        facade = DataDroplets(config).start(warmup=0.0).storage_nodes
+        bare = Cluster(Simulation(seed=2)).add_nodes(6, make_storage_stack(config))
+        for nodes in (facade, bare):
+            managers = [node.protocol("redundancy") for node in nodes]
+            assert all(isinstance(m.policy, AdaptiveRepairPolicy) for m in managers)
+            assert all(m.lifetimes is m.policy.lifetimes for m in managers)
+            assert len({id(m.lifetimes) for m in managers}) == len(managers)
 
 
 class TestDefaultsAreTheMeasuredPath:

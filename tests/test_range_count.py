@@ -12,12 +12,13 @@ import statistics
 import pytest
 
 from repro import DataDroplets, DataDropletsConfig
+from repro.baselines.staticrepair import StaticRepairPolicy
 from repro.common.ids import NodeId
 from repro.core.storage import SHUFFLE_SIZE, VIEW_SIZE
 from repro.epidemic import EagerGossip
 from repro.estimation import ExtremaSizeEstimator
 from repro.membership import CyclonProtocol
-from repro.redundancy import RangeRepair, RedundancyManager, RepairPolicy, StaticRepairPolicy
+from repro.redundancy import RangeRepair, RedundancyManager, RepairPolicy
 from repro.redundancy.churnbench import count_errors, walks_needed
 from repro.sieve import BucketSieve
 from repro.sieve.coverage import range_population

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.staticrepair import StaticRepairPolicy
 from repro.common.ids import NodeId
 from repro.estimation.lifetimes import LifetimeEstimator
 from repro.membership import CyclonProtocol
 from repro.membership.cyclon import CACHED_AGE
 from repro.membership.views import NodeDescriptor
 from repro.redundancy.adaptive import AdaptiveRepairPolicy
-from repro.redundancy.manager import RedundancyManager, RepairPolicy, StaticRepairPolicy
+from repro.redundancy.manager import RedundancyManager, RepairPolicy
 from repro.redundancy.repair import RangeRepair
 from repro.sieve import BucketSieve
 from repro.sieve.keyspace import node_position, position_bucket
@@ -92,6 +93,45 @@ class TestAdaptiveTargets:
         # exponential data: S(window) = exp(-25/scale), age-independent
         fit = est.fit(200.0)
         assert p == pytest.approx(math.exp(-25.0 / fit.scale), rel=1e-6)
+
+
+class TestRunningSumFit:
+    """The fit comes from running sums, with no walk over sessions, and
+    equals the per-session censored exponential MLE."""
+
+    def test_fit_matches_the_hand_computed_censored_mle(self):
+        est = _estimator(100.0)  # 200 deaths on the quantile grid, none open
+        for member, at in ((900, 150.0), (901, 190.0), (902, 199.5)):
+            est.note_join(member, at)
+        est.note_join(903, 40.0)
+        est.note_death(903, 40.0)  # a same-instant session counts its floor lifetime
+        completed = sum(-100.0 * math.log(1.0 - (i + 0.5) / 200) for i in range(200)) + 1e-6
+        exposure = completed + (250.0 - 150.0) + (250.0 - 190.0) + (250.0 - 199.5)
+        fit = est.fit(250.0)
+        assert (fit.deaths, fit.censored) == (201, 3)
+        assert fit.exposure == pytest.approx(exposure, rel=1e-12)
+        assert fit.scale == pytest.approx(exposure / 201, rel=1e-12)
+        # what the per-session computation (one age per open session) gave
+        assert fit.scale == pytest.approx(100.37743022524855, rel=1e-12)
+
+    def test_answers_do_not_walk_the_sessions(self, monkeypatch):
+        est = _estimator(100.0)
+        for member in range(1000, 1500):
+            est.note_join(member, 190.0)
+        policy = _policy(est)
+
+        class _NoWalk(dict):
+            def __iter__(self):
+                raise AssertionError("walked the open sessions")
+
+            values = items = keys = __iter__
+
+        monkeypatch.setattr(est, "_alive", _NoWalk(est._alive))
+        assert policy.target_for(200.0, "range") >= 1
+        assert policy.check_period(200.0) > 0
+        assert policy.grace_window(200.0) > 0
+        assert policy.cadence_factor(200.0) > 0
+        assert est.fit(200.0).censored == 500
 
 
 class TestHysteresis:
@@ -239,14 +279,14 @@ class TestSightingSessions:
         manager = self._adaptive()
         sessions = manager.lifetimes
         manager.observe(NodeId(5), (NodeDescriptor(NodeId(6), age=3),))
-        assert sorted(sessions.censored_ages(1.0)) == [1.0, 4.0]  # 6 was up 3 rounds ago
+        assert sessions._alive == {5: 0.0, 6: -3.0}  # 6 was up 3 rounds ago
         manager.host.now = 15.0
         manager.observe(NodeId(5), (NodeDescriptor(NodeId(6), age=12),))  # 6 was up at 3
         manager.host.now = 40.0  # both lapse: each session ends at its last sighting
         manager.check()
         assert sessions.completed_count == 2
-        assert sorted(sessions._samples) == [6.0, 15.0]
-        assert sessions.censored_ages(40.0) == []
+        assert sessions.exposure(40.0) == 6.0 + 15.0
+        assert sessions.open_count == 0
 
     def test_a_reboot_inside_the_window_stays_one_session(self):
         manager = self._adaptive()
@@ -257,7 +297,7 @@ class TestSightingSessions:
         manager.host.now = 24.0
         manager.check()
         assert manager.lifetimes.completed_count == 0
-        assert manager.lifetimes.censored_ages(24.0) == [24.0]
+        assert manager.lifetimes._alive == {5: 0.0}
 
     def test_a_failed_partner_closes_its_session(self):
         manager = self._adaptive()
@@ -266,9 +306,10 @@ class TestSightingSessions:
         manager.note_peer_heard(NodeId(5))
         manager.host.now = 9.0
         manager.note_peer_failed(NodeId(5))
-        assert list(manager.lifetimes._samples) == [7.0]
+        assert manager.lifetimes.completed_count == 1
+        assert manager.lifetimes.exposure(9.0) == 7.0
         manager.note_peer_heard(NodeId(5))  # heard again: a new session
-        assert manager.lifetimes.censored_ages(10.0) == [1.0]
+        assert manager.lifetimes._alive == {5: 9.0}
 
     def test_a_stale_sighting_opens_no_session(self):
         """An id from a rebooted node's address cache (age far beyond
@@ -276,7 +317,7 @@ class TestSightingSessions:
         manager = self._adaptive()
         manager.host.now = 100.0
         manager.observe(NodeId(5), (NodeDescriptor(NodeId(6), age=CACHED_AGE),))
-        assert manager.lifetimes.censored_ages(101.0) == [1.0]  # the sender only
+        assert manager.lifetimes._alive == {5: 100.0}  # the sender only
 
 
 class TestPeerEviction:
@@ -443,8 +484,7 @@ class TestPeerEviction:
         from repro.core.datadroplets import DataDroplets
 
         config = DataDropletsConfig(seed=11, n_storage=16, n_soft=2,
-                                    replication=4, redundancy_mode="adaptive",
-                                    repair_period=2.0)
+                                    replication=4, repair_period=2.0)
         config = replace(
             config,
             repair=replace(config.repair, check_period=3.0),

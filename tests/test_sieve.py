@@ -17,7 +17,6 @@ from repro.sieve import (
     UnionSieve,
     bucket_count_for,
     coverage_report,
-    field_tag,
     node_position,
     prefix_tag,
     range_population,
@@ -157,12 +156,6 @@ class TestTagSieve:
             key = f"user{user}:event0"
             sets.add(frozenset(i for i, s in enumerate(sieves) if s.admits(key, {})))
         assert len(sets) > 5  # tags spread across distinct node groups
-
-    def test_field_tag(self):
-        sieves = self._sieves(tag=field_tag("user"))
-        a = frozenset(i for i, s in enumerate(sieves) if s.admits("x1", {"user": "u1"}))
-        b = frozenset(i for i, s in enumerate(sieves) if s.admits("x2", {"user": "u1"}))
-        assert a == b
 
     def test_untagged_falls_back_to_key(self):
         sieves = self._sieves(tag=prefix_tag())

@@ -62,8 +62,6 @@ GROUPS: List[List[Sequence[str]]] = [
      for w in ("sim_write", "sim_read", "sim_churn", "udp_mixed")],
     [
         REPRO + ("check", "--seeds", "25", "--quick", "--no-shrink"),
-        REPRO + ("check", "--seeds", "25", "--quick", "--no-shrink",
-                 "--redundancy-mode", "adaptive"),
         REPRO + ("check", "--nemesis", "corruption", "--seeds", "10", "--quick",
                  "--no-shrink"),
         REPRO + ("check", "--seeds", "2", "--no-shrink"),
